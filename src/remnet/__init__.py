@@ -24,7 +24,6 @@ from remnet.stats import (
     Term,
     design_matrix,
     stat_vector,
-    update_state,
 )
 from remnet.inference import (
     EventDesign,

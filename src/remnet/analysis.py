@@ -214,6 +214,17 @@ class ConcentrationReport:
             },
         }
 
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "ConcentrationReport":
+        """Inverse of ``to_json_dict``."""
+        return cls(
+            network_id=obj["network_id"],
+            conditions={
+                name: ConditionSummary(condition=name, **c)
+                for name, c in obj["conditions"].items()
+            },
+        )
+
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)

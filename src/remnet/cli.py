@@ -16,14 +16,13 @@ import csv
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 import remnet
-from remnet.analysis import adequacy, concentration_report
+from remnet.analysis import ConcentrationReport, adequacy, concentration_report
 from remnet.data import DataError, load_networks, summarize
 from remnet.inference import (
     EventDesign,
@@ -78,7 +77,6 @@ class RunConfig:
     seed: int | None = None
     tol: float = 1e-6
     max_iter: int = 500
-    jobs: int = 1
 
     def prior(self) -> PriorSpec:
         return PriorSpec(self.prior_location, self.prior_scale, self.prior_df)
@@ -108,7 +106,6 @@ def _load_config(args) -> RunConfig:
         "out",
         "seed",
         "replicates",
-        "jobs",
         "selection",
         "tol",
     ):
@@ -203,39 +200,16 @@ def _write_coefficient_table(fit: FitResult, path: Path) -> None:
         writer.writerow(["AICc", _fmt(fit.aicc, 2), "", ""])
 
 
-def _fit_one(item):
-    net_id, actors, seq, cfg = item
-    design = EventDesign(actors, seq)
-    spec = ModelSpec(terms=cfg.term_objects(), network_id=net_id)
-    return net_id, fit_map(
-        spec,
-        prior=cfg.prior(),
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        design=design,
-    )
-
-
-def _select_one(item):
-    net_id, actors, seq, cfg = item
-    design = EventDesign(actors, seq)
-    select = hill_climb_select if cfg.selection == "hill" else exhaustive_select
-    trace = select(cfg.term_objects(), prior=cfg.prior(), tol=cfg.tol, design=design)
-    return net_id, trace
-
-
-def _map_networks(worker, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
-
-
 def cmd_fit(cfg: RunConfig) -> int:
     out = _prepare_out(cfg, "fit")
-    nets = _load_all(cfg)
-    items = [(nid, a, s, cfg) for nid, (a, s) in nets.items()]
-    for net_id, fit in _map_networks(_fit_one, items, cfg.jobs):
+    for net_id, (actors, seq) in _load_all(cfg).items():
+        fit = fit_map(
+            ModelSpec(terms=cfg.term_objects(), network_id=net_id),
+            prior=cfg.prior(),
+            tol=cfg.tol,
+            max_iter=cfg.max_iter,
+            design=EventDesign(actors, seq),
+        )
         fit.save(out / f"fit_{net_id}.json")
         _write_coefficient_table(fit, out / f"coefficients_{net_id}.csv")
         print(f"{net_id}: AICc {fit.aicc:.2f} converged={fit.converged}")
@@ -244,9 +218,14 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     out = _prepare_out(cfg, "select")
-    nets = _load_all(cfg)
-    items = [(nid, a, s, cfg) for nid, (a, s) in nets.items()]
-    for net_id, trace in _map_networks(_select_one, items, cfg.jobs):
+    select = hill_climb_select if cfg.selection == "hill" else exhaustive_select
+    for net_id, (actors, seq) in _load_all(cfg).items():
+        trace = select(
+            cfg.term_objects(),
+            prior=cfg.prior(),
+            tol=cfg.tol,
+            design=EventDesign(actors, seq),
+        )
         trace.save(out / f"selection_{net_id}.json")
         trace.final.save(out / f"fit_{net_id}.json")
         _write_coefficient_table(trace.final, out / f"coefficients_{net_id}.csv")
@@ -306,46 +285,19 @@ def cmd_adequacy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _knockout_one(net_id, actors, seq, cfg, out):
-    fit = _require_fit(out, net_id)
-    conditions = tuple(KnockoutCondition.named(c) for c in cfg.conditions)
-    trajectories = run_knockout_experiment(
-        fit,
-        actors,
-        seq.m,
-        replicates=cfg.replicates,
-        conditions=conditions,
-        master_seed=cfg.seed,
-    )
-    write_trajectories_csv(trajectories, out / f"trajectories_{net_id}.csv")
-    report = concentration_report(trajectories, actors)
-    report.save_json(out / f"concentration_{net_id}.json")
-    return report
+def _simulate_networks(cfg: RunConfig, command: str):
+    """Simulate each network's saved fit and write its trajectories CSV.
 
-
-def cmd_knockout(cfg: RunConfig) -> int:
+    Yields (network id, actors, trajectories) per network. ``simulate``
+    is ``knockout`` without the concentration report.
+    """
     if cfg.seed is None:
-        raise ConfigError("--seed is mandatory for knockout")
-    out = _prepare_out(cfg, "knockout")
-    nets = _load_all(cfg)
-    reports = []
-    for net_id, (actors, seq) in nets.items():
-        reports.append(_knockout_one(net_id, actors, seq, cfg, out))
-        print(f"{net_id}: {cfg.replicates} x {len(cfg.conditions)} trajectories")
-    _write_concentration_csv(reports, out / "concentration.csv")
-    return EXIT_OK
-
-
-def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.seed is None:
-        raise ConfigError("--seed is mandatory for simulate")
-    out = _prepare_out(cfg, "simulate")
-    nets = _load_all(cfg)
+        raise ConfigError(f"--seed is mandatory for {command}")
+    out = _prepare_out(cfg, command)
     conditions = tuple(KnockoutCondition.named(c) for c in cfg.conditions)
-    for net_id, (actors, seq) in nets.items():
-        fit = _require_fit(out, net_id)
+    for net_id, (actors, seq) in _load_all(cfg).items():
         trajectories = run_knockout_experiment(
-            fit,
+            _require_fit(out, net_id),
             actors,
             seq.m,
             replicates=cfg.replicates,
@@ -353,7 +305,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
             master_seed=cfg.seed,
         )
         write_trajectories_csv(trajectories, out / f"trajectories_{net_id}.csv")
+        yield net_id, actors, trajectories
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    for net_id, _, trajectories in _simulate_networks(cfg, "simulate"):
         print(f"{net_id}: wrote {len(trajectories)} trajectories")
+    return EXIT_OK
+
+
+def cmd_knockout(cfg: RunConfig) -> int:
+    out = Path(cfg.out)
+    reports = []
+    for net_id, actors, trajectories in _simulate_networks(cfg, "knockout"):
+        report = concentration_report(trajectories, actors)
+        report.save_json(out / f"concentration_{net_id}.json")
+        reports.append(report)
+        print(f"{net_id}: {cfg.replicates} x {len(cfg.conditions)} trajectories")
+    _write_concentration_csv(reports, out / "concentration.csv")
     return EXIT_OK
 
 
@@ -377,27 +346,14 @@ def _write_concentration_csv(reports, path) -> None:
 
 def cmd_report(cfg: RunConfig) -> int:
     """Re-render concentration tables from saved knockout JSON outputs."""
-    from remnet.analysis import ConcentrationReport, ConditionSummary
-
     out = _prepare_out(cfg, "report")
-    paths = sorted(Path(cfg.out).glob("concentration_*.json"))
+    paths = sorted(out.glob("concentration_*.json"))
     if not paths:
         raise ConfigError(f"no concentration_*.json files under {cfg.out}")
-    reports = []
-    for path in paths:
-        obj = json.loads(path.read_text())
-        report = ConcentrationReport(network_id=obj["network_id"])
-        for name, c in obj["conditions"].items():
-            report.conditions[name] = ConditionSummary(
-                condition=name,
-                theil_values=c["theil_values"],
-                mean_theil=c["mean_theil"],
-                pct_change_vs_full=c["pct_change_vs_full"],
-                excess_fraction=c["excess_fraction"],
-                t_stat=c["t_stat"],
-                p_value=c["p_value"],
-            )
-        reports.append(report)
+    reports = [
+        ConcentrationReport.from_json_dict(json.loads(path.read_text()))
+        for path in paths
+    ]
     _write_concentration_csv(reports, out / "concentration.csv")
     print(f"wrote {out / 'concentration.csv'} ({len(reports)} networks)")
     return EXIT_OK
@@ -431,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicates", type=int)
         p.add_argument("--conditions", nargs="+")
         p.add_argument("--terms", nargs="+")
-        p.add_argument("--jobs", type=int)
         p.add_argument("--tol", type=float)
         p.add_argument("--selection", choices=["hill", "exhaustive"])
     return parser

@@ -144,6 +144,15 @@ def _parse_actor_rows(rows, path) -> dict[str, tuple[list, list, bool | None]]:
     return nets
 
 
+def _parse_order(order_raw, path, lineno) -> int:
+    try:
+        return int(order_raw)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(
+            f"{path}:{lineno}: order must be an integer, got {order_raw!r}"
+        ) from None
+
+
 def _parse_event_rows(rows, path) -> dict[str, list]:
     nets: dict[str, list] = {}
     last_order: dict[str, int] = {}
@@ -155,12 +164,7 @@ def _parse_event_rows(rows, path) -> dict[str, list]:
             receiver = row["receiver"]
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing column {exc}") from None
-        try:
-            order = int(order_raw)
-        except (TypeError, ValueError):
-            raise DataError(
-                f"{path}:{lineno}: order must be an integer, got {order_raw!r}"
-            ) from None
+        order = _parse_order(order_raw, path, lineno)
         if net in last_order and order <= last_order[net]:
             raise DataError(
                 f"{path}:{lineno}: order not strictly increasing for network {net!r}"
@@ -180,30 +184,58 @@ def _read_csv(path: str | Path):
         yield from ((lineno, row) for lineno, row in enumerate(reader, start=2))
 
 
+def _network(net, actor_entry, events) -> tuple[ActorTable, EventSequence]:
+    ids, flags, spec = actor_entry
+    actors = ActorTable(
+        network_id=net, actor_ids=tuple(ids), icr=tuple(flags), specialist=spec
+    )
+    seq = EventSequence(network_id=net, events=tuple(events))
+    _check_consistency(actors, seq)
+    return actors, seq
+
+
+def _json_rows(obj: dict, key: str, label: str, **fields) -> list[tuple[int, dict]]:
+    """(list index, row) pairs of ``obj[key]``, each row extended by ``fields``."""
+    rows = obj.get(key)
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise DataError(f"{label}: {key!r} must be a list of objects")
+    return [(idx, {**row, **fields}) for idx, row in enumerate(rows)]
+
+
 def _load_json_networks(path: str | Path):
+    """Networks of a JSON file, validated row by row like the CSV input.
+
+    The list index of an actor or event stands in for the CSV line number;
+    events may be listed in any order and are sorted by ``order``.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
     objs = payload if isinstance(payload, list) else [payload]
     result = {}
-    for obj in objs:
+    for k, obj in enumerate(objs):
+        label = f"{path}[{k}]"
+        if not isinstance(obj, dict) or "network_id" not in obj:
+            raise DataError(f"{label}: a network must be an object with a network_id")
         net = obj["network_id"]
-        spec = obj.get("specialist")
-        actors = ActorTable(
-            network_id=net,
-            actor_ids=tuple(a["actor_id"] for a in obj["actors"]),
-            icr=tuple(bool(int(a["icr"])) for a in obj["actors"]),
-            specialist=None if spec is None else bool(spec),
+        actor_rows = _json_rows(
+            obj, "actors", label, network_id=net, specialist=obj.get("specialist")
         )
-        ev_rows = sorted(obj["events"], key=lambda e: int(e["order"]))
-        seq = EventSequence(
-            network_id=net,
-            events=tuple((e["sender"], e["receiver"]) for e in ev_rows),
+        actor_nets = _parse_actor_rows(actor_rows, f"{label}.actors")
+        events_label = f"{label}.events"
+        event_rows = sorted(
+            _json_rows(obj, "events", label, network_id=net),
+            key=lambda item: _parse_order(item[1].get("order"), events_label, item[0]),
         )
-        _check_consistency(actors, seq)
-        result[net] = (actors, seq)
+        event_nets = _parse_event_rows(event_rows, events_label)
+        result[net] = _network(
+            net, actor_nets.get(net, ([], [], None)), event_nets.get(net, [])
+        )
     return result
 
 
@@ -222,13 +254,7 @@ def load_networks(
     for net, events in event_nets.items():
         if net not in actor_nets:
             raise DataError(f"network {net!r} has events but no actor rows")
-        ids, flags, spec = actor_nets[net]
-        actors = ActorTable(
-            network_id=net, actor_ids=tuple(ids), icr=tuple(flags), specialist=spec
-        )
-        seq = EventSequence(network_id=net, events=tuple(events))
-        _check_consistency(actors, seq)
-        result[net] = (actors, seq)
+        result[net] = _network(net, actor_nets[net], events)
     return result
 
 

@@ -282,9 +282,14 @@ def null_log_likelihood(n: int, m: int) -> float:
     return -m * math.log(n * (n - 1))
 
 
+def aicc_defined(k: int, m: int) -> bool:
+    """Whether AICc exists for k terms and m events: it needs m > k + 1."""
+    return m > k + 1
+
+
 def aicc(log_lik_at_mode: float, k: int, m: int) -> float:
-    """Sample-size-corrected AIC; inadmissible when m <= k + 1."""
-    if m <= k + 1:
+    """Sample-size-corrected AIC; inadmissible unless ``aicc_defined(k, m)``."""
+    if not aicc_defined(k, m):
         raise InadmissibleModelError(
             f"AICc undefined for k={k} terms with m={m} events"
         )
@@ -384,11 +389,8 @@ def fit_map(
     cov = (cov + cov.T) / 2.0
 
     ll = _core_loglik(design, mode, terms)
-    try:
-        crit = aicc(ll, k, m)
-    except InadmissibleModelError:
-        # fit is still usable (prior-dominated cases); selection skips it
-        crit = math.nan
+    # an inadmissible fit is still usable (prior-dominated cases)
+    crit = aicc(ll, k, m) if aicc_defined(k, m) else math.nan
     return FitResult(
         spec=spec,
         mode=mode,

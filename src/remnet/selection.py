@@ -24,6 +24,7 @@ from remnet.inference import (
     InadmissibleModelError,
     ModelSpec,
     PriorSpec,
+    aicc_defined,
     fit_map,
 )
 from remnet.stats import Term, canonical_terms
@@ -68,61 +69,43 @@ class SelectionTrace:
 
 
 class _FitCache:
-    def __init__(self, design, prior, tol, max_iter, network_id, warm_start):
+    def __init__(self, design, prior, tol, max_iter, warm_start):
         self.design = design
         self.prior = prior
         self.tol = tol
         self.max_iter = max_iter
-        self.network_id = network_id
         self.warm_start = warm_start
         self.cache: dict[frozenset, FitResult | None] = {}
 
     def fit(self, terms: tuple[Term, ...], base: FitResult | None = None):
-        """Fit a term set; None when inadmissible or non-convergent."""
+        """Fit a term set; None when AICc is undefined or the fit does not converge."""
         key = frozenset(terms)
-        if key in self.cache:
-            return self.cache[key]
-        spec = ModelSpec(terms=terms, network_id=self.network_id)
-        theta0 = None
-        if self.warm_start and base is not None:
-            base_coef = dict(zip(base.spec.terms, base.mode))
-            theta0 = np.array([base_coef.get(t, 0.0) for t in terms])
-        try:
+        if key not in self.cache:
+            self.cache[key] = self._fit(terms, base)
+        return self.cache[key]
+
+    def _fit(self, terms: tuple[Term, ...], base: FitResult | None):
+        k, m = len(terms), self.design.m
+        if aicc_defined(k, m):
+            theta0 = None
+            if self.warm_start and base is not None:
+                base_coef = dict(zip(base.spec.terms, base.mode))
+                theta0 = np.array([base_coef.get(t, 0.0) for t in terms])
             result = fit_map(
-                spec,
+                ModelSpec(terms=terms, network_id=self.design.seq.network_id),
                 prior=self.prior,
                 tol=self.tol,
                 max_iter=self.max_iter,
                 design=self.design,
                 theta0=theta0,
             )
-        except InadmissibleModelError:
-            log.warning(
-                "skipping inadmissible model %s (k=%d, m=%d)",
-                [t.value for t in terms],
-                len(terms),
-                self.design.m,
-            )
-            self.cache[key] = None
-            return None
-        if np.isnan(result.aicc):
-            log.warning(
-                "skipping model %s: AICc inadmissible (k=%d, m=%d)",
-                [t.value for t in terms],
-                len(terms),
-                self.design.m,
-            )
-            self.cache[key] = None
-            return None
-        if not result.converged:
-            log.warning(
-                "fit did not converge for %s; candidate skipped",
-                [t.value for t in terms],
-            )
-            self.cache[key] = None
-            return None
-        self.cache[key] = result
-        return result
+            if result.converged:
+                return result
+            reason = "fit did not converge"
+        else:
+            reason = f"AICc undefined (k={k}, m={m})"
+        log.warning("skipping model %s: %s", [t.value for t in terms], reason)
+        return None
 
 
 def hill_climb_select(
@@ -141,10 +124,13 @@ def hill_climb_select(
         raise ValueError("candidate term set is empty")
     if design is None:
         design = EventDesign(actors, seq)
-    network_id = design.seq.network_id
-    fitter = _FitCache(design, prior, tol, max_iter, network_id, warm_start)
+    fitter = _FitCache(design, prior, tol, max_iter, warm_start)
 
     current = fitter.fit(())
+    if current is None:
+        raise InadmissibleModelError(
+            f"no admissible model: AICc is undefined for the empty model (m={design.m})"
+        )
     steps = [SelectionStep((), current.aicc, "start", None)]
     while True:
         in_model = set(current.spec.terms)
@@ -204,11 +190,18 @@ def exhaustive_select(
         )
     if design is None:
         design = EventDesign(actors, seq)
-    network_id = design.seq.network_id
-    fitter = _FitCache(design, prior, tol, max_iter, network_id, False)
+    fitter = _FitCache(design, prior, tol, max_iter, False)
 
     best = None
     for size in range(len(candidates) + 1):
+        if not aicc_defined(size, design.m):
+            # AICc is then undefined for every larger subset too
+            log.warning(
+                "skipping every model with %d or more terms: AICc undefined (m=%d)",
+                size,
+                design.m,
+            )
+            break
         for combo in itertools.combinations(candidates, size):
             result = fitter.fit(combo)
             if result is None:
@@ -217,7 +210,7 @@ def exhaustive_select(
             if best is None or result.aicc < best.aicc - MIN_IMPROVEMENT:
                 best = result
     if best is None:
-        raise RuntimeError("no admissible model could be fit")
+        raise InadmissibleModelError("no admissible model could be fit")
     steps = [
         SelectionStep(best.spec.terms, best.aicc, "stop", None),
     ]

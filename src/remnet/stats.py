@@ -1,11 +1,10 @@
 """Event-history state and sufficient statistics for the 14 model terms.
 
-Two evaluation paths are provided and kept in exact (bitwise) agreement:
-
-* incremental: a ``HistoryState`` updated event by event, with scalar
-  per-dyad accessors and a vectorized ``design_matrix`` over all dyads;
-* naive: ``naive_stat`` recomputes any statistic directly from a raw
-  event-prefix list, used as the oracle in tests.
+A ``HistoryState`` is updated event by event, and ``design_matrix``
+evaluates every term over the whole risk set from it in one vectorized
+pass; ``stat_vector`` is one row of that matrix. This is the only
+implementation of the statistics. The tests check it bitwise against a
+naive oracle that recomputes each statistic from the raw event prefix.
 
 Conventions (the source material gives only verbal definitions):
   NTDegRec normalizes by 2*n_past_events, so it is a [0,1] volume share;
@@ -122,130 +121,12 @@ class HistoryState:
         return self
 
 
-def update_state(state: HistoryState, event: tuple[int, int]) -> HistoryState:
-    return state.update(*event)
-
-
 def replay(events: Sequence[tuple[int, int]], n: int) -> HistoryState:
     """State after applying every event of a prefix, from scratch."""
     state = HistoryState(n)
     for a, b in events:
         state.update(a, b)
     return state
-
-
-# ---------------------------------------------------------------------------
-# scalar per-dyad statistics
-
-
-def stat_ntdegrec(state: HistoryState, j: int) -> float:
-    """Receiver j's share of total prior communication volume."""
-    if state.n_past_events == 0:
-        return 0.0
-    return float(
-        (state.in_degree[j] + state.out_degree[j]) / (2 * state.n_past_events)
-    )
-
-
-def stat_persistence(state: HistoryState, i: int, j: int) -> float:
-    """Fraction of i's past sends that went to j."""
-    if state.out_degree[i] == 0:
-        return 0.0
-    return float(state.dyad_count[i, j] / state.out_degree[i])
-
-
-def stat_recency(state: HistoryState, i: int, j: int, direction: str) -> float:
-    """Inverse recency rank of j among i's in-alters or out-alters."""
-    if direction == "received":
-        ranks = state.recency_in[i]
-    elif direction == "sent":
-        ranks = state.recency_out[i]
-    else:
-        raise ValueError(f"direction must be 'received' or 'sent', got {direction!r}")
-    try:
-        return 1.0 / (ranks.index(j) + 1)
-    except ValueError:
-        return 0.0
-
-
-def stat_triadic(state: HistoryState, i: int, j: int, kind: str) -> float:
-    """Distinct-intermediary two-path / shared-partner counts."""
-    cnt = state.dyad_count
-    total = 0
-    for k in range(state.n):
-        if k == i or k == j:
-            continue
-        if kind == "OTP":
-            hit = cnt[i, k] > 0 and cnt[k, j] > 0
-        elif kind == "ITP":
-            hit = cnt[k, i] > 0 and cnt[j, k] > 0
-        elif kind == "OSP":
-            hit = cnt[i, k] > 0 and cnt[j, k] > 0
-        elif kind == "ISP":
-            hit = cnt[k, i] > 0 and cnt[k, j] > 0
-        else:
-            raise ValueError(f"unknown triadic kind {kind!r}")
-        if hit:
-            total += 1
-    return float(total)
-
-
-def stat_pshift(state: HistoryState, i: int, j: int, kind: str) -> float:
-    """Participation-shift indicator against the immediately preceding event."""
-    if state.last_event is None:
-        return 0.0
-    a, b = state.last_event
-    if kind == "ABBA":
-        hit = i == b and j == a
-    elif kind == "ABBY":
-        hit = i == b and j != a and j != b
-    elif kind == "ABXA":
-        hit = j == a and i != a and i != b
-    elif kind == "ABXB":
-        hit = j == b and i != a and i != b
-    elif kind == "ABAY":
-        hit = i == a and j != a and j != b
-    else:
-        raise ValueError(f"unknown p-shift kind {kind!r}")
-    return 1.0 if hit else 0.0
-
-
-def stat_icr(icr: np.ndarray, i: int, j: int) -> float:
-    """Shared send/receive role covariate: icr(i) + icr(j) in {0, 1, 2}."""
-    return float(icr[i]) + float(icr[j])
-
-
-def stat_value(
-    state: HistoryState, icr: np.ndarray, i: int, j: int, term: Term
-) -> float:
-    if term is Term.NTDEGREC:
-        return stat_ntdegrec(state, j)
-    if term is Term.FRPSNDSND:
-        return stat_persistence(state, i, j)
-    if term is Term.RRECSND:
-        return stat_recency(state, i, j, "received")
-    if term is Term.RSNDSND:
-        return stat_recency(state, i, j, "sent")
-    if term in (Term.OTPSND, Term.ITPSND, Term.OSPSND, Term.ISPSND):
-        return stat_triadic(state, i, j, term.name[:3])
-    if term in PSHIFT_TERMS:
-        return stat_pshift(state, i, j, term.name[2:])
-    if term is Term.ICR:
-        return stat_icr(icr, i, j)
-    raise ValueError(f"unknown term {term!r}")
-
-
-def stat_vector(
-    state: HistoryState,
-    icr: np.ndarray,
-    i: int,
-    j: int,
-    terms: Sequence[Term],
-) -> np.ndarray:
-    """Statistic values for dyad (i, j), in the order of ``terms``."""
-    if i == j:
-        raise ValueError("self-loop dyad")
-    return np.array([stat_value(state, icr, i, j, t) for t in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +156,7 @@ def _offdiag(mat: np.ndarray) -> np.ndarray:
 def design_matrix(
     state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
 ) -> np.ndarray:
-    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad order.
-
-    Bitwise-identical to evaluating ``stat_vector`` dyad by dyad.
-    """
+    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad order."""
     n = state.n
     cols = []
     binarized = None
@@ -350,88 +228,20 @@ def design_matrix(
     return np.stack(cols, axis=1)
 
 
-# ---------------------------------------------------------------------------
-# naive oracle: statistics from a raw event prefix, no HistoryState
-
-
-def naive_stat(
-    events: Sequence[tuple[int, int]],
+def stat_vector(
+    state: HistoryState,
     icr: np.ndarray,
-    n: int,
-    i: int,
-    j: int,
-    term: Term,
-) -> float:
-    """Recompute one statistic by scanning the raw prefix. Test oracle."""
-    m = len(events)
-    if term is Term.NTDEGREC:
-        if m == 0:
-            return 0.0
-        vol = sum(1 for s, r in events if s == j) + sum(
-            1 for s, r in events if r == j
-        )
-        return float(np.int64(vol) / np.int64(2 * m))
-    if term is Term.FRPSNDSND:
-        sent = sum(1 for s, r in events if s == i)
-        if sent == 0:
-            return 0.0
-        to_j = sum(1 for s, r in events if s == i and r == j)
-        return float(np.int64(to_j) / np.int64(sent))
-    if term in (Term.RRECSND, Term.RSNDSND):
-        seen: list[int] = []
-        for s, r in reversed(events):
-            if term is Term.RRECSND and r == i and s not in seen:
-                seen.append(s)
-            elif term is Term.RSNDSND and s == i and r not in seen:
-                seen.append(r)
-        return 1.0 / (seen.index(j) + 1) if j in seen else 0.0
-    if term in (Term.OTPSND, Term.ITPSND, Term.OSPSND, Term.ISPSND):
-        pairs = {(s, r) for s, r in events}
-
-        def tie(a, b):
-            return (a, b) in pairs
-
-        total = 0
-        for k in range(n):
-            if k in (i, j):
-                continue
-            if term is Term.OTPSND:
-                hit = tie(i, k) and tie(k, j)
-            elif term is Term.ITPSND:
-                hit = tie(k, i) and tie(j, k)
-            elif term is Term.OSPSND:
-                hit = tie(i, k) and tie(j, k)
-            else:
-                hit = tie(k, i) and tie(k, j)
-            total += hit
-        return float(total)
-    if term in PSHIFT_TERMS:
-        if m == 0:
-            return 0.0
-        a, b = events[-1]
-        kind = term.name[2:]
-        if kind == "ABBA":
-            return float(i == b and j == a)
-        if kind == "ABBY":
-            return float(i == b and j not in (a, b))
-        if kind == "ABXA":
-            return float(j == a and i not in (a, b))
-        if kind == "ABXB":
-            return float(j == b and i not in (a, b))
-        return float(i == a and j not in (a, b))
-    if term is Term.ICR:
-        return float(icr[i]) + float(icr[j])
-    raise ValueError(f"unknown term {term!r}")
-
-
-def naive_stat_vector(
-    events: Sequence[tuple[int, int]],
-    icr: np.ndarray,
-    n: int,
     i: int,
     j: int,
     terms: Sequence[Term],
 ) -> np.ndarray:
-    if i == j:
-        raise ValueError("self-loop dyad")
-    return np.array([naive_stat(events, icr, n, i, j, t) for t in terms])
+    """Statistic values for dyad (i, j), in the order of ``terms``.
+
+    The row of ``design_matrix`` for that dyad. Raises ValueError for a
+    self-loop or an actor outside ``[0, n)``.
+    """
+    n = state.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"unknown actor in dyad ({i}, {j})")
+    row = dyad_index(i, j, n)
+    return design_matrix(state, icr, terms)[row]

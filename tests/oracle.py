@@ -1,0 +1,94 @@
+"""Naive oracle: statistics recomputed from a raw event prefix, no HistoryState.
+
+Independent of ``remnet.stats.design_matrix``; the tests require the two
+to agree bitwise.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from remnet.stats import PSHIFT_TERMS, Term
+
+
+def naive_stat(
+    events: Sequence[tuple[int, int]],
+    icr: np.ndarray,
+    n: int,
+    i: int,
+    j: int,
+    term: Term,
+) -> float:
+    """Recompute one statistic by scanning the raw prefix. Test oracle."""
+    m = len(events)
+    if term is Term.NTDEGREC:
+        if m == 0:
+            return 0.0
+        vol = sum(1 for s, r in events if s == j) + sum(
+            1 for s, r in events if r == j
+        )
+        return float(np.int64(vol) / np.int64(2 * m))
+    if term is Term.FRPSNDSND:
+        sent = sum(1 for s, r in events if s == i)
+        if sent == 0:
+            return 0.0
+        to_j = sum(1 for s, r in events if s == i and r == j)
+        return float(np.int64(to_j) / np.int64(sent))
+    if term in (Term.RRECSND, Term.RSNDSND):
+        seen: list[int] = []
+        for s, r in reversed(events):
+            if term is Term.RRECSND and r == i and s not in seen:
+                seen.append(s)
+            elif term is Term.RSNDSND and s == i and r not in seen:
+                seen.append(r)
+        return 1.0 / (seen.index(j) + 1) if j in seen else 0.0
+    if term in (Term.OTPSND, Term.ITPSND, Term.OSPSND, Term.ISPSND):
+        pairs = {(s, r) for s, r in events}
+
+        def tie(a, b):
+            return (a, b) in pairs
+
+        total = 0
+        for k in range(n):
+            if k in (i, j):
+                continue
+            if term is Term.OTPSND:
+                hit = tie(i, k) and tie(k, j)
+            elif term is Term.ITPSND:
+                hit = tie(k, i) and tie(j, k)
+            elif term is Term.OSPSND:
+                hit = tie(i, k) and tie(j, k)
+            else:
+                hit = tie(k, i) and tie(k, j)
+            total += hit
+        return float(total)
+    if term in PSHIFT_TERMS:
+        if m == 0:
+            return 0.0
+        a, b = events[-1]
+        kind = term.name[2:]
+        if kind == "ABBA":
+            return float(i == b and j == a)
+        if kind == "ABBY":
+            return float(i == b and j not in (a, b))
+        if kind == "ABXA":
+            return float(j == a and i not in (a, b))
+        if kind == "ABXB":
+            return float(j == b and i not in (a, b))
+        return float(i == a and j not in (a, b))
+    if term is Term.ICR:
+        return float(icr[i]) + float(icr[j])
+    raise ValueError(f"unknown term {term!r}")
+
+
+def naive_stat_vector(
+    events: Sequence[tuple[int, int]],
+    icr: np.ndarray,
+    n: int,
+    i: int,
+    j: int,
+    terms: Sequence[Term],
+) -> np.ndarray:
+    if i == j:
+        raise ValueError("self-loop dyad")
+    return np.array([naive_stat(events, icr, n, i, j, t) for t in terms])

@@ -38,7 +38,6 @@ from remnet.stats import (
     Term,
     design_matrix,
     dyad_index,
-    naive_stat_vector,
     replay,
     stat_vector,
 )
@@ -51,6 +50,7 @@ from conftest import (
     sequence_from_pairs,
     simulate_sequence,
 )
+from oracle import naive_stat_vector
 
 
 def _criterion(num, name):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remnet.analysis import (
+    ConcentrationReport,
     adequacy,
     concentration_report,
     excess_concentration,
@@ -311,3 +312,5 @@ def test_concentration_report_json(tmp_path):
         "icr_removed",
         "all_removed",
     }
+    assert ConcentrationReport.from_json_dict(obj) == report
+    assert ConcentrationReport.from_json_dict(report.to_json_dict()) == report

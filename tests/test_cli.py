@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from remnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from remnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from remnet.data import save_network
 from remnet.stats import Term
 
-from conftest import make_actors, simulate_sequence
+from conftest import make_actors, sequence_from_pairs, simulate_sequence
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,8 @@ def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"evnts": "x"}))
     assert run(["summarize", "--config", cfg]) == EXIT_CONFIG
+    cfg.write_text(json.dumps({"events": "x.csv", "jobs": 2}))
+    assert run(["summarize", "--config", cfg]) == EXIT_CONFIG
 
 
 def test_full_pipeline_and_idempotence(data_dir, tmp_path):
@@ -205,7 +207,7 @@ def test_full_pipeline_and_idempotence(data_dir, tmp_path):
     assert (out / "concentration.csv").read_bytes() == conc_csv_first
 
     assert run(["report", *base]) == EXIT_OK
-    assert (out / "concentration.csv").exists()
+    assert (out / "concentration.csv").read_bytes() == conc_csv_first
 
 
 def test_simulate_command(data_dir, tmp_path):
@@ -237,6 +239,28 @@ def test_simulate_command(data_dir, tmp_path):
     lines = (out / "trajectories_alpha.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 80
 
+    # simulate is knockout without the concentration report
+    simulated = {
+        net: (out / f"trajectories_{net}.csv").read_bytes() for net in ("alpha", "beta")
+    }
+    assert (
+        run(
+            [
+                "knockout",
+                *base,
+                "--seed",
+                "3",
+                "--replicates",
+                "2",
+                "--conditions",
+                "full",
+            ]
+        )
+        == EXIT_OK
+    )
+    for net, content in simulated.items():
+        assert (out / f"trajectories_{net}.csv").read_bytes() == content
+
 
 def test_simulate_without_fit_is_config_error(data_dir, tmp_path):
     out = tmp_path / "nofit"
@@ -254,3 +278,42 @@ def test_simulate_without_fit_is_config_error(data_dir, tmp_path):
         ]
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("selection", ["hill", "exhaustive"])
+def test_select_on_one_event_network_is_numerical_error(tmp_path, capsys, selection):
+    actors = make_actors(3, network_id="one")
+    seq = sequence_from_pairs(actors, [(0, 1)])
+    save_network(actors, seq, tmp_path / "e.csv", tmp_path / "a.csv")
+    code = run(
+        [
+            "select",
+            "--events",
+            tmp_path / "e.csv",
+            "--actors",
+            tmp_path / "a.csv",
+            "--out",
+            tmp_path / "o",
+            "--selection",
+            selection,
+        ]
+    )
+    assert code == EXIT_NUMERICAL
+    assert "no admissible model" in capsys.readouterr().err
+
+
+def test_malformed_json_is_data_error(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(
+        json.dumps(
+            {
+                "network_id": "net",
+                "actors": [
+                    {"actor_id": "a", "icr": "yes"},
+                    {"actor_id": "b", "icr": 0},
+                ],
+                "events": [{"order": 1, "sender": "a", "receiver": "b"}],
+            }
+        )
+    )
+    assert run(["summarize", "--events", path, "--out", tmp_path / "o"]) == EXIT_DATA

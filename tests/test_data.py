@@ -1,6 +1,13 @@
+import copy
+import functools
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remnet.data import (
     ActorTable,
@@ -131,6 +138,115 @@ def test_json_input(tmp_path):
     actors, seq = load_network(path)
     assert actors.specialist is True
     assert seq.events == (("a", "b"), ("b", "c"))
+
+
+# two networks; the events of the second are listed out of order
+VALID_JSON = [
+    {
+        "network_id": "n1",
+        "specialist": 1,
+        "actors": [
+            {"actor_id": "a", "icr": 1},
+            {"actor_id": "b", "icr": 0},
+            {"actor_id": "c", "icr": "0"},
+        ],
+        "events": [
+            {"order": 1, "sender": "a", "receiver": "b"},
+            {"order": 2, "sender": "b", "receiver": "c"},
+        ],
+    },
+    {
+        "network_id": "n2",
+        "actors": [{"actor_id": "x", "icr": 0}, {"actor_id": "y", "icr": 1}],
+        "events": [
+            {"order": 7, "sender": "y", "receiver": "x"},
+            {"order": 3, "sender": "x", "receiver": "y"},
+        ],
+    },
+]
+
+
+def test_json_events_sorted_by_order(tmp_path):
+    path = tmp_path / "nets.json"
+    path.write_text(json.dumps(VALID_JSON))
+    nets = load_networks(path)
+    assert nets["n1"][0].specialist is True
+    assert nets["n2"][0].specialist is None
+    assert nets["n2"][1].events == (("x", "y"), ("y", "x"))
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda nets: nets[0]["actors"][0].update(icr="yes"), "icr must be 0 or 1"),
+        (lambda nets: nets[0]["actors"][1].pop("icr"), "missing column 'icr'"),
+        (lambda nets: nets[1]["events"][0].update(order="x"), "must be an integer"),
+        (lambda nets: nets[1]["events"][0].update(order=3), "strictly increasing"),
+        (lambda nets: nets[0].update(specialist="yes"), "specialist must be 0 or 1"),
+        (lambda nets: nets[1].update(events=5), "must be a list of objects"),
+    ],
+    ids=[
+        "icr_yes",
+        "icr_missing",
+        "order_not_int",
+        "order_duplicate",
+        "specialist_yes",
+        "events_not_list",
+    ],
+)
+def test_json_malformed_rows_are_data_errors(tmp_path, corrupt, match):
+    nets = copy.deepcopy(VALID_JSON)
+    corrupt(nets)
+    path = tmp_path / "nets.json"
+    path.write_text(json.dumps(nets))
+    with pytest.raises(DataError, match=match):
+        load_networks(path)
+
+
+def test_truncated_json_is_data_error(tmp_path):
+    path = tmp_path / "nets.json"
+    path.write_text(json.dumps(VALID_JSON)[:-20])
+    with pytest.raises(DataError, match="invalid JSON"):
+        load_networks(path)
+
+
+def _json_locations(node, prefix=()):
+    """Every location in a JSON tree, as a path of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_locations(child, prefix + (key,))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupted_json_loads_or_raises_data_error(data):
+    """Drop any key or list item, or swap any value for a JSON scalar."""
+    nets = copy.deepcopy(VALID_JSON)
+    where = data.draw(st.sampled_from(list(_json_locations(nets))))
+    if not where:
+        nets = data.draw(JSON_SCALARS)
+    else:
+        parent = functools.reduce(operator.getitem, where[:-1], nets)
+        if data.draw(st.booleans()):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(JSON_SCALARS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "nets.json"
+        path.write_text(json.dumps(nets))
+        try:
+            load_networks(path)
+        except DataError:
+            pass
 
 
 def test_multiple_networks(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from remnet import selection
 from remnet.inference import EventDesign, ModelSpec, PriorSpec, fit_map
 from remnet.selection import exhaustive_select, hill_climb_select
 from remnet.stats import Term
@@ -126,3 +127,18 @@ def test_trace_json_roundtrip(tmp_path, strong_pshift_design):
     obj = json.loads(path.read_text())
     assert obj["final"]["terms"] == trace.final.spec.term_names()
     assert [s["action"] for s in obj["steps"]][0] == "start"
+
+
+def test_inadmissible_candidates_are_not_fitted(monkeypatch):
+    rng = np.random.default_rng(0)
+    design = EventDesign(*random_sequence(4, 3, rng))
+    fitted = []
+
+    def counting_fit_map(spec, **kwargs):
+        fitted.append(spec.k)
+        return fit_map(spec, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_map", counting_fit_map)
+    exhaustive_select((Term.PSABBA, Term.ICR, Term.RRECSND), design=design)
+    # AICc needs m > k + 1, so 3 events admit at most one term
+    assert sorted(fitted) == [0, 1, 1, 1]

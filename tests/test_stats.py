@@ -11,18 +11,12 @@ from remnet.stats import (
     design_matrix,
     dyad_from_index,
     dyad_index,
-    naive_stat_vector,
     replay,
-    stat_icr,
-    stat_ntdegrec,
-    stat_persistence,
-    stat_pshift,
-    stat_recency,
-    stat_triadic,
     stat_vector,
     term_from_name,
-    update_state,
 )
+
+from oracle import naive_stat_vector
 
 
 @st.composite
@@ -67,7 +61,7 @@ def test_term_enum_is_stable():
 
 def test_update_state_first_event():
     state = HistoryState(3)
-    update_state(state, (0, 1))
+    state.update(0, 1)
     assert state.dyad_count[0, 1] == 1
     assert state.last_event == (0, 1)
     assert state.n_past_events == 1
@@ -109,85 +103,94 @@ def test_state_invariants_on_random_history():
     assert (state.last_event is None) == (state.n_past_events == 0)
 
 
+def stat(state, i, j, term, icr=None):
+    """One statistic for dyad (i, j): a one-term ``stat_vector`` call."""
+    icr = np.zeros(state.n) if icr is None else icr
+    (value,) = stat_vector(state, icr, i, j, (term,))
+    return value
+
+
 def test_ntdegrec_single_event():
     state = replay([(0, 1)], 3)
-    assert stat_ntdegrec(state, 1) == 0.5
-    assert stat_ntdegrec(state, 0) == 0.5
-    assert stat_ntdegrec(state, 2) == 0.0
+    # NTDegRec depends on the receiver only
+    assert stat(state, 0, 1, Term.NTDEGREC) == 0.5
+    assert stat(state, 1, 0, Term.NTDEGREC) == 0.5
+    assert stat(state, 0, 2, Term.NTDEGREC) == 0.0
 
 
 def test_ntdegrec_empty_history():
     state = HistoryState(4)
-    assert all(stat_ntdegrec(state, j) == 0.0 for j in range(4))
+    assert all(stat(state, (j + 1) % 4, j, Term.NTDEGREC) == 0.0 for j in range(4))
 
 
 def test_ntdegrec_degree_sum_identity():
     state = replay([(0, 1), (2, 1), (1, 0), (3, 2)], 4)
     total = sum(
-        2 * state.n_past_events * stat_ntdegrec(state, j) for j in range(4)
+        2 * state.n_past_events * stat(state, (j + 1) % 4, j, Term.NTDEGREC)
+        for j in range(4)
     )
     assert total == pytest.approx(2 * state.n_past_events)
 
 
 def test_persistence_hand_count():
     state = replay([(0, 1), (0, 1), (0, 2)], 3)
-    assert stat_persistence(state, 0, 1) == pytest.approx(2 / 3)
+    assert stat(state, 0, 1, Term.FRPSNDSND) == pytest.approx(2 / 3)
 
 
 def test_persistence_bounds():
     state = replay([(0, 1), (0, 1)], 3)
-    assert stat_persistence(state, 0, 1) == 1.0
-    assert stat_persistence(state, 2, 1) == 0.0  # no history
+    assert stat(state, 0, 1, Term.FRPSNDSND) == 1.0
+    assert stat(state, 2, 1, Term.FRPSNDSND) == 0.0  # no history
 
 
 def test_recency_examples():
     state = replay([(1, 0), (2, 0)], 4)
     # most recent in-alter of 0 is 2, then 1
-    assert stat_recency(state, 0, 2, "received") == 1.0
-    assert stat_recency(state, 0, 1, "received") == 0.5
-    assert stat_recency(state, 0, 3, "received") == 0.0
+    assert stat(state, 0, 2, Term.RRECSND) == 1.0
+    assert stat(state, 0, 1, Term.RRECSND) == 0.5
+    assert stat(state, 0, 3, Term.RRECSND) == 0.0
     state2 = replay([(0, 1), (0, 2)], 4)
-    assert stat_recency(state2, 0, 1, "sent") == 0.5
+    assert stat(state2, 0, 1, Term.RSNDSND) == 0.5
 
 
 def test_triadic_single_two_path():
     state = replay([(0, 2), (2, 1)], 3)
-    assert stat_triadic(state, 0, 1, "OTP") == 1.0
+    assert stat(state, 0, 1, Term.OTPSND) == 1.0
 
 
 def test_triadic_empty_history():
     state = HistoryState(4)
-    for kind in ("OTP", "ITP", "OSP", "ISP"):
-        assert stat_triadic(state, 0, 1, kind) == 0.0
+    for term in (Term.OTPSND, Term.ITPSND, Term.OSPSND, Term.ISPSND):
+        assert stat(state, 0, 1, term) == 0.0
 
 
 def test_triadic_counts_distinct_intermediaries():
     state = replay([(0, 2), (0, 2), (2, 1)], 3)
-    assert stat_triadic(state, 0, 1, "OTP") == 1.0
+    assert stat(state, 0, 1, Term.OTPSND) == 1.0
 
 
 def test_pshift_definitional():
     state = replay([(0, 1)], 4)
-    assert stat_pshift(state, 1, 0, "ABBA") == 1.0
-    for kind in ("ABBY", "ABXA", "ABXB", "ABAY"):
-        assert stat_pshift(state, 1, 0, kind) == 0.0
-    assert stat_pshift(state, 0, 2, "ABAY") == 1.0
-    assert stat_pshift(state, 1, 2, "ABBY") == 1.0
-    assert stat_pshift(state, 2, 0, "ABXA") == 1.0
-    assert stat_pshift(state, 2, 1, "ABXB") == 1.0
+    assert stat(state, 1, 0, Term.PSABBA) == 1.0
+    for term in (Term.PSABBY, Term.PSABXA, Term.PSABXB, Term.PSABAY):
+        assert stat(state, 1, 0, term) == 0.0
+    assert stat(state, 0, 2, Term.PSABAY) == 1.0
+    assert stat(state, 1, 2, Term.PSABBY) == 1.0
+    assert stat(state, 2, 0, Term.PSABXA) == 1.0
+    assert stat(state, 2, 1, Term.PSABXB) == 1.0
 
 
 def test_pshift_empty_history():
     state = HistoryState(3)
-    for kind in ("ABBA", "ABBY", "ABXA", "ABXB", "ABAY"):
-        assert stat_pshift(state, 0, 1, kind) == 0.0
+    for term in PSHIFT_TERMS:
+        assert stat(state, 0, 1, term) == 0.0
 
 
 def test_icr_values():
+    state = HistoryState(3)
     icr = np.array([1.0, 0.0, 1.0])
-    assert stat_icr(icr, 0, 2) == 2.0
-    assert stat_icr(icr, 1, 1) == 0.0
-    assert stat_icr(icr, 0, 1) == 1.0
+    assert stat(state, 0, 2, Term.ICR, icr) == 2.0
+    assert stat(state, 0, 1, Term.ICR, icr) == 1.0
 
 
 def test_stat_vector_single_term():
@@ -206,6 +209,14 @@ def test_stat_vector_rejects_self_loop():
     state = HistoryState(3)
     with pytest.raises(ValueError):
         stat_vector(state, np.zeros(3), 1, 1, ALL_TERMS)
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -1)])
+def test_stat_vector_rejects_unknown_actor(i, j):
+    # dyad_index(0, 3, 3) alone would silently name the row of dyad (1, 0)
+    state = replay([(0, 1)], 3)
+    with pytest.raises(ValueError, match="unknown actor"):
+        stat_vector(state, np.zeros(3), i, j, ALL_TERMS)
 
 
 def test_dyad_index_roundtrip():
