@@ -216,11 +216,23 @@ class ConcentrationReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ConcentrationReport":
-        """Inverse of ``to_json_dict``."""
+        """Inverse of ``to_json_dict``; a non-numeric value raises."""
+
+        def optional(x):
+            return None if x is None else float(x)
+
         return cls(
             network_id=obj["network_id"],
             conditions={
-                name: ConditionSummary(condition=name, **c)
+                name: ConditionSummary(
+                    condition=name,
+                    theil_values=[float(v) for v in c["theil_values"]],
+                    mean_theil=float(c["mean_theil"]),
+                    pct_change_vs_full=optional(c["pct_change_vs_full"]),
+                    excess_fraction=optional(c["excess_fraction"]),
+                    t_stat=optional(c["t_stat"]),
+                    p_value=optional(c["p_value"]),
+                )
                 for name, c in obj["conditions"].items()
             },
         )

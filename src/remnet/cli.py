@@ -16,6 +16,7 @@ import csv
 import json
 import logging
 import sys
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -89,12 +90,14 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         path = Path(args.config)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object")
         unknown = set(payload) - set(cfg.__dict__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -116,25 +119,51 @@ def _load_config(args) -> RunConfig:
         cfg.conditions = args.conditions
     if getattr(args, "terms", None):
         cfg.terms = args.terms
+    for key, hint in typing.get_type_hints(RunConfig).items():
+        if not _conforms(getattr(cfg, key), hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{key} must be {name}, got {getattr(cfg, key)!r}")
     if not cfg.events:
         raise ConfigError("no events path given (flag --events or config key)")
     if cfg.selection not in ("hill", "exhaustive"):
         raise ConfigError(f"selection must be 'hill' or 'exhaustive', got {cfg.selection!r}")
+    if cfg.tol <= 0:
+        raise ConfigError(f"tol must be positive, got {cfg.tol!r}")
+    if cfg.replicates < 1:
+        raise ConfigError(f"replicates must be >= 1, got {cfg.replicates!r}")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
     try:
-        cfg.term_objects()
+        cfg.prior()
+        ModelSpec(cfg.term_objects())
+        for name in cfg.conditions:
+            KnockoutCondition.named(name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for name in cfg.conditions:
-        try:
-            KnockoutCondition.named(name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     return cfg
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a config value has the type ``hint``; an int counts as a float."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if args:  # a union such as int | None
+        return any(_conforms(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        # finite as a float: NaN, infinities and ints beyond float range fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def _prepare_out(cfg: RunConfig, command: str) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     resolved = dict(asdict(cfg), command=command, version=remnet.__version__)
     with open(out / f"{command}_config.json", "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
@@ -217,6 +246,8 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_select(cfg: RunConfig) -> int:
+    if not cfg.terms:
+        raise ConfigError("select needs at least one candidate term")
     out = _prepare_out(cfg, "select")
     select = hill_climb_select if cfg.selection == "hill" else exhaustive_select
     for net_id, (actors, seq) in _load_all(cfg).items():
@@ -237,13 +268,24 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_saved(path: Path, from_json_dict):
+    """``from_json_dict`` of a saved JSON output; a malformed one is a data error."""
+    try:
+        return from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed saved output: {exc!r}") from None
+
+
 def _require_fit(out: Path, net_id: str) -> FitResult:
     path = out / f"fit_{net_id}.json"
     if not path.exists():
         raise ConfigError(
             f"no fit for network {net_id!r} at {path}; run 'fit' or 'select' first"
         )
-    return FitResult.load(path)
+    fit = _read_saved(path, FitResult.from_json_dict)
+    if not (np.all(np.isfinite(fit.mode)) and np.all(np.isfinite(fit.covariance))):
+        raise DataError(f"{path}: malformed saved output: non-finite fit")
+    return fit
 
 
 def cmd_adequacy(cfg: RunConfig) -> int:
@@ -350,10 +392,7 @@ def cmd_report(cfg: RunConfig) -> int:
     paths = sorted(out.glob("concentration_*.json"))
     if not paths:
         raise ConfigError(f"no concentration_*.json files under {cfg.out}")
-    reports = [
-        ConcentrationReport.from_json_dict(json.loads(path.read_text()))
-        for path in paths
-    ]
+    reports = [_read_saved(path, ConcentrationReport.from_json_dict) for path in paths]
     _write_concentration_csv(reports, out / "concentration.csv")
     print(f"wrote {out / 'concentration.csv'} ({len(reports)} networks)")
     return EXIT_OK

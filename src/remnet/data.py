@@ -178,10 +178,13 @@ def _read_csv(path: str | Path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        # enumerate from 2: line 1 is the header
-        yield from ((lineno, row) for lineno, row in enumerate(reader, start=2))
+        try:
+            # enumerate from 2: line 1 is the header
+            yield from ((lineno, row) for lineno, row in enumerate(reader, start=2))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _network(net, actor_entry, events) -> tuple[ActorTable, EventSequence]:
@@ -212,7 +215,7 @@ def _load_json_networks(path: str | Path):
     if not path.exists():
         raise DataError(f"no such file: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
@@ -277,7 +280,7 @@ def save_network(
     actors_path: str | Path,
 ) -> None:
     """Write a network back to the canonical CSV pair (round-trip safe)."""
-    with open(actors_path, "w", newline="") as fh:
+    with open(actors_path, "w", newline="", encoding="utf-8") as fh:
         cols = ["network_id", "actor_id", "icr"]
         if actors.specialist is not None:
             cols.append("specialist")
@@ -288,7 +291,7 @@ def save_network(
             if actors.specialist is not None:
                 row.append(int(actors.specialist))
             writer.writerow(row)
-    with open(events_path, "w", newline="") as fh:
+    with open(events_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["network_id", "order", "sender", "receiver"])
         for t, (s, r) in enumerate(seq.events, start=1):

@@ -6,6 +6,10 @@ evaluated on the history strictly before the event. Priors are independent
 Student-t densities per coefficient (location 0, scale 10, df 4 by
 default). The posterior covariance is the inverse negative Hessian of the
 log-posterior at the mode.
+
+One kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian
+in one pass over the spec's design columns; ``fit_map`` takes those columns
+once per fit and runs the kernel once per theta.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 from scipy.stats import norm, t as student_t
 
 from remnet.data import ActorTable, EventSequence
@@ -136,7 +139,7 @@ class FitResult:
         k = spec.k
         return cls(
             spec=spec,
-            mode=np.asarray(obj["mode"], dtype=np.float64),
+            mode=np.asarray(obj["mode"], dtype=np.float64).reshape(k),
             covariance=np.asarray(obj["covariance"], dtype=np.float64).reshape(k, k),
             log_lik_at_mode=obj["logLik"],
             aicc=obj["AICc"],
@@ -182,65 +185,61 @@ class EventDesign:
         self.obs_idx = obs
         self._col = {term: k for k, term in enumerate(ALL_TERMS)}
 
-    def tensor(self, terms: Sequence[Term]) -> np.ndarray:
+    def columns(self, terms: Sequence[Term]) -> np.ndarray:
+        """The statistics of ``terms`` as one (m * n_dyads, k) array.
+
+        Column-major: each term's column is contiguous, so scoring and the
+        k x k products of the kernel stream through memory.
+        """
         cols = [self._col[t] for t in terms]
-        return self.full_tensor[:, :, cols]
+        planes = np.moveaxis(self.full_tensor, 2, 0)[cols]
+        return planes.reshape(len(cols), self.m * self.n_dyads).T
 
     def scores(self, theta: np.ndarray, terms: Sequence[Term]) -> np.ndarray:
         """Linear predictors, shape (m, n_dyads)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (len(terms),):
-            raise ValueError(
-                f"theta has shape {theta.shape}, expected ({len(terms)},)"
-            )
-        if len(terms) == 0:
-            return np.zeros((self.m, self.n_dyads))
-        return self.tensor(terms) @ theta
+        theta = _as_theta(theta, len(terms))
+        return (self.columns(terms) @ theta).reshape(self.m, self.n_dyads)
 
 
-def _core_loglik(design: EventDesign, theta, terms) -> float:
-    scores = design.scores(theta, terms)
-    if not np.all(np.isfinite(scores)):
+def _as_theta(theta, k: int) -> np.ndarray:
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (k,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({k},)")
+    return theta
+
+
+def _slice(spec, seq, actors, design) -> tuple[EventDesign, np.ndarray]:
+    """The design (from ``seq`` and ``actors`` if None) and its ``spec`` columns."""
+    if design is None:
+        if seq is None or actors is None:
+            raise ValueError("either a design or (seq, actors) must be given")
+        design = EventDesign(actors, seq)
+    return design, design.columns(spec.terms)
+
+
+def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, gradient and Hessian of ``theta``, scoring X once.
+
+    X is the spec's (m * n_dyads, k) slice of ``design``. Each event's
+    scores are shifted by their maximum, exponentiated and normalised in
+    place, so the only arrays as large as X are X itself and p * X.
+    """
+    m, k = design.m, X.shape[1]
+    X3 = X.reshape(m, design.n_dyads, k)
+    s = (X @ _as_theta(theta, k)).reshape(m, design.n_dyads)
+    if not np.all(np.isfinite(s)):
         raise NumericalError("non-finite linear predictor")
-    lse = logsumexp(scores, axis=1)
-    obs = scores[np.arange(design.m), design.obs_idx]
-    return float(np.sum(obs - lse))
-
-
-def _core_grad(design: EventDesign, theta, terms) -> np.ndarray:
-    if len(terms) == 0:
-        return np.zeros(0)
-    X = design.tensor(terms)
-    scores = design.scores(theta, terms)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    p = w / w.sum(axis=1, keepdims=True)
-    expected = np.einsum("md,mdk->mk", p, X)
-    observed = X[np.arange(design.m), design.obs_idx]
-    return (observed - expected).sum(axis=0)
-
-
-def _core_hess(design: EventDesign, theta, terms) -> np.ndarray:
-    k = len(terms)
-    if k == 0:
-        return np.zeros((0, 0))
-    X = design.tensor(terms)
-    scores = design.scores(theta, terms)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    p = w / w.sum(axis=1, keepdims=True)
-    expected = np.einsum("md,mdk->mk", p, X)
-    second = np.einsum("md,mdk,mdl->kl", p, X, X)
-    outer = expected.T @ expected
-    return -(second - outer)
-
-
-def _resolve_design(design, spec, seq, actors) -> EventDesign:
-    if design is not None:
-        return design
-    if seq is None or actors is None:
-        raise ValueError("either a design or (seq, actors) must be given")
-    return EventDesign(actors, seq)
+    rows = np.arange(m)
+    s -= s.max(axis=1, keepdims=True)
+    observed_score = s[rows, design.obs_idx]
+    np.exp(s, out=s)
+    total = s.sum(axis=1, keepdims=True)
+    s /= total
+    ll = float(np.sum(observed_score - np.log(total[:, 0])))
+    expected = np.einsum("mdk,md->mk", X3, s)
+    g = (X3[rows, design.obs_idx] - expected).sum(axis=0)
+    H = expected.T @ expected - X.T @ (X * s.reshape(-1, 1))
+    return ll, g, H
 
 
 def log_likelihood(
@@ -250,8 +249,7 @@ def log_likelihood(
     actors: ActorTable | None = None,
     design: EventDesign | None = None,
 ) -> float:
-    design = _resolve_design(design, spec, seq, actors)
-    return _core_loglik(design, theta, spec.terms)
+    return _evaluate(theta, *_slice(spec, seq, actors, design))[0]
 
 
 def gradient(
@@ -261,9 +259,7 @@ def gradient(
     actors: ActorTable | None = None,
     design: EventDesign | None = None,
 ) -> np.ndarray:
-    design = _resolve_design(design, spec, seq, actors)
-    np.asarray(theta, dtype=np.float64).reshape(spec.k)  # dimension check
-    return _core_grad(design, np.asarray(theta, dtype=np.float64), spec.terms)
+    return _evaluate(theta, *_slice(spec, seq, actors, design))[1]
 
 
 def hessian(
@@ -273,8 +269,7 @@ def hessian(
     actors: ActorTable | None = None,
     design: EventDesign | None = None,
 ) -> np.ndarray:
-    design = _resolve_design(design, spec, seq, actors)
-    return _core_hess(design, np.asarray(theta, dtype=np.float64), spec.terms)
+    return _evaluate(theta, *_slice(spec, seq, actors, design))[2]
 
 
 def null_log_likelihood(n: int, m: int) -> float:
@@ -314,7 +309,7 @@ def fit_map(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    design = _resolve_design(design, spec, seq, actors)
+    design, X = _slice(spec, seq, actors, design)
     m = design.m
     k = spec.k
 
@@ -330,48 +325,53 @@ def fit_map(
             n_events=m,
         )
 
-    terms = spec.terms
+    # the solver asks for f, g and H at the same theta in separate calls;
+    # remembering the last theta makes each theta cost one kernel pass
+    last_theta, last = None, None
 
-    def neg_log_post(theta):
-        return -(_core_loglik(design, theta, terms) + prior.log_density(theta))
-
-    def neg_grad(theta):
-        return -(_core_grad(design, theta, terms) + prior.grad(theta))
-
-    def neg_hess(theta):
-        return -(
-            _core_hess(design, theta, terms) + np.diag(prior.hess_diag(theta))
-        )
+    def evaluate(theta):
+        """(log-likelihood, -log posterior, its gradient, its Hessian)."""
+        nonlocal last_theta, last
+        if last_theta is None or not np.array_equal(theta, last_theta):
+            ll, g, H = _evaluate(theta, design, X)
+            last_theta = np.array(theta, dtype=np.float64)
+            last = (
+                ll,
+                -(ll + prior.log_density(theta)),
+                -(g + prior.grad(theta)),
+                -(H + np.diag(prior.hess_diag(theta))),
+            )
+        return last
 
     x0 = np.zeros(k) if theta0 is None else np.asarray(theta0, dtype=np.float64)
     res = optimize.minimize(
-        neg_log_post,
+        lambda theta: evaluate(theta)[1],
         x0,
-        jac=neg_grad,
-        hess=neg_hess,
+        jac=lambda theta: evaluate(theta)[2],
+        hess=lambda theta: evaluate(theta)[3],
         method="trust-exact",
         options={"gtol": tol * 1e-2, "maxiter": max_iter},
     )
     mode = res.x
-    grad_norm = float(np.max(np.abs(neg_grad(mode))))
+    grad_norm = float(np.max(np.abs(evaluate(mode)[2])))
     # Newton polish: the trust-region solver can stall once objective
     # differences fall below float resolution, even though the analytic
     # gradient and Hessian still support further progress
     for _ in range(10):
         if grad_norm <= tol:
             break
+        _, _, g, H = evaluate(mode)
         try:
-            step = np.linalg.solve(neg_hess(mode), neg_grad(mode))
-        except np.linalg.LinAlgError:
+            cand = mode - np.linalg.solve(H, g)
+            cand_norm = float(np.max(np.abs(evaluate(cand)[2])))
+        except (np.linalg.LinAlgError, NumericalError):
             break
-        cand = mode - step
-        cand_norm = float(np.max(np.abs(neg_grad(cand))))
         if not np.isfinite(cand_norm) or cand_norm >= grad_norm:
             break
         mode, grad_norm = cand, cand_norm
     converged = bool(np.isfinite(grad_norm) and grad_norm <= tol)
 
-    H = neg_hess(mode)
+    ll, _, _, H = evaluate(mode)
     try:
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError:
@@ -388,7 +388,6 @@ def fit_map(
         cov = np.linalg.pinv(H)
     cov = (cov + cov.T) / 2.0
 
-    ll = _core_loglik(design, mode, terms)
     # an inadmissible fit is still usable (prior-dominated cases)
     crit = aicc(ll, k, m) if aicc_defined(k, m) else math.nan
     return FitResult(

@@ -1,5 +1,10 @@
+import copy
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from remnet.data import ActorTable, EventSequence
 from remnet.inference import FitResult, ModelSpec, aicc
@@ -77,3 +82,34 @@ def path_sized_fixture():
     """32 actors, 70 events: the size of the smallest real network."""
     rng = np.random.default_rng(99)
     return random_sequence(32, 70, rng, icr_indices=(0, 1))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+def _json_locations(node, prefix=()):
+    """Every location in a JSON tree, as a path of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_locations(child, prefix + (key,))
+
+
+def corrupt_json(data, obj):
+    """A copy of ``obj`` with one key or list item dropped, or one value (or
+    the whole document) swapped for a JSON scalar drawn from ``data``."""
+    obj = copy.deepcopy(obj)
+    where = data.draw(st.sampled_from(list(_json_locations(obj))))
+    if not where:
+        return data.draw(JSON_SCALARS)
+    parent = functools.reduce(operator.getitem, where[:-1], obj)
+    if data.draw(st.booleans()):
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = data.draw(JSON_SCALARS)
+    return obj

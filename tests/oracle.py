@@ -1,12 +1,14 @@
 """Naive oracle: statistics recomputed from a raw event prefix, no HistoryState.
 
 Independent of ``remnet.stats.design_matrix``; the tests require the two
-to agree bitwise.
+to agree bitwise. ``naive_log_likelihood`` builds the likelihood from these
+statistics one event at a time, independent of ``remnet.inference``.
 """
 
 from typing import Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from remnet.stats import PSHIFT_TERMS, Term
 
@@ -92,3 +94,26 @@ def naive_stat_vector(
     if i == j:
         raise ValueError("self-loop dyad")
     return np.array([naive_stat(events, icr, n, i, j, t) for t in terms])
+
+
+def naive_log_likelihood(
+    events: Sequence[tuple[int, int]],
+    icr: np.ndarray,
+    n: int,
+    terms: Sequence[Term],
+    theta: np.ndarray,
+) -> float:
+    """Ordinal-timing log-likelihood, one event at a time. Test oracle.
+
+    Each event's risk set is every ordered pair (i, j), i != j, scored by
+    ``naive_stat_vector`` on the events before it.
+    """
+    dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
+    total = 0.0
+    for t, event in enumerate(events):
+        prefix = events[:t]
+        scores = np.array(
+            [naive_stat_vector(prefix, icr, n, i, j, terms) @ theta for i, j in dyads]
+        )
+        total += scores[dyads.index(event)] - logsumexp(scores)
+    return float(total)

@@ -1,12 +1,29 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from remnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from remnet.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    ConfigError,
+    RunConfig,
+    _load_config,
+    build_parser,
+    main,
+)
 from remnet.data import save_network
+from remnet.inference import ModelSpec
+from remnet.simulation import KnockoutCondition
 from remnet.stats import Term
 
-from conftest import make_actors, sequence_from_pairs, simulate_sequence
+from conftest import corrupt_json, make_actors, sequence_from_pairs, simulate_sequence
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +176,97 @@ def test_unknown_config_key(tmp_path):
     assert run(["summarize", "--config", cfg]) == EXIT_CONFIG
     cfg.write_text(json.dumps({"events": "x.csv", "jobs": 2}))
     assert run(["summarize", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags",
+    [
+        ("fit", {"terms": ["ICR", "ICR"]}, []),
+        ("fit", {}, ["--terms", "ICR", "ICR"]),
+        ("fit", {"prior_scale": -1}, []),
+        ("fit", {"prior_df": 0}, []),
+        ("fit", {"tol": -1}, []),
+        ("fit", {"tol": "x"}, []),
+        ("fit", {"tol": float("nan")}, []),
+        ("fit", {}, ["--tol", "inf"]),
+        ("fit", {"max_iter": 2.5}, []),
+        ("fit", {"terms": "ICR"}, []),
+        ("select", {"terms": []}, []),
+        ("knockout", {"replicates": 0}, ["--seed", "1"]),
+        ("knockout", {"replicates": True}, ["--seed", "1"]),
+        ("knockout", {}, ["--seed", "-1"]),
+        ("knockout", {"conditions": [1]}, ["--seed", "1"]),
+    ],
+)
+def test_bad_config_value_is_config_error(data_dir, tmp_path, command, payload, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    out = ["--out", tmp_path / "o"]
+    assert run(["fit", *base, *out, "--terms", "ICR"]) == EXIT_OK  # knockout needs it
+    assert run([command, "--config", cfg, *base, *out, *flags]) == EXIT_CONFIG
+
+
+def test_out_that_is_a_file_is_config_error(data_dir, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    assert run(["summarize", *base, "--out", out]) == EXIT_CONFIG
+
+
+def test_config_must_be_an_object(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("5")
+    assert run(["summarize", "--config", cfg]) == EXIT_CONFIG
+    cfg.write_bytes(b'{"events": "\xff"}')
+    assert run(["summarize", "--config", cfg]) == EXIT_CONFIG
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=5,
+)
+
+
+def _well_typed(cfg: RunConfig) -> bool:
+    def number(x):
+        return type(x) in (int, float) and math.isfinite(x)
+
+    def strings(xs):
+        return type(xs) is list and all(type(x) is str for x in xs)
+
+    return (
+        all(type(v) is str for v in (cfg.events, cfg.actors, cfg.out, cfg.selection))
+        and strings(cfg.terms)
+        and strings(cfg.conditions)
+        and all(number(v) for v in (cfg.prior_location, cfg.prior_scale, cfg.prior_df))
+        and number(cfg.tol)
+        and all(type(v) is int for v in (cfg.replicates, cfg.max_iter))
+        and (cfg.seed is None or type(cfg.seed) is int)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(RunConfig().__dict__)), value=JSON_VALUES)
+def test_config_fuzz_loads_or_raises_config_error(key, value):
+    """Any config key set to any JSON value: a well-typed RunConfig or ConfigError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({"events": "e.csv", key: value}))
+        args = build_parser().parse_args(["fit", "--config", str(path)])
+        try:
+            cfg = _load_config(args)
+        except ConfigError:
+            return
+    assert _well_typed(cfg)
+    assert cfg.tol > 0 and cfg.replicates >= 1
+    assert cfg.seed is None or cfg.seed >= 0
+    cfg.prior()
+    ModelSpec(cfg.term_objects())
+    for name in cfg.conditions:
+        KnockoutCondition.named(name)
 
 
 def test_full_pipeline_and_idempotence(data_dir, tmp_path):
@@ -317,3 +425,66 @@ def test_malformed_json_is_data_error(tmp_path):
         )
     )
     assert run(["summarize", "--events", path, "--out", tmp_path / "o"]) == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "command, name, content",
+    [
+        ("report", "concentration_alpha.json", '{"network_id": "alpha"}'),
+        (
+            "report",
+            "concentration_alpha.json",
+            '{"network_id": "alpha", "conditions": {"full": {"theil_values": [],'
+            ' "mean_theil": "x", "pct_change_vs_full": null, "excess_fraction": null,'
+            ' "t_stat": null, "p_value": null}}}',
+        ),
+        ("adequacy", "fit_alpha.json", '{"terms": ["ICR"]}'),
+        ("simulate", "fit_alpha.json", '{"network_id": "alpha", "terms": ["IC'),
+        (
+            "simulate",
+            "fit_alpha.json",
+            '{"terms": ["ICR"], "mode": [1, 2], "covariance": [[1]], "logLik": 0,'
+            ' "AICc": 0, "converged": true, "n_events": 80}',
+        ),
+    ],
+    ids=["no_conditions", "theil_not_number", "no_mode", "truncated", "mode_too_long"],
+)
+def test_malformed_saved_output_is_data_error(
+    data_dir, tmp_path, capsys, command, name, content
+):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / name).write_text(content)
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    assert run([command, *base, "--out", out, "--seed", "1"]) == EXIT_DATA
+    assert name in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def saved_outputs(data_dir, tmp_path_factory):
+    """Valid saved outputs of network alpha, keyed by file name."""
+    out = tmp_path_factory.mktemp("saved")
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    assert run(["fit", *base, "--out", out, "--terms", "PSAB-BA", "ICR"]) == EXIT_OK
+    knockout = ["knockout", *base, "--out", out, "--seed", "1", "--replicates", "2"]
+    assert run(knockout) == EXIT_OK
+    names = ("fit_alpha.json", "concentration_alpha.json")
+    return {name: json.loads((out / name).read_text()) for name in names}
+
+
+@pytest.mark.filterwarnings("ignore:covariance not positive semi-definite")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_saved_output_exits_cleanly(data_dir, saved_outputs, data):
+    """Any one-place corruption of a saved fit or report: an exit code, no traceback."""
+    command = data.draw(st.sampled_from(["adequacy", "simulate", "report"]))
+    name = "concentration_alpha.json" if command == "report" else "fit_alpha.json"
+    inputs = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    sim = ["--seed", "1", "--replicates", "1", "--conditions", "full"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for saved, obj in saved_outputs.items():
+            (out / saved).write_text(json.dumps(obj))
+        (out / name).write_text(json.dumps(corrupt_json(data, saved_outputs[name])))
+        code = run([command, *inputs, "--out", out, *sim])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL)

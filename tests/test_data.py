@@ -1,7 +1,5 @@
 import copy
-import functools
 import json
-import operator
 import tempfile
 from pathlib import Path
 
@@ -19,7 +17,12 @@ from remnet.data import (
     summarize,
 )
 
-from conftest import make_actors, random_sequence, sequence_from_pairs
+from conftest import (
+    corrupt_json,
+    make_actors,
+    random_sequence,
+    sequence_from_pairs,
+)
 
 import numpy as np
 
@@ -27,9 +30,12 @@ import numpy as np
 def write_csv_pair(tmp_path, actor_rows, event_rows, actor_header="network_id,actor_id,icr"):
     actors_path = tmp_path / "actors.csv"
     events_path = tmp_path / "events.csv"
-    actors_path.write_text(actor_header + "\n" + "\n".join(actor_rows) + "\n")
+    actors_path.write_text(
+        actor_header + "\n" + "\n".join(actor_rows) + "\n", encoding="utf-8"
+    )
     events_path.write_text(
-        "network_id,order,sender,receiver\n" + "\n".join(event_rows) + "\n"
+        "network_id,order,sender,receiver\n" + "\n".join(event_rows) + "\n",
+        encoding="utf-8",
     )
     return events_path, actors_path
 
@@ -97,6 +103,28 @@ def test_order_must_increase(tmp_path):
     )
     with pytest.raises(DataError, match="strictly increasing"):
         load_network(events_path, actors_path)
+
+
+@pytest.mark.parametrize("which", ["events", "actors"])
+def test_non_utf8_csv_is_data_error(tmp_path, which):
+    events_path, actors_path = write_csv_pair(
+        tmp_path, ["net,a,0", "net,b,0"], ["net,1,a,b"]
+    )
+    paths = {"events": events_path, "actors": actors_path}
+    with open(paths[which], "ab") as fh:
+        fh.write(b"net,2,\xff,a\n" if which == "events" else b"net,\xff,0\n")
+    with pytest.raises(DataError, match=f"{paths[which].name}: not UTF-8"):
+        load_networks(paths["events"], paths["actors"])
+
+
+def test_non_ascii_ids_round_trip(tmp_path):
+    events_path, actors_path = write_csv_pair(
+        tmp_path, ["net,Zoë,0", "net,Łukasz,1"], ["net,1,Zoë,Łukasz"]
+    )
+    actors, seq = load_network(events_path, actors_path)
+    assert actors.actor_ids == ("Zoë", "Łukasz")
+    save_network(actors, seq, tmp_path / "e2.csv", tmp_path / "a2.csv")
+    assert load_network(tmp_path / "e2.csv", tmp_path / "a2.csv") == (actors, seq)
 
 
 def test_at_least_two_actors(tmp_path):
@@ -210,36 +238,11 @@ def test_truncated_json_is_data_error(tmp_path):
         load_networks(path)
 
 
-def _json_locations(node, prefix=()):
-    """Every location in a JSON tree, as a path of keys and indices."""
-    yield prefix
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        children = ()
-    for key, child in children:
-        yield from _json_locations(child, prefix + (key,))
-
-
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_corrupted_json_loads_or_raises_data_error(data):
     """Drop any key or list item, or swap any value for a JSON scalar."""
-    nets = copy.deepcopy(VALID_JSON)
-    where = data.draw(st.sampled_from(list(_json_locations(nets))))
-    if not where:
-        nets = data.draw(JSON_SCALARS)
-    else:
-        parent = functools.reduce(operator.getitem, where[:-1], nets)
-        if data.draw(st.booleans()):
-            del parent[where[-1]]
-        else:
-            parent[where[-1]] = data.draw(JSON_SCALARS)
+    nets = corrupt_json(data, VALID_JSON)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "nets.json"
         path.write_text(json.dumps(nets))

@@ -30,6 +30,7 @@ from conftest import (
     sequence_from_pairs,
     simulate_sequence,
 )
+from oracle import naive_log_likelihood
 
 
 def all_term_spec(network_id="net"):
@@ -92,6 +93,46 @@ def test_gradient_matches_finite_differences(small_fixture):
             assert abs(g[k] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+def test_loglik_matches_naive_oracle(small_fixture):
+    actors, seq = small_fixture
+    design = EventDesign(actors, seq)
+    spec = all_term_spec()
+    events = [(int(i), int(j)) for i, j in seq.index_pairs(actors)]
+    rng = np.random.default_rng(5)
+    thetas = [rng.normal(0, 1, 14) for _ in range(3)]
+    # scaled so the largest score is 1000: plain exp of it overflows
+    big = rng.normal(0, 1, 14)
+    scores = design.scores(big, ALL_TERMS)
+    big *= 1000.0 / scores.flat[np.abs(scores).argmax()]
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(np.exp(design.scores(big, ALL_TERMS))))
+    for theta in thetas + [big]:
+        got = log_likelihood(theta, spec, design=design)
+        want = naive_log_likelihood(
+            events, actors.icr_array(), actors.n, ALL_TERMS, theta
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_hessian_matches_finite_differences(small_fixture):
+    actors, seq = small_fixture
+    design = EventDesign(actors, seq)
+    spec = all_term_spec()
+    rng = np.random.default_rng(4)
+    eps = 1e-6
+    for _ in range(3):
+        theta = rng.normal(0, 0.5, 14)
+        H = hessian(theta, spec, design=design)
+        for k in range(14):
+            bump = np.zeros(14)
+            bump[k] = eps
+            fd = (
+                gradient(theta + bump, spec, design=design)
+                - gradient(theta - bump, spec, design=design)
+            ) / (2 * eps)
+            assert np.all(np.abs(H[:, k] - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
+
+
 def test_gradient_empty_spec(small_fixture):
     actors, seq = small_fixture
     spec = ModelSpec(terms=(), network_id="net")
@@ -112,8 +153,9 @@ def test_hessian_symmetric_nsd(small_fixture):
 
 def test_dimension_mismatch_rejected(small_fixture):
     actors, seq = small_fixture
-    with pytest.raises(ValueError):
-        log_likelihood(np.zeros(3), all_term_spec(), seq, actors)
+    for view in (log_likelihood, gradient, hessian):
+        with pytest.raises(ValueError):
+            view(np.zeros(3), all_term_spec(), seq, actors)
 
 
 def test_aicc_formula():
