@@ -18,6 +18,7 @@ from scipy import stats as sps
 
 from remnet.data import ActorTable, EventSequence
 from remnet.inference import EventDesign, FitResult
+from remnet.stats import dyad_from_index
 
 
 def theil_index(volumes) -> float:
@@ -133,6 +134,22 @@ class AdequacyReport:
         }
 
 
+def _ranks(scores: np.ndarray, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per event, the top-ranked dyad and the observed dyad's 0-based rank.
+
+    Ranks are those of a stable descending sort of each row of ``scores``:
+    the top dyad is the first maximum, and the observed dyad is preceded by
+    every higher-scoring dyad and every equal-scoring dyad before it.
+    """
+    rows = np.arange(scores.shape[0])
+    observed = scores[rows, obs_idx][:, None]
+    earlier = np.arange(scores.shape[1]) < obs_idx[:, None]
+    positions = np.count_nonzero(scores > observed, axis=1) + np.count_nonzero(
+        (scores == observed) & earlier, axis=1
+    )
+    return np.argmax(scores, axis=1), positions
+
+
 def adequacy(
     fit: FitResult,
     seq: EventSequence,
@@ -146,28 +163,15 @@ def adequacy(
     true history; ties break by canonical dyad order (stable sort).
     """
     if design is None:
-        design = EventDesign(actors, seq)
+        design = EventDesign(actors, seq, fit.spec.terms)
     n = actors.n
     n_dyads = design.n_dyads
-    scores = design.scores(fit.mode, fit.spec.terms)
-    either = 0
-    both = 0
-    positions = np.empty(design.m, dtype=np.intp)
-    for t in range(design.m):
-        order = np.argsort(-scores[t], kind="stable")
-        obs = design.obs_idx[t]
-        top = int(order[0])
-        obs_i, obs_j = divmod(int(obs), n - 1)
-        top_i, top_j = divmod(top, n - 1)
-        if obs_j >= obs_i:
-            obs_j += 1
-        if top_j >= top_i:
-            top_j += 1
-        if top_i == obs_i or top_j == obs_j:
-            either += 1
-        if top == obs:
-            both += 1
-        positions[t] = int(np.nonzero(order == obs)[0][0])
+    obs = design.obs_idx
+    top, positions = _ranks(design.scores(fit.mode, fit.spec.terms), obs)
+    obs_i, obs_j = dyad_from_index(obs, n)
+    top_i, top_j = dyad_from_index(top, n)
+    either = int(np.count_nonzero((top_i == obs_i) | (top_j == obs_j)))
+    both = int(np.count_nonzero(top == obs))
     recall = {
         pct: float(np.mean(positions < math.ceil(pct / 100.0 * n_dyads)))
         for pct in recall_pcts

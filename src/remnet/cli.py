@@ -41,7 +41,7 @@ from remnet.simulation import (
     run_knockout_experiment,
     write_trajectories_csv,
 )
-from remnet.stats import ALL_TERMS, term_from_name
+from remnet.stats import ALL_TERMS, canonical_terms, term_from_name
 
 log = logging.getLogger("remnet")
 
@@ -231,13 +231,14 @@ def _write_coefficient_table(fit: FitResult, path: Path) -> None:
 
 def cmd_fit(cfg: RunConfig) -> int:
     out = _prepare_out(cfg, "fit")
+    terms = cfg.term_objects()
     for net_id, (actors, seq) in _load_all(cfg).items():
         fit = fit_map(
-            ModelSpec(terms=cfg.term_objects(), network_id=net_id),
+            ModelSpec(terms=terms, network_id=net_id),
             prior=cfg.prior(),
             tol=cfg.tol,
             max_iter=cfg.max_iter,
-            design=EventDesign(actors, seq),
+            design=EventDesign(actors, seq, terms),
         )
         fit.save(out / f"fit_{net_id}.json")
         _write_coefficient_table(fit, out / f"coefficients_{net_id}.csv")
@@ -250,12 +251,13 @@ def cmd_select(cfg: RunConfig) -> int:
         raise ConfigError("select needs at least one candidate term")
     out = _prepare_out(cfg, "select")
     select = hill_climb_select if cfg.selection == "hill" else exhaustive_select
+    candidates = canonical_terms(cfg.term_objects())
     for net_id, (actors, seq) in _load_all(cfg).items():
         trace = select(
-            cfg.term_objects(),
+            candidates,
             prior=cfg.prior(),
             tol=cfg.tol,
-            design=EventDesign(actors, seq),
+            design=EventDesign(actors, seq, candidates),
         )
         trace.save(out / f"selection_{net_id}.json")
         trace.final.save(out / f"fit_{net_id}.json")

@@ -185,6 +185,9 @@ def _read_csv(path: str | Path):
             yield from ((lineno, row) for lineno, row in enumerate(reader, start=2))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            # line_num counts the lines of the records read before this one
+            raise DataError(f"{path}:{reader.line_num + 1}: {exc}") from None
 
 
 def _network(net, actor_entry, events) -> tuple[ActorTable, EventSequence]:

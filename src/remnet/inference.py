@@ -8,8 +8,9 @@ default). The posterior covariance is the inverse negative Hessian of the
 log-posterior at the mode.
 
 One kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian
-in one pass over the spec's design columns; ``fit_map`` takes those columns
-once per fit and runs the kernel once per theta.
+in one pass over the spec's design columns, a block of events at a time;
+``fit_map`` takes those columns once per fit and runs the kernel once per
+theta.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import norm, t as student_t
+from scipy.stats import norm
 
 from remnet.data import ActorTable, EventSequence
 from remnet.stats import (
@@ -79,9 +80,16 @@ class PriorSpec:
             raise ValueError("prior df must be positive")
 
     def log_density(self, theta: np.ndarray) -> float:
-        return float(
-            np.sum(student_t.logpdf(theta, self.df, self.location, self.scale))
+        """Sum of the t log-densities of the coefficients, in closed form."""
+        nu = self.df
+        z = (np.asarray(theta, dtype=np.float64) - self.location) / self.scale
+        const = (
+            math.lgamma((nu + 1.0) / 2.0)
+            - math.lgamma(nu / 2.0)
+            - 0.5 * math.log(nu * math.pi)
+            - math.log(self.scale)
         )
+        return float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         z = (theta - self.location) / self.scale
@@ -155,45 +163,63 @@ class FitResult:
 
 
 class EventDesign:
-    """Precomputed per-event statistic tensors for one network.
+    """Per-event statistics of one network, for the terms a model uses.
 
-    Holds the full 14-term tensor of shape (m, n*(n-1), 14); any spec's
-    design is a column slice, so selection reuses a single pass over the
-    history. Memory is m * n*(n-1) * 14 doubles; fine for the network
-    sizes handled here.
+    ``full_tensor`` holds the statistics of ``terms`` (all 14 by default)
+    as one C-contiguous (k, m * n*(n-1)) array: row r is the r-th term over
+    every event's risk set, events in order, dyads in canonical order. This
+    is the layout the likelihood kernel reads, a block of events at a time.
+    Memory is k * m * n*(n-1) * 8 bytes, so callers build a design for the
+    terms they fit: a spec's, or a selection's candidates.
     """
 
-    def __init__(self, actors: ActorTable, seq: EventSequence):
+    def __init__(
+        self,
+        actors: ActorTable,
+        seq: EventSequence,
+        terms: Sequence[Term] = ALL_TERMS,
+    ):
         if actors.network_id != seq.network_id:
             raise ValueError("actor table and event sequence network_id differ")
+        self.terms = tuple(terms)
+        self._row = {term: r for r, term in enumerate(self.terms)}
         self.actors = actors
         self.seq = seq
         self.n = actors.n
         self.m = seq.m
-        self.n_dyads = self.n * (self.n - 1)
+        self.n_dyads = D = self.n * (self.n - 1)
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
-        X = np.empty((self.m, self.n_dyads, len(ALL_TERMS)))
+        X = np.empty((len(self.terms), self.m * D))
         obs = np.empty(self.m, dtype=np.intp)
         state = HistoryState(self.n)
         for t2 in range(self.m):
-            X[t2] = design_matrix(state, icr, ALL_TERMS)
+            X[:, t2 * D : (t2 + 1) * D] = design_matrix(state, icr, self.terms).T
             a, b = int(pairs[t2, 0]), int(pairs[t2, 1])
             obs[t2] = dyad_index(a, b, self.n)
             state.update(a, b)
         self.full_tensor = X
         self.obs_idx = obs
-        self._col = {term: k for k, term in enumerate(ALL_TERMS)}
 
     def columns(self, terms: Sequence[Term]) -> np.ndarray:
         """The statistics of ``terms`` as one (m * n_dyads, k) array.
 
-        Column-major: each term's column is contiguous, so scoring and the
-        k x k products of the kernel stream through memory.
+        The transpose of a C-contiguous (k, m * n_dyads) array, so each
+        term's column is contiguous: a view of ``full_tensor`` when
+        ``terms`` are the design's own terms in order, else a copy of their
+        rows. Raises ValueError naming any term the design was built
+        without.
         """
-        cols = [self._col[t] for t in terms]
-        planes = np.moveaxis(self.full_tensor, 2, 0)[cols]
-        return planes.reshape(len(cols), self.m * self.n_dyads).T
+        terms = tuple(terms)
+        if terms == self.terms:
+            return self.full_tensor.T
+        missing = [t.value for t in terms if t not in self._row]
+        if missing:
+            raise ValueError(
+                f"design has no statistics for {', '.join(missing)}; it was "
+                f"built for [{', '.join(t.value for t in self.terms)}]"
+            )
+        return self.full_tensor[[self._row[t] for t in terms]].T
 
     def scores(self, theta: np.ndarray, terms: Sequence[Term]) -> np.ndarray:
         """Linear predictors, shape (m, n_dyads)."""
@@ -209,36 +235,52 @@ def _as_theta(theta, k: int) -> np.ndarray:
 
 
 def _slice(spec, seq, actors, design) -> tuple[EventDesign, np.ndarray]:
-    """The design (from ``seq`` and ``actors`` if None) and its ``spec`` columns."""
+    """The design (for ``spec`` from ``seq`` and ``actors`` if None) and its
+    ``spec`` columns."""
     if design is None:
         if seq is None or actors is None:
             raise ValueError("either a design or (seq, actors) must be given")
-        design = EventDesign(actors, seq)
+        design = EventDesign(actors, seq, spec.terms)
     return design, design.columns(spec.terms)
+
+
+# dyad rows per kernel block: a block's scores and p * X stay cache-sized
+_BLOCK_ROWS = 1 << 16
 
 
 def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian of ``theta``, scoring X once.
 
-    X is the spec's (m * n_dyads, k) slice of ``design``. Each event's
-    scores are shifted by their maximum, exponentiated and normalised in
-    place, so the only arrays as large as X are X itself and p * X.
+    X is the spec's (m * n_dyads, k) columns of ``design``. The pass runs
+    over blocks of whole events, ``_BLOCK_ROWS // n_dyads`` (at least one)
+    at a time. In each block the scores are shifted by each event's
+    maximum, exponentiated and normalised in place, and the block adds its
+    terms to ll, g and H = E'E - X'(p * X), where E holds each event's
+    expected statistics; no temporary is larger than one block.
     """
-    m, k = design.m, X.shape[1]
-    X3 = X.reshape(m, design.n_dyads, k)
-    s = (X @ _as_theta(theta, k)).reshape(m, design.n_dyads)
-    if not np.all(np.isfinite(s)):
-        raise NumericalError("non-finite linear predictor")
-    rows = np.arange(m)
-    s -= s.max(axis=1, keepdims=True)
-    observed_score = s[rows, design.obs_idx]
-    np.exp(s, out=s)
-    total = s.sum(axis=1, keepdims=True)
-    s /= total
-    ll = float(np.sum(observed_score - np.log(total[:, 0])))
-    expected = np.einsum("mdk,md->mk", X3, s)
-    g = (X3[rows, design.obs_idx] - expected).sum(axis=0)
-    H = expected.T @ expected - X.T @ (X * s.reshape(-1, 1))
+    D, k = design.n_dyads, X.shape[1]
+    theta = _as_theta(theta, k)
+    XT = X.T
+    per_block = max(1, _BLOCK_ROWS // D)
+    ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
+    for start in range(0, design.m, per_block):
+        stop = min(start + per_block, design.m)
+        b = stop - start
+        Xb = XT[:, start * D : stop * D]
+        s = (theta @ Xb).reshape(b, D)
+        if not np.all(np.isfinite(s)):
+            raise NumericalError("non-finite linear predictor")
+        observed = np.arange(b) * D + design.obs_idx[start:stop]
+        s -= s.max(axis=1, keepdims=True)
+        observed_score = s.reshape(-1)[observed]
+        np.exp(s, out=s)
+        total = s.sum(axis=1, keepdims=True)
+        s /= total
+        ll += float(np.sum(observed_score - np.log(total[:, 0])))
+        pX = Xb * s.reshape(-1)
+        expected = pX.reshape(k, b, D).sum(axis=2)
+        g += Xb[:, observed].sum(axis=1) - expected.sum(axis=1)
+        H += expected @ expected.T - pX @ Xb.T
     return ll, g, H
 
 

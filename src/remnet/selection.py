@@ -123,7 +123,7 @@ def hill_climb_select(
     if not candidates:
         raise ValueError("candidate term set is empty")
     if design is None:
-        design = EventDesign(actors, seq)
+        design = EventDesign(actors, seq, candidates)
     fitter = _FitCache(design, prior, tol, max_iter, warm_start)
 
     current = fitter.fit(())
@@ -189,7 +189,7 @@ def exhaustive_select(
             2 ** len(candidates),
         )
     if design is None:
-        design = EventDesign(actors, seq)
+        design = EventDesign(actors, seq, candidates)
     fitter = _FitCache(design, prior, tol, max_iter, False)
 
     best = None

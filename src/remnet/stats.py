@@ -140,11 +140,10 @@ def dyad_index(i: int, j: int, n: int) -> int:
     return i * (n - 1) + (j if j < i else j - 1)
 
 
-def dyad_from_index(idx: int, n: int) -> tuple[int, int]:
+def dyad_from_index(idx, n: int):
+    """Dyad (i, j) of a canonical index; elementwise for an array of indices."""
     i, j = divmod(idx, n - 1)
-    if j >= i:
-        j += 1
-    return i, j
+    return i, j + (j >= i)
 
 
 def _offdiag(mat: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@
 Independent of ``remnet.stats.design_matrix``; the tests require the two
 to agree bitwise. ``naive_log_likelihood`` builds the likelihood from these
 statistics one event at a time, independent of ``remnet.inference``.
+``sorted_adequacy_ranks`` ranks each event's dyads by a stable sort, the
+reference for the vectorised ranks of ``remnet.analysis.adequacy``.
 """
 
 from typing import Sequence
@@ -117,3 +119,34 @@ def naive_log_likelihood(
         )
         total += scores[dyads.index(event)] - logsumexp(scores)
     return float(total)
+
+
+def sorted_adequacy_ranks(scores: np.ndarray, obs_idx: np.ndarray, n: int):
+    """Adequacy ranks by a stable descending sort of each event. Test oracle.
+
+    Returns (top dyad per event, 0-based rank of the observed dyad per
+    event, events whose top dyad shares the sender or the receiver of the
+    observed one, events whose top dyad is the observed one).
+    """
+    m = scores.shape[0]
+    either = 0
+    both = 0
+    tops = np.empty(m, dtype=np.intp)
+    positions = np.empty(m, dtype=np.intp)
+    for t in range(m):
+        order = np.argsort(-scores[t], kind="stable")
+        obs = obs_idx[t]
+        top = int(order[0])
+        obs_i, obs_j = divmod(int(obs), n - 1)
+        top_i, top_j = divmod(top, n - 1)
+        if obs_j >= obs_i:
+            obs_j += 1
+        if top_j >= top_i:
+            top_j += 1
+        if top_i == obs_i or top_j == obs_j:
+            either += 1
+        if top == obs:
+            both += 1
+        tops[t] = top
+        positions[t] = int(np.nonzero(order == obs)[0][0])
+    return tops, positions, either, both

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from remnet.analysis import (
     ConcentrationReport,
+    _ranks,
     adequacy,
     concentration_report,
     excess_concentration,
@@ -24,6 +25,7 @@ from remnet.simulation import run_knockout_experiment
 from remnet.stats import Term
 
 from conftest import make_actors, point_mass_fit, random_sequence, simulate_sequence
+from oracle import sorted_adequacy_ranks
 
 
 # --- Theil index ------------------------------------------------------------
@@ -275,6 +277,48 @@ def test_adequacy_recall_monotone_random_model(small_fixture):
     report = adequacy(fit, seq, actors)
     assert 0.0 <= report.both_match <= report.either_match <= 1.0
     assert report.recall[1] <= report.recall[5] <= report.recall[10]
+
+
+ADEQUACY_SPEC = ModelSpec((Term.PSABBA, Term.RRECSND, Term.ICR), network_id="net")
+
+
+@pytest.mark.parametrize("theta_kind", ["fitted", "zero", "ties"])
+def test_adequacy_ranks_match_sorting_oracle(theta_kind):
+    actors = make_actors(7, icr_indices=(0, 3))
+    seq = simulate_sequence(
+        {Term.PSABBA: 2.0, Term.RRECSND: 1.0, Term.ICR: 0.5}, actors, 120, seed=11
+    )
+    design = EventDesign(actors, seq, ADEQUACY_SPEC.terms)
+    if theta_kind == "fitted":
+        fit = fit_map(ADEQUACY_SPEC, design=design)
+    else:
+        # zero ties every dyad; (1, 0, 1) scores every dyad in {0, 1, 2, 3}
+        theta = (0.0, 0.0, 0.0) if theta_kind == "zero" else (1.0, 0.0, 1.0)
+        fit = point_mass_fit(dict(zip(ADEQUACY_SPEC.terms, theta)), m=seq.m)
+    scores = design.scores(fit.mode, ADEQUACY_SPEC.terms)
+    obs = design.obs_idx
+    if theta_kind == "ties":
+        # the observed dyad shares its score with others at some events
+        tied = scores == scores[np.arange(seq.m), obs][:, None]
+        assert np.any(tied.sum(axis=1) > 1)
+    tops, positions, either, both = sorted_adequacy_ranks(scores, obs, actors.n)
+    got_tops, got_positions = _ranks(scores, obs)
+    np.testing.assert_array_equal(got_tops, tops)
+    np.testing.assert_array_equal(got_positions, positions)
+    report = adequacy(fit, seq, actors, design=design)
+    assert report.either_match == either / seq.m
+    assert report.both_match == both / seq.m
+    for pct, coverage in report.recall.items():
+        cutoff = math.ceil(pct / 100.0 * design.n_dyads)
+        assert coverage == float(np.mean(positions < cutoff))
+
+
+def test_adequacy_on_design_without_the_fit_terms():
+    actors, seq = random_sequence(5, 20, np.random.default_rng(3))
+    design = EventDesign(actors, seq, (Term.ICR,))
+    fit = point_mass_fit({Term.PSABBA: 1.0, Term.ICR: 0.5}, m=seq.m)
+    with pytest.raises(ValueError, match="no statistics for PSAB-BA;"):
+        adequacy(fit, seq, actors, design=design)
 
 
 # --- concentration report ---------------------------------------------------

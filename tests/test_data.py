@@ -117,6 +117,15 @@ def test_non_utf8_csv_is_data_error(tmp_path, which):
         load_networks(paths["events"], paths["actors"])
 
 
+def test_oversized_csv_field_is_data_error(tmp_path):
+    # the csv module refuses a field over 128 KiB
+    events_path, actors_path = write_csv_pair(
+        tmp_path, ["net,a,0", "net," + "b" * 200_000 + ",0"], ["net,1,a,b"]
+    )
+    with pytest.raises(DataError, match="actors.csv:3: field larger than field limit"):
+        load_networks(events_path, actors_path)
+
+
 def test_non_ascii_ids_round_trip(tmp_path):
     events_path, actors_path = write_csv_pair(
         tmp_path, ["net,Zoë,0", "net,Łukasz,1"], ["net,1,Zoë,Łukasz"]
@@ -250,6 +259,64 @@ def test_corrupted_json_loads_or_raises_data_error(data):
             load_networks(path)
         except DataError:
             pass
+
+
+VALID_CSV = {
+    "actors": "network_id,actor_id,icr,specialist\n"
+    "n1,a,0,1\nn1,b,1,1\nn1,c,0,1\nn2,x,1,\nn2,y,0,\n",
+    "events": "network_id,order,sender,receiver\n"
+    "n1,1,a,b\nn1,2,b,c\nn1,3,c,a\nn2,1,x,y\nn2,2,y,x\n",
+}
+
+
+def corrupt_csv(data, text: bytes) -> bytes:
+    """``text`` with one cell or row dropped, one cell replaced by any text
+    or bytes drawn from ``data``, or the file cut at any byte."""
+    how = data.draw(st.sampled_from(["drop cell", "drop row", "text", "bytes", "cut"]))
+    if how == "cut":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    lines = text.split(b"\n")[:-1]
+    row = data.draw(st.integers(0, len(lines) - 1))
+    if how == "drop row":
+        del lines[row]
+    else:
+        cells = lines[row].split(b",")
+        col = data.draw(st.integers(0, len(cells) - 1))
+        if how == "drop cell":
+            del cells[col]
+        elif how == "text":
+            cells[col] = data.draw(st.text()).encode("utf-8")
+        else:
+            cells[col] = data.draw(st.binary())
+        lines[row] = b",".join(cells)
+    return b"".join(line + b"\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupted_csv_loads_or_raises_data_error(data):
+    """Corrupt one place of the actors or the events CSV."""
+    which = data.draw(st.sampled_from(sorted(VALID_CSV)))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.csv" for name in VALID_CSV}
+        for name, text in VALID_CSV.items():
+            content = text.encode("utf-8")
+            if name == which:
+                content = corrupt_csv(data, content)
+            paths[name].write_bytes(content)
+        try:
+            load_networks(paths["events"], paths["actors"])
+        except DataError:
+            pass
+
+
+def test_valid_csv_fuzz_input_loads(tmp_path):
+    for name, text in VALID_CSV.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    nets = load_networks(tmp_path / "events.csv", tmp_path / "actors.csv")
+    assert {net: seq.m for net, (_, seq) in nets.items()} == {"n1": 3, "n2": 2}
+    assert nets["n1"][0].specialist is True
+    assert nets["n2"][0].specialist is None
 
 
 def test_multiple_networks(tmp_path):

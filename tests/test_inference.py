@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
+from remnet import inference
 from remnet.inference import (
     EventDesign,
     FitResult,
@@ -137,6 +138,82 @@ def test_gradient_empty_spec(small_fixture):
     actors, seq = small_fixture
     spec = ModelSpec(terms=(), network_id="net")
     assert gradient(np.zeros(0), spec, seq, actors).shape == (0,)
+
+
+def _fgh(theta, spec, design):
+    return (
+        log_likelihood(theta, spec, design=design),
+        gradient(theta, spec, design=design),
+        hessian(theta, spec, design=design),
+    )
+
+
+def _assert_close(got, want, rel=1e-12):
+    """Max-norm relative agreement of two arrays."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("events_per_block", [1, 3])
+def test_streamed_kernel_matches_single_block(
+    small_fixture, monkeypatch, events_per_block
+):
+    actors, seq = small_fixture
+    design = EventDesign(actors, seq)
+    spec = all_term_spec()
+    events = [(int(i), int(j)) for i, j in seq.index_pairs(actors)]
+    # 20 events in one block by default; 3 per block leaves a last block of 2
+    assert inference._BLOCK_ROWS // design.n_dyads >= seq.m
+    assert seq.m % 3 == 2
+    rng = np.random.default_rng(6)
+    thetas = [rng.normal(0, 1, 14) for _ in range(3)]
+    whole = [_fgh(theta, spec, design) for theta in thetas]
+    monkeypatch.setattr(
+        inference, "_BLOCK_ROWS", 1 if events_per_block == 1 else 3 * design.n_dyads + 1
+    )
+    for theta, want in zip(thetas, whole):
+        got = _fgh(theta, spec, design)
+        for part, want_part in zip(got, want):
+            _assert_close(part, want_part)
+        naive = naive_log_likelihood(
+            events, actors.icr_array(), actors.n, ALL_TERMS, theta
+        )
+        assert got[0] == pytest.approx(naive, rel=1e-12)
+
+
+def test_spec_design_columns_equal_full_design(path_sized_fixture):
+    actors, seq = path_sized_fixture
+    terms = (Term.NTDEGREC, Term.PSABBA, Term.RRECSND, Term.ICR)
+    full = EventDesign(actors, seq)
+    small = EventDesign(actors, seq, terms)
+    rows = seq.m * small.n_dyads
+    assert full.full_tensor.nbytes == 14 * rows * 8
+    assert small.full_tensor.nbytes == 4 * rows * 8
+    assert np.array_equal(small.obs_idx, full.obs_idx)
+    own = small.columns(terms)
+    assert np.shares_memory(own, small.full_tensor)
+    assert own.flags.f_contiguous
+    assert np.array_equal(own, full.columns(terms))
+    # another order or a subset is a contiguous copy of the same values
+    for other in (terms[::-1], terms[1:3]):
+        cols = small.columns(other)
+        assert not np.shares_memory(cols, small.full_tensor)
+        assert cols.flags.f_contiguous
+        assert np.array_equal(cols, full.columns(other))
+
+
+def test_design_without_spec_terms_is_rejected(small_fixture):
+    actors, seq = small_fixture
+    design = EventDesign(actors, seq, (Term.ICR, Term.NTDEGREC))
+    spec = ModelSpec(terms=(Term.PSABBA, Term.ICR, Term.RRECSND), network_id="net")
+    match = r"no statistics for PSAB-BA, RRecSnd; it was built for \[ICR, NTDegRec\]"
+    with pytest.raises(ValueError, match=match):
+        design.columns(spec.terms)
+    with pytest.raises(ValueError, match=match):
+        fit_map(spec, design=design)
+    for view in (log_likelihood, gradient, hessian):
+        with pytest.raises(ValueError, match=match):
+            view(np.zeros(3), spec, design=design)
 
 
 def test_hessian_symmetric_nsd(small_fixture):
@@ -291,6 +368,20 @@ def test_prior_validation():
         PriorSpec(scale=0.0)
     with pytest.raises(ValueError):
         PriorSpec(df=-1.0)
+
+
+def test_prior_log_density_matches_scipy():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        prior = PriorSpec(
+            location=rng.uniform(-5, 5),
+            scale=rng.uniform(1, 20),
+            df=rng.uniform(0.5, 30),
+        )
+        theta = rng.uniform(-100, 100, 3)
+        want = student_t.logpdf(theta, prior.df, prior.location, prior.scale)
+        assert prior.log_density(theta[:1]) == pytest.approx(want[0], rel=1e-13)
+        assert prior.log_density(theta) == pytest.approx(want.sum(), rel=1e-13)
 
 
 def test_prior_derivatives_match_fd():
