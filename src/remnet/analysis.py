@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats as sps
 
 from remnet.data import ActorTable, EventSequence
-from remnet.inference import EventDesign, FitResult
+from remnet.inference import EventDesign, FitResult, event_blocks
 from remnet.stats import dyad_from_index
 
 
@@ -160,14 +160,20 @@ def adequacy(
     """Next-event match and recall-coverage rates for a fitted model.
 
     For each event, candidate dyads are ranked by model rate given the
-    true history; ties break by canonical dyad order (stable sort).
+    true history; ties break by canonical dyad order (stable sort). Scores
+    and ranks are computed one of the design's ``event_blocks`` at a time,
+    so no score or comparison temporary is larger than one block.
     """
     if design is None:
         design = EventDesign(actors, seq, fit.spec.terms)
     n = actors.n
     n_dyads = design.n_dyads
     obs = design.obs_idx
-    top, positions = _ranks(design.scores(fit.mode, fit.spec.terms), obs)
+    ranks = [
+        _ranks(design.scores(fit.mode, fit.spec.terms, block), obs[block])
+        for block in event_blocks(design)
+    ]
+    top, positions = (np.concatenate(r) for r in zip(*ranks))
     obs_i, obs_j = dyad_from_index(obs, n)
     top_i, top_j = dyad_from_index(top, n)
     either = int(np.count_nonzero((top_i == obs_i) | (top_j == obs_j)))

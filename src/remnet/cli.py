@@ -37,6 +37,7 @@ from remnet.inference import (
 )
 from remnet.selection import exhaustive_select, hill_climb_select
 from remnet.simulation import (
+    DEFAULT_CONDITIONS,
     KnockoutCondition,
     run_knockout_experiment,
     write_trajectories_csv,
@@ -67,13 +68,7 @@ class RunConfig:
     selection: str = "hill"  # hill | exhaustive
     replicates: int = 50
     conditions: list[str] = field(
-        default_factory=lambda: [
-            "full",
-            "pa_removed",
-            "ps_removed",
-            "icr_removed",
-            "all_removed",
-        ]
+        default_factory=lambda: [c.name for c in DEFAULT_CONDITIONS]
     )
     seed: int | None = None
     tol: float = 1e-6
@@ -103,22 +98,9 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in payload.items():
             setattr(cfg, key, value)
-    for key in (
-        "events",
-        "actors",
-        "out",
-        "seed",
-        "replicates",
-        "selection",
-        "tol",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in cfg.__dict__ and value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "conditions", None):
-        cfg.conditions = args.conditions
-    if getattr(args, "terms", None):
-        cfg.terms = args.terms
     for key, hint in typing.get_type_hints(RunConfig).items():
         if not _conforms(getattr(cfg, key), hint):
             name = hint.__name__ if isinstance(hint, type) else hint
@@ -129,6 +111,8 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"selection must be 'hill' or 'exhaustive', got {cfg.selection!r}")
     if cfg.tol <= 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol!r}")
+    if cfg.max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter!r}")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates!r}")
     if cfg.seed is not None and cfg.seed < 0:
@@ -257,6 +241,7 @@ def cmd_select(cfg: RunConfig) -> int:
             candidates,
             prior=cfg.prior(),
             tol=cfg.tol,
+            max_iter=cfg.max_iter,
             design=EventDesign(actors, seq, candidates),
         )
         trace.save(out / f"selection_{net_id}.json")
@@ -295,33 +280,14 @@ def cmd_adequacy(cfg: RunConfig) -> int:
     nets = _load_all(cfg)
     with open(out / "adequacy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "network_id",
-                "either_match",
-                "null_either",
-                "both_match",
-                "null_both",
-                "recall_1pct",
-                "recall_5pct",
-                "recall_10pct",
-            ]
-        )
+        rates = ("either_match", "null_either", "both_match", "null_both")
+        pcts = (1, 5, 10)
+        writer.writerow(["network_id", *rates, *(f"recall_{p}pct" for p in pcts)])
         for net_id, (actors, seq) in nets.items():
-            fit = _require_fit(out, net_id)
-            report = adequacy(fit, seq, actors)
-            writer.writerow(
-                [
-                    net_id,
-                    _fmt(report.either_match),
-                    _fmt(report.null_either),
-                    _fmt(report.both_match),
-                    _fmt(report.null_both),
-                    _fmt(report.recall[1]),
-                    _fmt(report.recall[5]),
-                    _fmt(report.recall[10]),
-                ]
-            )
+            report = adequacy(_require_fit(out, net_id), seq, actors)
+            values = [getattr(report, r) for r in rates]
+            values += [report.recall[p] for p in pcts]
+            writer.writerow([net_id, *map(_fmt, values)])
             print(
                 f"{net_id}: either {report.either_match:.2f} "
                 f"(null {report.null_either:.2f}), both {report.both_match:.2f}"

@@ -19,10 +19,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import optimize
 from scipy.stats import norm
 
 from remnet.data import ActorTable, EventSequence
@@ -201,30 +200,41 @@ class EventDesign:
         self.full_tensor = X
         self.obs_idx = obs
 
-    def columns(self, terms: Sequence[Term]) -> np.ndarray:
-        """The statistics of ``terms`` as one (m * n_dyads, k) array.
+    def columns(self, terms: Sequence[Term], events: slice = slice(None)) -> np.ndarray:
+        """The statistics of ``terms`` at ``events`` (all by default), as one
+        (events * n_dyads, k) array.
 
-        The transpose of a C-contiguous (k, m * n_dyads) array, so each
+        The transpose of a C-contiguous (k, events * n_dyads) array, so each
         term's column is contiguous: a view of ``full_tensor`` when
         ``terms`` are the design's own terms in order, else a copy of their
         rows. Raises ValueError naming any term the design was built
         without.
         """
         terms = tuple(terms)
+        start, stop, _ = events.indices(self.m)
+        dyads = slice(start * self.n_dyads, stop * self.n_dyads)
         if terms == self.terms:
-            return self.full_tensor.T
+            return self.full_tensor[:, dyads].T
         missing = [t.value for t in terms if t not in self._row]
         if missing:
             raise ValueError(
                 f"design has no statistics for {', '.join(missing)}; it was "
                 f"built for [{', '.join(t.value for t in self.terms)}]"
             )
-        return self.full_tensor[[self._row[t] for t in terms]].T
+        return self.full_tensor[[self._row[t] for t in terms], dyads].T
 
-    def scores(self, theta: np.ndarray, terms: Sequence[Term]) -> np.ndarray:
-        """Linear predictors, shape (m, n_dyads)."""
+    def scores(
+        self, theta: np.ndarray, terms: Sequence[Term], events: slice = slice(None)
+    ) -> np.ndarray:
+        """Linear predictors at ``events`` (all by default), shape (events,
+        n_dyads), summed term by term: a dyad's score does not depend on the
+        events asked for, and dyads with equal statistics tie exactly."""
         theta = _as_theta(theta, len(terms))
-        return (self.columns(terms) @ theta).reshape(self.m, self.n_dyads)
+        X = self.columns(terms, events)
+        s = np.zeros(X.shape[0])
+        for coef, column in zip(theta, X.T):
+            s += coef * column
+        return s.reshape(-1, self.n_dyads)
 
 
 def _as_theta(theta, k: int) -> np.ndarray:
@@ -244,33 +254,37 @@ def _slice(spec, seq, actors, design) -> tuple[EventDesign, np.ndarray]:
     return design, design.columns(spec.terms)
 
 
-# dyad rows per kernel block: a block's scores and p * X stay cache-sized
+# dyad rows per block: a block's scores and p * X stay cache-sized
 _BLOCK_ROWS = 1 << 16
+
+
+def event_blocks(design: EventDesign) -> Iterator[slice]:
+    """Slices of ``_BLOCK_ROWS // n_dyads`` (at least one) whole events."""
+    per_block = max(1, _BLOCK_ROWS // design.n_dyads)
+    for start in range(0, design.m, per_block):
+        yield slice(start, min(start + per_block, design.m))
 
 
 def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian of ``theta``, scoring X once.
 
     X is the spec's (m * n_dyads, k) columns of ``design``. The pass runs
-    over blocks of whole events, ``_BLOCK_ROWS // n_dyads`` (at least one)
-    at a time. In each block the scores are shifted by each event's
-    maximum, exponentiated and normalised in place, and the block adds its
-    terms to ll, g and H = E'E - X'(p * X), where E holds each event's
-    expected statistics; no temporary is larger than one block.
+    over ``event_blocks(design)``. In each block the scores are shifted by
+    each event's maximum, exponentiated and normalised in place, and the
+    block adds its terms to ll, g and H = E'E - X'(p * X), where E holds
+    each event's expected statistics; no temporary is larger than one block.
     """
     D, k = design.n_dyads, X.shape[1]
     theta = _as_theta(theta, k)
     XT = X.T
-    per_block = max(1, _BLOCK_ROWS // D)
     ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
-    for start in range(0, design.m, per_block):
-        stop = min(start + per_block, design.m)
-        b = stop - start
-        Xb = XT[:, start * D : stop * D]
+    for block in event_blocks(design):
+        b = block.stop - block.start
+        Xb = XT[:, block.start * D : block.stop * D]
         s = (theta @ Xb).reshape(b, D)
         if not np.all(np.isfinite(s)):
             raise NumericalError("non-finite linear predictor")
-        observed = np.arange(b) * D + design.obs_idx[start:stop]
+        observed = np.arange(b) * D + design.obs_idx[block]
         s -= s.max(axis=1, keepdims=True)
         observed_score = s.reshape(-1)[observed]
         np.exp(s, out=s)
@@ -333,6 +347,22 @@ def aicc(log_lik_at_mode: float, k: int, m: int) -> float:
     return -2.0 * log_lik_at_mode + 2.0 * k + 2.0 * k * (k + 1) / (m - k - 1)
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _damped_newton_step(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """-(H + lam I)^-1 g for the first of lam = 0, 1e-8 s, 2e-8 s, 4e-8 s, ...
+    (s the largest |H_ij|, at least 1) that makes H + lam I positive definite."""
+    scale, lam = max(float(np.max(np.abs(H))), 1.0), 0.0
+    while lam <= 4 * len(g) * scale:
+        try:
+            L = np.linalg.cholesky(H + lam * np.eye(len(g)))
+            return -np.linalg.solve(L.T, np.linalg.solve(L, g))
+        except np.linalg.LinAlgError:
+            lam = max(2.0 * lam, 1e-8 * scale)
+    raise NumericalError("no damping makes the Hessian positive definite")
+
+
 def fit_map(
     spec: ModelSpec,
     seq: EventSequence | None = None,
@@ -343,11 +373,21 @@ def fit_map(
     design: EventDesign | None = None,
     theta0: np.ndarray | None = None,
 ) -> FitResult:
-    """Posterior-mode fit with Laplace covariance.
+    """Posterior-mode fit with Laplace covariance, by damped Newton steps.
 
-    Starts at theta = 0 (the null model) unless ``theta0`` is given.
-    ``converged`` reflects the gradient max-norm criterion at the returned
-    point; a non-converged result is still returned.
+    f is the negative log posterior; the fit starts at theta = 0 (the null
+    model) unless ``theta0`` is given. Each iteration solves
+    (H + lam I) p = -g with the least damping lam >= 0 that makes the matrix
+    positive definite (the t prior makes f non-convex far from 0), caps p
+    at a trust radius in max-norm and evaluates theta + p once. The radius
+    starts at 1, doubles when a capped step earns over 3/4 of its predicted
+    reduction, and shrinks to a quarter of the step when it earns under
+    1/4, raises f or gives non-finite scores. Where f cannot rank the two
+    points, the step is kept if it shrinks the gradient max-norm. The fit
+    stops when that norm is at most ``tol`` (``converged``), after
+    ``max_iter`` iterations or when the radius cannot move theta; a
+    non-converged result is still returned. ``n_iter`` counts iterations,
+    so a fit makes ``n_iter + 1`` passes over the design.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -367,64 +407,51 @@ def fit_map(
             n_events=m,
         )
 
-    # the solver asks for f, g and H at the same theta in separate calls;
-    # remembering the last theta makes each theta cost one kernel pass
-    last_theta, last = None, None
+    def objective(theta):
+        """(-log posterior, its gradient, its Hessian, log-likelihood)."""
+        ll, g, H = _evaluate(theta, design, X)
+        return (
+            -(ll + prior.log_density(theta)),
+            -(g + prior.grad(theta)),
+            -(H + np.diag(prior.hess_diag(theta))),
+            ll,
+        )
 
-    def evaluate(theta):
-        """(log-likelihood, -log posterior, its gradient, its Hessian)."""
-        nonlocal last_theta, last
-        if last_theta is None or not np.array_equal(theta, last_theta):
-            ll, g, H = _evaluate(theta, design, X)
-            last_theta = np.array(theta, dtype=np.float64)
-            last = (
-                ll,
-                -(ll + prior.log_density(theta)),
-                -(g + prior.grad(theta)),
-                -(H + np.diag(prior.hess_diag(theta))),
-            )
-        return last
-
-    x0 = np.zeros(k) if theta0 is None else np.asarray(theta0, dtype=np.float64)
-    res = optimize.minimize(
-        lambda theta: evaluate(theta)[1],
-        x0,
-        jac=lambda theta: evaluate(theta)[2],
-        hess=lambda theta: evaluate(theta)[3],
-        method="trust-exact",
-        options={"gtol": tol * 1e-2, "maxiter": max_iter},
-    )
-    mode = res.x
-    grad_norm = float(np.max(np.abs(evaluate(mode)[2])))
-    # Newton polish: the trust-region solver can stall once objective
-    # differences fall below float resolution, even though the analytic
-    # gradient and Hessian still support further progress
-    for _ in range(10):
-        if grad_norm <= tol:
+    theta = np.zeros(k) if theta0 is None else _as_theta(theta0, k).copy()
+    f, g, H, ll = objective(theta)
+    radius, n_iter = 1.0, 0
+    while np.max(np.abs(g)) > tol and n_iter < max_iter:
+        if radius <= _EPS * (1.0 + np.max(np.abs(theta))):
             break
-        _, _, g, H = evaluate(mode)
+        n_iter += 1
+        p = _damped_newton_step(g, H)
+        step = min(float(np.max(np.abs(p))), radius)
+        p *= step / np.max(np.abs(p))
+        predicted = -(g @ p + 0.5 * p @ H @ p)
         try:
-            cand = mode - np.linalg.solve(H, g)
-            cand_norm = float(np.max(np.abs(evaluate(cand)[2])))
-        except (np.linalg.LinAlgError, NumericalError):
-            break
-        if not np.isfinite(cand_norm) or cand_norm >= grad_norm:
-            break
-        mode, grad_norm = cand, cand_norm
-    converged = bool(np.isfinite(grad_norm) and grad_norm <= tol)
+            cand = objective(theta + p)
+        except NumericalError:
+            radius = step / 4.0
+            continue
+        if predicted > 64.0 * _EPS * abs(f):
+            ratio = (f - cand[0]) / predicted
+        else:  # f cannot rank the two points: keep the radius, judge by |g|
+            ratio = 0.5 if np.max(np.abs(cand[1])) < np.max(np.abs(g)) else 0.0
+        if ratio < 0.25:
+            radius = step / 4.0
+        elif ratio > 0.75 and step >= radius:
+            radius *= 2.0
+        if ratio > 0.0:
+            theta, (f, g, H, ll) = theta + p, cand
 
-    ll, _, _, H = evaluate(mode)
     try:
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError:
+        cov = None
+    if cov is None or not np.all(np.isfinite(cov)):
         warnings.warn(
-            "singular Hessian at the mode; falling back to pseudo-inverse",
-            RuntimeWarning,
-        )
-        cov = np.linalg.pinv(H)
-    if not np.all(np.isfinite(cov)):
-        warnings.warn(
-            "non-finite covariance from Hessian inverse; using pseudo-inverse",
+            "singular or non-finite Hessian inverse at the mode; using the "
+            "pseudo-inverse",
             RuntimeWarning,
         )
         cov = np.linalg.pinv(H)
@@ -434,13 +461,13 @@ def fit_map(
     crit = aicc(ll, k, m) if aicc_defined(k, m) else math.nan
     return FitResult(
         spec=spec,
-        mode=mode,
+        mode=theta,
         covariance=cov,
         log_lik_at_mode=ll,
         aicc=crit,
-        converged=converged,
+        converged=bool(np.max(np.abs(g)) <= tol),
         n_events=m,
-        n_iter=int(res.nit),
+        n_iter=n_iter,
     )
 
 

@@ -69,16 +69,16 @@ class SelectionTrace:
 
 
 class _FitCache:
-    def __init__(self, design, prior, tol, max_iter, warm_start):
+    def __init__(self, design, prior, tol, max_iter):
         self.design = design
         self.prior = prior
         self.tol = tol
         self.max_iter = max_iter
-        self.warm_start = warm_start
         self.cache: dict[frozenset, FitResult | None] = {}
 
     def fit(self, terms: tuple[Term, ...], base: FitResult | None = None):
-        """Fit a term set; None when AICc is undefined or the fit does not converge."""
+        """Fit a term set from ``base``'s coefficients (0 for a term it lacks)
+        or from 0; None when AICc is undefined or the fit does not converge."""
         key = frozenset(terms)
         if key not in self.cache:
             self.cache[key] = self._fit(terms, base)
@@ -88,7 +88,7 @@ class _FitCache:
         k, m = len(terms), self.design.m
         if aicc_defined(k, m):
             theta0 = None
-            if self.warm_start and base is not None:
+            if base is not None:
                 base_coef = dict(zip(base.spec.terms, base.mode))
                 theta0 = np.array([base_coef.get(t, 0.0) for t in terms])
             result = fit_map(
@@ -116,15 +116,15 @@ def hill_climb_select(
     tol: float = 1e-6,
     max_iter: int = 500,
     design: EventDesign | None = None,
-    warm_start: bool = False,
 ) -> SelectionTrace:
-    """Steepest-descent AICc search over single-term changes."""
+    """Steepest-descent AICc search over single-term changes; each candidate
+    fit starts from the current model's coefficients (0 for an added term)."""
     candidates = canonical_terms(candidate_terms)
     if not candidates:
         raise ValueError("candidate term set is empty")
     if design is None:
         design = EventDesign(actors, seq, candidates)
-    fitter = _FitCache(design, prior, tol, max_iter, warm_start)
+    fitter = _FitCache(design, prior, tol, max_iter)
 
     current = fitter.fit(())
     if current is None:
@@ -190,7 +190,7 @@ def exhaustive_select(
         )
     if design is None:
         design = EventDesign(actors, seq, candidates)
-    fitter = _FitCache(design, prior, tol, max_iter, False)
+    fitter = _FitCache(design, prior, tol, max_iter)
 
     best = None
     for size in range(len(candidates) + 1):

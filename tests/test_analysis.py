@@ -20,6 +20,7 @@ from remnet.analysis import (
     theil_index,
     welch_t_test,
 )
+from remnet import inference
 from remnet.inference import EventDesign, ModelSpec, fit_map
 from remnet.simulation import run_knockout_experiment
 from remnet.stats import Term
@@ -282,8 +283,8 @@ def test_adequacy_recall_monotone_random_model(small_fixture):
 ADEQUACY_SPEC = ModelSpec((Term.PSABBA, Term.RRECSND, Term.ICR), network_id="net")
 
 
-@pytest.mark.parametrize("theta_kind", ["fitted", "zero", "ties"])
-def test_adequacy_ranks_match_sorting_oracle(theta_kind):
+def adequacy_case(theta_kind):
+    """(actors, seq, design, fit) of a 120-event, 7-actor network."""
     actors = make_actors(7, icr_indices=(0, 3))
     seq = simulate_sequence(
         {Term.PSABBA: 2.0, Term.RRECSND: 1.0, Term.ICR: 0.5}, actors, 120, seed=11
@@ -295,22 +296,49 @@ def test_adequacy_ranks_match_sorting_oracle(theta_kind):
         # zero ties every dyad; (1, 0, 1) scores every dyad in {0, 1, 2, 3}
         theta = (0.0, 0.0, 0.0) if theta_kind == "zero" else (1.0, 0.0, 1.0)
         fit = point_mass_fit(dict(zip(ADEQUACY_SPEC.terms, theta)), m=seq.m)
+    return actors, seq, design, fit
+
+
+def assert_report_matches_sorting_oracle(report, design, fit, n):
+    scores = design.scores(fit.mode, fit.spec.terms)
+    _, positions, either, both = sorted_adequacy_ranks(scores, design.obs_idx, n)
+    assert report.either_match == either / design.m
+    assert report.both_match == both / design.m
+    for pct, coverage in report.recall.items():
+        cutoff = math.ceil(pct / 100.0 * design.n_dyads)
+        assert coverage == float(np.mean(positions < cutoff))
+
+
+@pytest.mark.parametrize("theta_kind", ["fitted", "zero", "ties"])
+def test_adequacy_ranks_match_sorting_oracle(theta_kind):
+    actors, seq, design, fit = adequacy_case(theta_kind)
     scores = design.scores(fit.mode, ADEQUACY_SPEC.terms)
     obs = design.obs_idx
     if theta_kind == "ties":
         # the observed dyad shares its score with others at some events
         tied = scores == scores[np.arange(seq.m), obs][:, None]
         assert np.any(tied.sum(axis=1) > 1)
-    tops, positions, either, both = sorted_adequacy_ranks(scores, obs, actors.n)
+    tops, positions, _, _ = sorted_adequacy_ranks(scores, obs, actors.n)
     got_tops, got_positions = _ranks(scores, obs)
     np.testing.assert_array_equal(got_tops, tops)
     np.testing.assert_array_equal(got_positions, positions)
     report = adequacy(fit, seq, actors, design=design)
-    assert report.either_match == either / seq.m
-    assert report.both_match == both / seq.m
-    for pct, coverage in report.recall.items():
-        cutoff = math.ceil(pct / 100.0 * design.n_dyads)
-        assert coverage == float(np.mean(positions < cutoff))
+    assert_report_matches_sorting_oracle(report, design, fit, actors.n)
+
+
+@pytest.mark.parametrize("events_per_block", [1, 3, 7])
+@pytest.mark.parametrize("theta_kind", ["fitted", "ties"])
+def test_streamed_adequacy_matches_single_block(
+    monkeypatch, theta_kind, events_per_block
+):
+    actors, seq, design, fit = adequacy_case(theta_kind)
+    # all 120 events in one block by default; 7 per block leaves a last block of 1
+    assert inference._BLOCK_ROWS // design.n_dyads >= seq.m
+    whole = adequacy(fit, seq, actors, design=design)
+    monkeypatch.setattr(inference, "_BLOCK_ROWS", events_per_block * design.n_dyads)
+    streamed = adequacy(fit, seq, actors, design=design)
+    assert streamed == whole
+    assert_report_matches_sorting_oracle(streamed, design, fit, actors.n)
 
 
 def test_adequacy_on_design_without_the_fit_terms():

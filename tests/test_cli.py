@@ -19,7 +19,8 @@ from remnet.cli import (
     main,
 )
 from remnet.data import save_network
-from remnet.inference import ModelSpec
+from remnet import selection
+from remnet.inference import ModelSpec, fit_map
 from remnet.simulation import KnockoutCondition
 from remnet.stats import Term
 
@@ -170,6 +171,34 @@ def test_config_file_with_flag_override(data_dir, tmp_path):
     assert (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["hill", "exhaustive"])
+def test_select_config_max_iter_reaches_every_fit(
+    data_dir, tmp_path, monkeypatch, method
+):
+    max_iters = []
+
+    def recording_fit_map(spec, **kwargs):
+        max_iters.append(kwargs["max_iter"])
+        return fit_map(spec, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_map", recording_fit_map)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "events": str(data_dir / "events.csv"),
+                "actors": str(data_dir / "actors.csv"),
+                "out": str(tmp_path / "out"),
+                "terms": ["PSAB-BA", "ICR"],
+                "selection": method,
+                "max_iter": 1,
+            }
+        )
+    )
+    assert run(["select", "--config", cfg]) == EXIT_OK
+    assert len(max_iters) > 2 and set(max_iters) == {1}
+
+
 def test_unknown_config_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"evnts": "x"}))
@@ -196,6 +225,8 @@ def test_unknown_config_key(tmp_path):
         ("knockout", {"replicates": True}, ["--seed", "1"]),
         ("knockout", {}, ["--seed", "-1"]),
         ("knockout", {"conditions": [1]}, ["--seed", "1"]),
+        ("fit", {"max_iter": 0}, []),
+        ("select", {"max_iter": -3}, []),
     ],
 )
 def test_bad_config_value_is_config_error(data_dir, tmp_path, command, payload, flags):

@@ -258,16 +258,21 @@ def test_fit_empty_spec(path_sized_fixture):
     assert fit.aicc == pytest.approx(-2 * fit.log_lik_at_mode)
 
 
-def test_fit_recovers_strong_pshift():
+STRONG_PSHIFT_SPEC = ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net")
+
+
+@pytest.fixture(scope="module")
+def strong_pshift():
     actors = make_actors(8, icr_indices=(0,))
     seq = simulate_sequence(
         {Term.PSABBA: 2.5, Term.RRECSND: 1.0}, actors, 600, seed=42
     )
-    fit = fit_map(
-        ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net"),
-        seq,
-        actors,
-    )
+    return actors, seq
+
+
+def test_fit_recovers_strong_pshift(strong_pshift):
+    actors, seq = strong_pshift
+    fit = fit_map(STRONG_PSHIFT_SPEC, seq, actors)
     assert fit.converged
     sd = fit.sd
     assert abs(fit.mode[0] - 2.5) < 3 * sd[0] + 0.3
@@ -292,14 +297,17 @@ def test_fit_is_local_maximum(small_fixture):
             assert log_post(fit.mode + bump) < at_mode
 
 
-def test_fit_prior_dominated_single_event():
-    # a single event with an informative ICR contrast: the unpenalized
-    # MLE diverges, the t-prior keeps the mode finite
+def single_event_icr():
+    """One event with an informative ICR contrast: the unpenalized MLE
+    diverges, and only the t prior keeps the mode finite."""
     actors = make_actors(3, icr_indices=(1,))
     seq = sequence_from_pairs(actors, [(0, 1)])
-    spec = ModelSpec(terms=(Term.ICR,), network_id="net")
+    return ModelSpec(terms=(Term.ICR,), network_id="net"), EventDesign(actors, seq)
+
+
+def test_fit_prior_dominated_single_event():
+    spec, design = single_event_icr()
     prior = PriorSpec()
-    design = EventDesign(actors, seq)
     fit = fit_map(spec, design=design, prior=prior)
     assert np.isfinite(fit.mode[0])
     assert abs(fit.mode[0]) < 50.0
@@ -310,6 +318,56 @@ def test_fit_prior_dominated_single_event():
 
     direct = minimize_scalar(neg_posterior_1d, bounds=(-60, 60), method="bounded")
     assert fit.mode[0] == pytest.approx(direct.x, abs=1e-3)
+
+
+@pytest.mark.parametrize("start", [-40.0, 40.0])
+def test_fit_from_non_concave_start_reaches_the_mode(start):
+    spec, design = single_event_icr()
+    from_zero = fit_map(spec, design=design)
+    # the log prior is convex at the start, so Newton needs damping there
+    assert PriorSpec().hess_diag(np.array([start]))[0] > 0.0
+    fit = fit_map(spec, design=design, theta0=np.array([start]))
+    assert fit.converged
+    assert fit.mode[0] == pytest.approx(from_zero.mode[0], abs=1e-3)
+
+
+def counting_kernel(monkeypatch):
+    """Patch the likelihood kernel to count its passes; returns the count."""
+    passes = [0]
+    kernel = inference._evaluate
+
+    def counted(*args):
+        passes[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(inference, "_evaluate", counted)
+    return passes
+
+
+def test_fit_kernel_passes_are_iterations_plus_one(strong_pshift, monkeypatch):
+    actors, seq = strong_pshift
+    design = EventDesign(actors, seq, STRONG_PSHIFT_SPEC.terms)
+    passes = counting_kernel(monkeypatch)
+    fit = fit_map(STRONG_PSHIFT_SPEC, design=design)
+    assert fit.converged and fit.n_iter > 0
+    assert passes[0] == fit.n_iter + 1
+
+
+def test_fit_from_its_mode_takes_no_iteration(strong_pshift, monkeypatch):
+    actors, seq = strong_pshift
+    design = EventDesign(actors, seq, STRONG_PSHIFT_SPEC.terms)
+    fit = fit_map(STRONG_PSHIFT_SPEC, design=design)
+    passes = counting_kernel(monkeypatch)
+    again = fit_map(STRONG_PSHIFT_SPEC, design=design, theta0=fit.mode)
+    assert again.converged and again.n_iter == 0 and passes[0] == 1
+    np.testing.assert_array_equal(again.mode, fit.mode)
+
+
+def test_fit_stops_at_max_iter(strong_pshift):
+    actors, seq = strong_pshift
+    fit = fit_map(STRONG_PSHIFT_SPEC, seq, actors, max_iter=1)
+    assert fit.n_iter == 1
+    assert fit.converged is False
 
 
 def test_covariance_symmetric_psd_diag(small_fixture):

@@ -55,13 +55,38 @@ def test_hill_climb_deterministic(strong_pshift_design):
     ]
 
 
-def test_warm_start_does_not_change_selection(strong_pshift_design):
+def test_warm_started_final_fit_matches_cold_fit(strong_pshift_design):
     candidates = (Term.PSABBA, Term.RRECSND, Term.ICR)
-    cold = hill_climb_select(candidates, design=strong_pshift_design)
-    warm = hill_climb_select(
-        candidates, design=strong_pshift_design, warm_start=True
+    final = hill_climb_select(candidates, design=strong_pshift_design).final
+    assert final.spec.k > 0
+    cold = fit_map(final.spec, design=strong_pshift_design)
+    np.testing.assert_allclose(final.mode, cold.mode, rtol=1e-6)
+    assert final.aicc == pytest.approx(cold.aicc, rel=1e-12)
+
+
+def test_candidates_start_from_the_current_model(monkeypatch, strong_pshift_design):
+    calls = []
+
+    def recording_fit_map(spec, **kwargs):
+        result = fit_map(spec, **kwargs)
+        calls.append((spec.terms, kwargs["theta0"], result))
+        return result
+
+    monkeypatch.setattr(selection, "fit_map", recording_fit_map)
+    trace = hill_climb_select(
+        (Term.PSABBA, Term.RRECSND, Term.ICR), design=strong_pshift_design
     )
-    assert cold.final.spec == warm.final.spec
+    fits = {terms: result for terms, _, result in calls}
+    accepted = [fits[step.terms] for step in trace.steps]
+    assert calls[0][:2] == ((), None)
+    for terms, theta0, _ in calls[1:]:
+        # a neighbour of some accepted model, started from its coefficients
+        starts = [
+            [dict(zip(base.spec.terms, base.mode)).get(t, 0.0) for t in terms]
+            for base in accepted
+            if len(set(terms) ^ set(base.spec.terms)) == 1
+        ]
+        assert any(np.array_equal(theta0, start) for start in starts)
 
 
 def test_exhaustive_single_candidate(strong_pshift_design):
