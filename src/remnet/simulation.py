@@ -13,6 +13,7 @@ within a replicate share coefficients before zeroing (paired contrasts).
 from __future__ import annotations
 
 import csv
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -173,7 +174,7 @@ def simulate_trajectory(
         i, j = dyad_from_index(idx, n)
         events.append((actors.actor_ids[i], actors.actor_ids[j]))
         state.update(i, j)
-    seed_int = seed if isinstance(seed, int) else -1
+    seed_int = int(seed) if isinstance(seed, numbers.Integral) else -1
     return Trajectory(
         network_id=actors.network_id,
         condition=condition.name,

@@ -1,10 +1,11 @@
 """Event-history state and sufficient statistics for the 14 model terms.
 
-A ``HistoryState`` is updated event by event, and ``design_matrix``
-evaluates every term over the whole risk set from it in one vectorized
-pass; ``stat_vector`` is one row of that matrix. This is the only
-implementation of the statistics. The tests check it bitwise against a
-naive oracle that recomputes each statistic from the raw event prefix.
+``HistoryState`` is the one store of the statistics: each event updates
+it in O(n). ``design_matrix`` reads it over the whole risk set and builds
+only the p-shifts and ICR at read time; ``stat_vector`` is one row of that
+matrix. This is the only implementation of the statistics. The tests
+check it bitwise against a naive oracle that recomputes each statistic
+from the raw event prefix.
 
 Conventions (the source material gives only verbal definitions):
   NTDegRec normalizes by 2*n_past_events, so it is a [0,1] volume share;
@@ -45,12 +46,20 @@ class Term(enum.Enum):
 
 
 ALL_TERMS: tuple[Term, ...] = tuple(Term)
-PSHIFT_TERMS: tuple[Term, ...] = (
-    Term.PSABBA,
-    Term.PSABBY,
-    Term.PSABXA,
-    Term.PSABXB,
-    Term.PSABAY,
+# each p-shift's (sender, receiver) roles: 0 is the last event's sender,
+# 1 its receiver, 2 any other actor
+_PSHIFT_ROLES = {
+    Term.PSABBA: (1, 0),
+    Term.PSABBY: (1, 2),
+    Term.PSABXA: (2, 0),
+    Term.PSABXB: (2, 1),
+    Term.PSABAY: (0, 2),
+}
+PSHIFT_TERMS: tuple[Term, ...] = tuple(_PSHIFT_ROLES)
+# the terms HistoryState stores an (n, n) array for: design_matrix builds
+# the p-shifts and ICR at read time, and ITPSnd is OTPSnd's transpose
+_STORED_TERMS: tuple[Term, ...] = tuple(
+    t for t in Term if t not in (*PSHIFT_TERMS, Term.ITPSND, Term.ICR)
 )
 
 _TERM_BY_NAME = {t.value: t for t in Term}
@@ -70,7 +79,19 @@ def canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
 
 
 class HistoryState:
-    """Cumulative event history for one network of ``n`` actors.
+    """Cumulative event history of one network of ``n`` actors, and the
+    statistics that depend on more than the last event.
+
+    Besides the counts, the recency lists and ``last_event``, it keeps the
+    0/1 tie matrix ``tie`` and, in ``stat``, one (n, n) float64 array for
+    each of NTDegRec, FrPSndSnd, RRecSnd, RSndSnd, OTPSnd, OSPSnd and
+    ISPSnd, plus ITPSnd as a view of OTPSnd's transpose; entry (i, j),
+    i != j, is the statistic of dyad (i, j). ``update(a, b)`` rewrites
+    only what event a -> b changes: the NTDegRec share; row a of
+    FrPSndSnd; the listed alters of RSndSnd row a and of RRecSnd row b;
+    and, on a new tie a -> b only, rows and columns a or b of the triadic
+    arrays, each by adding a row or column of ``tie``. Each entry has the
+    bits of its from-scratch value: counts are exact in float64.
 
     Mutation is single-writer and strictly sequential per trajectory;
     read-only statistic evaluation at a fixed state is side-effect free.
@@ -85,6 +106,9 @@ class HistoryState:
         "recency_out",
         "last_event",
         "n_past_events",
+        "tie",
+        "stat",
+        "_inv_rank",
     )
 
     def __init__(self, n: int):
@@ -98,6 +122,10 @@ class HistoryState:
         self.recency_out: list[list[int]] = [[] for _ in range(n)]
         self.last_event: tuple[int, int] | None = None
         self.n_past_events = 0
+        self.tie = np.zeros((n, n))
+        self.stat = {term: np.zeros((n, n)) for term in _STORED_TERMS}
+        self.stat[Term.ITPSND] = self.stat[Term.OTPSND].T  # a view
+        self._inv_rank = 1.0 / np.arange(1, n + 1)
 
     def update(self, a: int, b: int) -> "HistoryState":
         """Record event a -> b. Returns self."""
@@ -105,19 +133,34 @@ class HistoryState:
             raise ValueError("self-loop event")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError(f"unknown actor in event ({a}, {b})")
+        stat = self.stat
+        if not self.tie[a, b]:
+            # B -> B + e_a e_b' adds e_a B[b] + B[:, a] e_b' to B B, and
+            # likewise to B B' and B'B; their diagonals are never read
+            tie = self.tie
+            stat[Term.OTPSND][a] += tie[b]
+            stat[Term.OTPSND][:, b] += tie[:, a]
+            stat[Term.OSPSND][a] += tie[:, b]
+            stat[Term.OSPSND][:, a] += tie[:, b]
+            stat[Term.ISPSND][b] += tie[a]
+            stat[Term.ISPSND][:, b] += tie[a]
+            tie[a, b] = 1.0
         self.dyad_count[a, b] += 1
         self.out_degree[a] += 1
         self.in_degree[b] += 1
-        ro = self.recency_out[a]
-        if b in ro:
-            ro.remove(b)
-        ro.insert(0, b)
-        ri = self.recency_in[b]
-        if a in ri:
-            ri.remove(a)
-        ri.insert(0, a)
-        self.last_event = (a, b)
         self.n_past_events += 1
+        volume = self.in_degree + self.out_degree
+        stat[Term.NTDEGREC][:] = volume / (2 * self.n_past_events)
+        stat[Term.FRPSNDSND][a] = self.dyad_count[a] / self.out_degree[a]
+        for row, alter, recency, term in (
+            (a, b, self.recency_out[a], Term.RSNDSND),
+            (b, a, self.recency_in[b], Term.RRECSND),
+        ):
+            if alter in recency:
+                recency.remove(alter)
+            recency.insert(0, alter)
+            stat[term][row, recency] = self._inv_rank[: len(recency)]
+        self.last_event = (a, b)
         return self
 
 
@@ -127,10 +170,6 @@ def replay(events: Sequence[tuple[int, int]], n: int) -> HistoryState:
     for a, b in events:
         state.update(a, b)
     return state
-
-
-# ---------------------------------------------------------------------------
-# vectorized evaluation over the whole risk set
 
 
 def dyad_index(i: int, j: int, n: int) -> int:
@@ -147,84 +186,43 @@ def dyad_from_index(idx, n: int):
 
 
 def _offdiag(mat: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries of square ``mat``, (n-1, n), in canonical dyad order."""
     n = mat.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    return mat[mask]
+    return np.ravel(mat)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def design_matrix(
     state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
 ) -> np.ndarray:
-    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad order."""
+    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad
+    order, C-contiguous.
+
+    A read of ``state``: the stored terms are copied out of ``state.stat``
+    (ITPSnd from OTPSnd's transpose). Each p-shift is built from
+    ``state.last_event`` as an outer product of role indicators, and ICR
+    from ``icr``.
+    """
     n = state.n
-    cols = []
-    binarized = None
-    for term in terms:
-        if term is Term.NTDEGREC:
-            if state.n_past_events == 0:
-                mat = np.zeros((n, n))
-            else:
-                share = (state.in_degree + state.out_degree) / (
-                    2 * state.n_past_events
-                )
-                mat = np.broadcast_to(share, (n, n)).copy()
-        elif term is Term.FRPSNDSND:
-            out = state.out_degree.astype(np.float64)[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mat = np.where(out > 0, state.dyad_count / out, 0.0)
-        elif term in (Term.RRECSND, Term.RSNDSND):
-            source = (
-                state.recency_in if term is Term.RRECSND else state.recency_out
-            )
-            mat = np.zeros((n, n))
-            for i in range(n):
-                for rank, alter in enumerate(source[i], start=1):
-                    mat[i, alter] = 1.0 / rank
-        elif term in (Term.OTPSND, Term.ITPSND, Term.OSPSND, Term.ISPSND):
-            if binarized is None:
-                binarized = (state.dyad_count > 0).astype(np.float64)
-            B = binarized
-            if term is Term.OTPSND:
-                mat = B @ B
-            elif term is Term.ITPSND:
-                mat = (B @ B).T
-            elif term is Term.OSPSND:
-                mat = B @ B.T
-            else:
-                mat = B.T @ B
-            # intermediaries k in {i, j} never contribute: the diagonal of
-            # dyad_count is structurally zero
-        elif term in PSHIFT_TERMS:
-            mat = np.zeros((n, n))
-            if state.last_event is not None:
-                a, b = state.last_event
-                if term is Term.PSABBA:
-                    mat[b, a] = 1.0
-                elif term is Term.PSABBY:
-                    mat[b, :] = 1.0
-                    mat[b, a] = 0.0
-                    mat[b, b] = 0.0
-                elif term is Term.PSABXA:
-                    mat[:, a] = 1.0
-                    mat[a, a] = 0.0
-                    mat[b, a] = 0.0
-                elif term is Term.PSABXB:
-                    mat[:, b] = 1.0
-                    mat[a, b] = 0.0
-                    mat[b, b] = 0.0
-                else:  # PSABAY
-                    mat[a, :] = 1.0
-                    mat[a, a] = 0.0
-                    mat[a, b] = 0.0
+    X = np.empty((n * (n - 1), len(terms)))
+    cols = X.reshape(n - 1, n, len(terms))
+    role = np.zeros((3, n))
+    if state.last_event is not None:
+        a, b = state.last_event
+        role[0, a] = role[1, b] = 1.0
+        role[2] = 1.0 - role[0] - role[1]
+    for c, term in enumerate(terms):
+        if term in state.stat:
+            mat = state.stat[term]
+        elif term in _PSHIFT_ROLES:
+            sender, receiver = _PSHIFT_ROLES[term]
+            mat = role[sender, :, None] * role[receiver]
         elif term is Term.ICR:
             vec = np.asarray(icr, dtype=np.float64)
             mat = vec[:, None] + vec[None, :]
         else:
             raise ValueError(f"unknown term {term!r}")
-        cols.append(_offdiag(np.asarray(mat, dtype=np.float64)))
-    if not cols:
-        return np.zeros((n * (n - 1), 0))
-    return np.stack(cols, axis=1)
+        cols[:, :, c] = _offdiag(mat)
+    return X
 
 
 def stat_vector(

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from remnet.inference import ModelSpec
+from remnet.inference import EventDesign, ModelSpec
 from remnet.simulation import (
     DEFAULT_CONDITIONS,
     KnockoutCondition,
@@ -11,9 +13,9 @@ from remnet.simulation import (
     simulate_trajectory,
     write_trajectories_csv,
 )
-from remnet.stats import PSHIFT_TERMS, Term, dyad_index
+from remnet.stats import ALL_TERMS, PSHIFT_TERMS, Term, dyad_index
 
-from conftest import make_actors, point_mass_fit
+from conftest import make_actors, point_mass_fit, random_events, sequence_from_pairs
 
 FULL = KnockoutCondition.named("full")
 
@@ -206,3 +208,36 @@ def test_invalid_lengths():
         simulate_trajectory(fit.mode, fit.spec, actors, 0, FULL, seed=0)
     with pytest.raises(ValueError):
         run_knockout_experiment(fit, actors, 5, replicates=0, master_seed=0)
+
+
+def test_numpy_integer_seed_is_recorded():
+    actors = make_actors(4)
+    spec = ModelSpec(terms=(Term.PSABBA,), network_id="net")
+    theta = np.array([1.0])
+    a = simulate_trajectory(theta, spec, actors, 50, FULL, seed=np.int64(7))
+    b = simulate_trajectory(theta, spec, actors, 50, FULL, seed=7)
+    assert a.seed == 7 and type(a.seed) is int
+    assert a.events == b.events
+
+
+def test_trajectory_and_design_bits_are_pinned():
+    # sha256 values recorded before the statistics became an incremental
+    # store; a change that moves one bit of a statistic or one sampled
+    # event fails here
+    actors = make_actors(12, icr_indices=(0, 3, 7))
+    theta = np.array(
+        [2.0, 1.0, 1.0, 0.5, 0.1, 0.1, 0.05, 0.05, 2.0, 0.5, 0.3, 0.3, 0.2, 0.8]
+    )
+    spec = ModelSpec(terms=ALL_TERMS, network_id="net")
+    traj = simulate_trajectory(theta, spec, actors, 300, FULL, seed=2024)
+    events = "\n".join(f"{s},{r}" for s, r in traj.events).encode()
+    assert hashlib.sha256(events).hexdigest() == (
+        "25e2e069c69cb246e28de27272667fc661279e7b6a9eb33df1324b2f31a9bc44"
+    )
+    pairs = random_events(12, 200, np.random.default_rng(11))
+    design = EventDesign(actors, sequence_from_pairs(actors, pairs))
+    tensor = design.full_tensor
+    assert tensor.shape == (14, 200 * 132) and tensor.flags.c_contiguous
+    assert hashlib.sha256(tensor.tobytes()).hexdigest() == (
+        "e9ae9ad5aaf4ec7d170f25efb893a2d4a6376b528803f4a87dc19edc73a5be3a"
+    )

@@ -236,16 +236,21 @@ def test_dyad_index_roundtrip():
 @given(event_sequences())
 def test_incremental_matches_naive_oracle(case):
     n, events, icr = case
-    state = replay(events, n)
-    X = design_matrix(state, icr, ALL_TERMS)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            fast = stat_vector(state, icr, i, j, ALL_TERMS)
-            naive = naive_stat_vector(events, icr, n, i, j, ALL_TERMS)
-            assert np.array_equal(fast, naive), (i, j, fast, naive)
-            assert np.array_equal(X[dyad_index(i, j, n)], fast)
+    dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
+    # the store is order-dependent: step one state and check every prefix
+    state = HistoryState(n)
+    for t in range(len(events) + 1):
+        X = design_matrix(state, icr, ALL_TERMS)
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        naive = np.array(
+            [naive_stat_vector(events[:t], icr, n, i, j, ALL_TERMS) for i, j in dyads]
+        )
+        assert X.tobytes() == naive.tobytes(), (t, np.argwhere(X != naive)[:5])
+        if t < len(events):
+            state.update(*events[t])
+    for i, j in dyads:
+        fast = stat_vector(state, icr, i, j, ALL_TERMS)
+        assert np.array_equal(X[dyad_index(i, j, n)], fast)
 
 
 @settings(max_examples=60, deadline=None)
