@@ -10,7 +10,7 @@ import argparse
 
 from remnet.analysis import concentration_report
 from remnet.data import ActorTable, EventSequence
-from remnet.inference import ModelSpec, fit_map
+from remnet.inference import EventDesign, ModelSpec, fit_map
 from remnet.simulation import (
     KnockoutCondition,
     run_knockout_experiment,
@@ -48,7 +48,7 @@ def main() -> None:
     seq = EventSequence("demo", traj.events)
     print(f"simulated {seq.m} events over {actors.n} actors")
 
-    fit = fit_map(spec, seq, actors)
+    fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
     for name, est, sd in zip(spec.term_names(), fit.mode, fit.sd):
         print(f"  {name:>10s}: {est:+.3f} (sd {sd:.3f})")
     print(f"  AICc {fit.aicc:.2f}, converged={fit.converged}")

@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from remnet.data import ActorTable, EventSequence
-from remnet.inference import ModelSpec, fit_map, posterior_interval
+from remnet.inference import EventDesign, ModelSpec, fit_map, posterior_interval
 from remnet.simulation import KnockoutCondition, simulate_trajectory
 from remnet.stats import Term
 
@@ -41,7 +41,7 @@ def main() -> None:
             seed=args.seed + r,
         )
         seq = EventSequence("recovery", traj.events)
-        fit = fit_map(spec, seq, actors)
+        fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
         for k, (lo, hi) in enumerate(posterior_interval(fit, 0.95)):
             covered[k] += lo <= theta_true[k] <= hi
         if (r + 1) % 10 == 0:

@@ -2,8 +2,8 @@
 
 Theil index of per-actor communication volume, excess-concentration
 rescaling against the no-hub baseline, percent changes, next-event
-match/recall adequacy, and the significance tests used to compare
-knock-out conditions.
+match/recall adequacy of a fit on an ``EventDesign``, and the significance
+tests used to compare knock-out conditions.
 """
 
 from __future__ import annotations
@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from remnet.data import ActorTable, EventSequence
+from remnet.data import ActorTable
 from remnet.inference import EventDesign, FitResult, event_blocks
 from remnet.stats import dyad_from_index
+
+# recall levels of ``adequacy``: percent of the risk set, best-ranked first
+RECALL_PCTS = (1, 5, 10)
 
 
 def theil_index(volumes) -> float:
@@ -150,25 +153,17 @@ def _ranks(scores: np.ndarray, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.argmax(scores, axis=1), positions
 
 
-def adequacy(
-    fit: FitResult,
-    seq: EventSequence,
-    actors: ActorTable,
-    design: EventDesign | None = None,
-    recall_pcts: tuple[int, ...] = (1, 5, 10),
-) -> AdequacyReport:
-    """Next-event match and recall-coverage rates for a fitted model.
+def adequacy(fit: FitResult, design: EventDesign) -> AdequacyReport:
+    """Next-event match and recall-coverage rates of ``fit`` on ``design``,
+    which must hold the statistics of the fit's terms.
 
     For each event, candidate dyads are ranked by model rate given the
-    true history; ties break by canonical dyad order (stable sort). Scores
-    and ranks are computed one of the design's ``event_blocks`` at a time,
-    so no score or comparison temporary is larger than one block.
+    true history; ties break by canonical dyad order (stable sort). Recall
+    is reported at each of ``RECALL_PCTS``. Scores and ranks are computed
+    one of the design's ``event_blocks`` at a time, so no score or
+    comparison temporary is larger than one block.
     """
-    if design is None:
-        design = EventDesign(actors, seq, fit.spec.terms)
-    n = actors.n
-    n_dyads = design.n_dyads
-    obs = design.obs_idx
+    n, obs = design.n, design.obs_idx
     ranks = [
         _ranks(design.scores(fit.mode, fit.spec.terms, block), obs[block])
         for block in event_blocks(design)
@@ -179,11 +174,11 @@ def adequacy(
     either = int(np.count_nonzero((top_i == obs_i) | (top_j == obs_j)))
     both = int(np.count_nonzero(top == obs))
     recall = {
-        pct: float(np.mean(positions < math.ceil(pct / 100.0 * n_dyads)))
-        for pct in recall_pcts
+        pct: float(np.mean(positions < math.ceil(pct / 100.0 * design.n_dyads)))
+        for pct in RECALL_PCTS
     }
     return AdequacyReport(
-        network_id=seq.network_id,
+        network_id=design.seq.network_id,
         either_match=either / design.m,
         both_match=both / design.m,
         null_either=null_either_rate(n),

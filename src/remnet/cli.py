@@ -23,7 +23,12 @@ from pathlib import Path
 import numpy as np
 
 import remnet
-from remnet.analysis import ConcentrationReport, adequacy, concentration_report
+from remnet.analysis import (
+    RECALL_PCTS,
+    ConcentrationReport,
+    adequacy,
+    concentration_report,
+)
 from remnet.data import DataError, load_networks, summarize
 from remnet.inference import (
     EventDesign,
@@ -117,6 +122,8 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates!r}")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed!r}")
+    if len(set(cfg.conditions)) != len(cfg.conditions):
+        raise ConfigError(f"duplicate knock-out conditions in {cfg.conditions}")
     try:
         cfg.prior()
         ModelSpec(cfg.term_objects())
@@ -281,12 +288,14 @@ def cmd_adequacy(cfg: RunConfig) -> int:
     with open(out / "adequacy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         rates = ("either_match", "null_either", "both_match", "null_both")
-        pcts = (1, 5, 10)
-        writer.writerow(["network_id", *rates, *(f"recall_{p}pct" for p in pcts)])
+        writer.writerow(
+            ["network_id", *rates, *(f"recall_{p}pct" for p in RECALL_PCTS)]
+        )
         for net_id, (actors, seq) in nets.items():
-            report = adequacy(_require_fit(out, net_id), seq, actors)
+            fit = _require_fit(out, net_id)
+            report = adequacy(fit, EventDesign(actors, seq, fit.spec.terms))
             values = [getattr(report, r) for r in rates]
-            values += [report.recall[p] for p in pcts]
+            values += [report.recall[p] for p in RECALL_PCTS]
             writer.writerow([net_id, *map(_fmt, values)])
             print(
                 f"{net_id}: either {report.either_match:.2f} "

@@ -7,7 +7,8 @@ Input formats:
     optional trailing ``specialist`` column (0/1) is accepted and carried
     into NetworkMeta when present.
   JSON alternative: a single object (or list of objects) per network with
-    keys ``network_id``, ``actors`` and ``events`` mirroring the CSV fields.
+    keys ``network_id``, ``actors`` and ``events`` mirroring the CSV fields;
+    ids (network, actor, sender, receiver) must be strings, as in CSV.
 
 Timing is ordinal: the event order is the clock, no timestamps are kept.
 The actor table is authoritative for the risk set; actors with no events
@@ -118,6 +119,13 @@ def _check_consistency(actors: ActorTable, seq: EventSequence) -> None:
                 )
 
 
+def _check_ids(row, keys, path, lineno) -> None:
+    """Ids are strings, as CSV makes them; any other (JSON) value is a DataError."""
+    for key in keys:
+        if not isinstance(row[key], str):
+            raise DataError(f"{path}:{lineno}: {key} must be a string: {row[key]!r}")
+
+
 def _parse_actor_rows(rows, path) -> dict[str, tuple[list, list, bool | None]]:
     nets: dict[str, tuple[list, list, bool | None]] = {}
     for lineno, row in rows:
@@ -127,6 +135,7 @@ def _parse_actor_rows(rows, path) -> dict[str, tuple[list, list, bool | None]]:
             icr_raw = row["icr"]
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing column {exc}") from None
+        _check_ids(row, ("actor_id",), path, lineno)
         if icr_raw not in ("0", "1", 0, 1, True, False):
             raise DataError(f"{path}:{lineno}: icr must be 0 or 1, got {icr_raw!r}")
         ids, flags, spec = nets.setdefault(net, ([], [], None))
@@ -164,6 +173,7 @@ def _parse_event_rows(rows, path) -> dict[str, list]:
             receiver = row["receiver"]
         except KeyError as exc:
             raise DataError(f"{path}:{lineno}: missing column {exc}") from None
+        _check_ids(row, ("sender", "receiver"), path, lineno)
         order = _parse_order(order_raw, path, lineno)
         if net in last_order and order <= last_order[net]:
             raise DataError(
@@ -226,8 +236,8 @@ def _load_json_networks(path: str | Path):
     result = {}
     for k, obj in enumerate(objs):
         label = f"{path}[{k}]"
-        if not isinstance(obj, dict) or "network_id" not in obj:
-            raise DataError(f"{label}: a network must be an object with a network_id")
+        if not isinstance(obj, dict) or not isinstance(obj.get("network_id"), str):
+            raise DataError(f"{label}: a network needs a string network_id")
         net = obj["network_id"]
         actor_rows = _json_rows(
             obj, "actors", label, network_id=net, specialist=obj.get("specialist")

@@ -7,10 +7,11 @@ Student-t densities per coefficient (location 0, scale 10, df 4 by
 default). The posterior covariance is the inverse negative Hessian of the
 log-posterior at the mode.
 
-One kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian
-in one pass over the spec's design columns, a block of events at a time;
-``fit_map`` takes those columns once per fit and runs the kernel once per
-theta.
+Every model-layer function reads its data from an ``EventDesign``, the
+per-event statistics of one network. One kernel, ``_evaluate``, gives the
+log-likelihood, gradient and Hessian in one pass over the spec's rows of
+that design, a block of events at a time; ``fit_map`` takes those rows
+once per fit and runs the kernel once per theta.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from remnet.stats import (
     ALL_TERMS,
     HistoryState,
     Term,
-    canonical_terms,
-    design_matrix,
+    _fill_design,
     dyad_index,
     term_from_name,
 )
@@ -166,10 +166,10 @@ class EventDesign:
 
     ``full_tensor`` holds the statistics of ``terms`` (all 14 by default)
     as one C-contiguous (k, m * n*(n-1)) array: row r is the r-th term over
-    every event's risk set, events in order, dyads in canonical order. This
-    is the layout the likelihood kernel reads, a block of events at a time.
-    Memory is k * m * n*(n-1) * 8 bytes, so callers build a design for the
-    terms they fit: a spec's, or a selection's candidates.
+    every event's risk set, events in order, dyads in canonical order. Each
+    event is written once, into the layout ``rows`` hands the likelihood
+    kernel. Memory is k * m * n*(n-1) * 8 bytes, so callers build a design
+    for the terms they fit: a spec's, or a selection's candidates.
     """
 
     def __init__(
@@ -189,39 +189,38 @@ class EventDesign:
         self.n_dyads = D = self.n * (self.n - 1)
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
-        X = np.empty((len(self.terms), self.m * D))
+        X = np.empty((len(self.terms), self.m, self.n - 1, self.n))
         obs = np.empty(self.m, dtype=np.intp)
         state = HistoryState(self.n)
         for t2 in range(self.m):
-            X[:, t2 * D : (t2 + 1) * D] = design_matrix(state, icr, self.terms).T
+            _fill_design(state, icr, self.terms, X[:, t2])
             a, b = int(pairs[t2, 0]), int(pairs[t2, 1])
             obs[t2] = dyad_index(a, b, self.n)
             state.update(a, b)
-        self.full_tensor = X
+        self.full_tensor = X.reshape(len(self.terms), self.m * D)
         self.obs_idx = obs
 
-    def columns(self, terms: Sequence[Term], events: slice = slice(None)) -> np.ndarray:
+    def rows(self, terms: Sequence[Term], events: slice = slice(None)) -> np.ndarray:
         """The statistics of ``terms`` at ``events`` (all by default), as one
-        (events * n_dyads, k) array.
+        (k, events * n_dyads) array whose rows are contiguous.
 
-        The transpose of a C-contiguous (k, events * n_dyads) array, so each
-        term's column is contiguous: a view of ``full_tensor`` when
-        ``terms`` are the design's own terms in order, else a copy of their
-        rows. Raises ValueError naming any term the design was built
-        without.
+        A view of ``full_tensor`` when ``terms`` are the design's own terms
+        in order (C-contiguous over all events), else a C-contiguous copy
+        of their rows. Raises ValueError naming any term the design was
+        built without.
         """
         terms = tuple(terms)
         start, stop, _ = events.indices(self.m)
         dyads = slice(start * self.n_dyads, stop * self.n_dyads)
         if terms == self.terms:
-            return self.full_tensor[:, dyads].T
+            return self.full_tensor[:, dyads]
         missing = [t.value for t in terms if t not in self._row]
         if missing:
             raise ValueError(
                 f"design has no statistics for {', '.join(missing)}; it was "
                 f"built for [{', '.join(t.value for t in self.terms)}]"
             )
-        return self.full_tensor[[self._row[t] for t in terms], dyads].T
+        return self.full_tensor[[self._row[t] for t in terms], dyads]
 
     def scores(
         self, theta: np.ndarray, terms: Sequence[Term], events: slice = slice(None)
@@ -230,10 +229,10 @@ class EventDesign:
         n_dyads), summed term by term: a dyad's score does not depend on the
         events asked for, and dyads with equal statistics tie exactly."""
         theta = _as_theta(theta, len(terms))
-        X = self.columns(terms, events)
-        s = np.zeros(X.shape[0])
-        for coef, column in zip(theta, X.T):
-            s += coef * column
+        X = self.rows(terms, events)
+        s = np.zeros(X.shape[1])
+        for coef, row in zip(theta, X):
+            s += coef * row
         return s.reshape(-1, self.n_dyads)
 
 
@@ -242,16 +241,6 @@ def _as_theta(theta, k: int) -> np.ndarray:
     if theta.shape != (k,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({k},)")
     return theta
-
-
-def _slice(spec, seq, actors, design) -> tuple[EventDesign, np.ndarray]:
-    """The design (for ``spec`` from ``seq`` and ``actors`` if None) and its
-    ``spec`` columns."""
-    if design is None:
-        if seq is None or actors is None:
-            raise ValueError("either a design or (seq, actors) must be given")
-        design = EventDesign(actors, seq, spec.terms)
-    return design, design.columns(spec.terms)
 
 
 # dyad rows per block: a block's scores and p * X stay cache-sized
@@ -268,19 +257,18 @@ def event_blocks(design: EventDesign) -> Iterator[slice]:
 def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian of ``theta``, scoring X once.
 
-    X is the spec's (m * n_dyads, k) columns of ``design``. The pass runs
-    over ``event_blocks(design)``. In each block the scores are shifted by
+    X is the spec's (k, m * n_dyads) rows of ``design``. The pass runs over
+    ``event_blocks(design)``. In each block the scores are shifted by
     each event's maximum, exponentiated and normalised in place, and the
     block adds its terms to ll, g and H = E'E - X'(p * X), where E holds
     each event's expected statistics; no temporary is larger than one block.
     """
-    D, k = design.n_dyads, X.shape[1]
+    D, k = design.n_dyads, X.shape[0]
     theta = _as_theta(theta, k)
-    XT = X.T
     ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
     for block in event_blocks(design):
         b = block.stop - block.start
-        Xb = XT[:, block.start * D : block.stop * D]
+        Xb = X[:, block.start * D : block.stop * D]
         s = (theta @ Xb).reshape(b, D)
         if not np.all(np.isfinite(s)):
             raise NumericalError("non-finite linear predictor")
@@ -298,34 +286,16 @@ def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
     return ll, g, H
 
 
-def log_likelihood(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    seq: EventSequence | None = None,
-    actors: ActorTable | None = None,
-    design: EventDesign | None = None,
-) -> float:
-    return _evaluate(theta, *_slice(spec, seq, actors, design))[0]
+def log_likelihood(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> float:
+    return _evaluate(theta, design, design.rows(spec.terms))[0]
 
 
-def gradient(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    seq: EventSequence | None = None,
-    actors: ActorTable | None = None,
-    design: EventDesign | None = None,
-) -> np.ndarray:
-    return _evaluate(theta, *_slice(spec, seq, actors, design))[1]
+def gradient(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarray:
+    return _evaluate(theta, design, design.rows(spec.terms))[1]
 
 
-def hessian(
-    theta: np.ndarray,
-    spec: ModelSpec,
-    seq: EventSequence | None = None,
-    actors: ActorTable | None = None,
-    design: EventDesign | None = None,
-) -> np.ndarray:
-    return _evaluate(theta, *_slice(spec, seq, actors, design))[2]
+def hessian(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarray:
+    return _evaluate(theta, design, design.rows(spec.terms))[2]
 
 
 def null_log_likelihood(n: int, m: int) -> float:
@@ -365,15 +335,14 @@ def _damped_newton_step(g: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def fit_map(
     spec: ModelSpec,
-    seq: EventSequence | None = None,
-    actors: ActorTable | None = None,
+    design: EventDesign,
     prior: PriorSpec = PriorSpec(),
     tol: float = 1e-6,
     max_iter: int = 500,
-    design: EventDesign | None = None,
     theta0: np.ndarray | None = None,
 ) -> FitResult:
-    """Posterior-mode fit with Laplace covariance, by damped Newton steps.
+    """Posterior-mode fit of ``spec`` to ``design``, with Laplace covariance,
+    by damped Newton steps.
 
     f is the negative log posterior; the fit starts at theta = 0 (the null
     model) unless ``theta0`` is given. Each iteration solves
@@ -391,7 +360,7 @@ def fit_map(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    design, X = _slice(spec, seq, actors, design)
+    X = design.rows(spec.terms)
     m = design.m
     k = spec.k
 

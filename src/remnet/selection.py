@@ -1,11 +1,12 @@
 """AICc-minimizing term-set search.
 
-``hill_climb_select`` starts from the empty model and repeatedly applies
-the single-term addition or deletion with the largest strict AICc
-reduction, stopping at a local optimum. ``exhaustive_select`` enumerates
-every subset (capped) and returns the global minimizer. Tie-breaking is
-deterministic: deletions are preferred over additions, then the lowest
-canonical term order wins.
+Both searches fit term sets to one ``EventDesign``, which must hold the
+statistics of every candidate term. ``hill_climb_select`` starts from the
+empty model and repeatedly applies the single-term addition or deletion
+with the largest strict AICc reduction, stopping at a local optimum.
+``exhaustive_select`` enumerates every subset (capped) and returns the
+global minimizer. Tie-breaking is deterministic: deletions are preferred
+over additions, then the lowest canonical term order wins.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from remnet.data import ActorTable, EventSequence
 from remnet.inference import (
     EventDesign,
     FitResult,
@@ -110,20 +110,16 @@ class _FitCache:
 
 def hill_climb_select(
     candidate_terms,
-    seq: EventSequence | None = None,
-    actors: ActorTable | None = None,
+    design: EventDesign,
     prior: PriorSpec = PriorSpec(),
     tol: float = 1e-6,
     max_iter: int = 500,
-    design: EventDesign | None = None,
 ) -> SelectionTrace:
     """Steepest-descent AICc search over single-term changes; each candidate
     fit starts from the current model's coefficients (0 for an added term)."""
     candidates = canonical_terms(candidate_terms)
     if not candidates:
         raise ValueError("candidate term set is empty")
-    if design is None:
-        design = EventDesign(actors, seq, candidates)
     fitter = _FitCache(design, prior, tol, max_iter)
 
     current = fitter.fit(())
@@ -166,12 +162,10 @@ def hill_climb_select(
 
 def exhaustive_select(
     candidate_terms,
-    seq: EventSequence | None = None,
-    actors: ActorTable | None = None,
+    design: EventDesign,
     prior: PriorSpec = PriorSpec(),
     tol: float = 1e-6,
     max_iter: int = 500,
-    design: EventDesign | None = None,
     cap: int = 14,
 ) -> SelectionTrace:
     """Fit every subset of the candidates; return the global AICc minimizer."""
@@ -188,8 +182,6 @@ def exhaustive_select(
             len(candidates),
             2 ** len(candidates),
         )
-    if design is None:
-        design = EventDesign(actors, seq, candidates)
     fitter = _FitCache(design, prior, tol, max_iter)
 
     best = None

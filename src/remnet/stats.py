@@ -1,11 +1,12 @@
 """Event-history state and sufficient statistics for the 14 model terms.
 
 ``HistoryState`` is the one store of the statistics: each event updates
-it in O(n). ``design_matrix`` reads it over the whole risk set and builds
-only the p-shifts and ICR at read time; ``stat_vector`` is one row of that
-matrix. This is the only implementation of the statistics. The tests
-check it bitwise against a naive oracle that recomputes each statistic
-from the raw event prefix.
+it in O(n). ``_fill_design`` reads it over the whole risk set into a
+caller's array and builds only the p-shifts and ICR at read time;
+``design_matrix`` is that read into a fresh (dyads, terms) matrix, and
+``stat_vector`` is one row of it. This is the only implementation of the
+statistics. The tests check it bitwise against a naive oracle that
+recomputes each statistic from the raw event prefix.
 
 Conventions (the source material gives only verbal definitions):
   NTDegRec normalizes by 2*n_past_events, so it is a [0,1] volume share;
@@ -191,11 +192,12 @@ def _offdiag(mat: np.ndarray) -> np.ndarray:
     return np.ravel(mat)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def design_matrix(
-    state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
-) -> np.ndarray:
-    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad
-    order, C-contiguous.
+def _fill_design(
+    state: HistoryState, icr: np.ndarray, terms: Sequence[Term], out: np.ndarray
+) -> None:
+    """Write the statistics of ``terms`` into ``out``, a (len(terms), n-1, n)
+    view: ``out[c]``, read row-major, is term c over the risk set in
+    canonical dyad order.
 
     A read of ``state``: the stored terms are copied out of ``state.stat``
     (ITPSnd from OTPSnd's transpose). Each p-shift is built from
@@ -203,8 +205,6 @@ def design_matrix(
     from ``icr``.
     """
     n = state.n
-    X = np.empty((n * (n - 1), len(terms)))
-    cols = X.reshape(n - 1, n, len(terms))
     role = np.zeros((3, n))
     if state.last_event is not None:
         a, b = state.last_event
@@ -221,7 +221,17 @@ def design_matrix(
             mat = vec[:, None] + vec[None, :]
         else:
             raise ValueError(f"unknown term {term!r}")
-        cols[:, :, c] = _offdiag(mat)
+        out[c] = _offdiag(mat)
+
+
+def design_matrix(
+    state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
+) -> np.ndarray:
+    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad
+    order, C-contiguous, as ``_fill_design`` writes it."""
+    n, k = state.n, len(terms)
+    X = np.empty((n * (n - 1), k))
+    _fill_design(state, icr, terms, X.reshape(n - 1, n, k).transpose(2, 0, 1))
     return X
 
 

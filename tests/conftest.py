@@ -85,6 +85,12 @@ def path_sized_fixture():
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+# what corrupt_json swaps in: a scalar, or a small list or object of scalars
+JSON_SWAPS = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=2)
+    | st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2)
+)
 
 
 def _json_locations(node, prefix=()):
@@ -102,14 +108,15 @@ def _json_locations(node, prefix=()):
 
 def corrupt_json(data, obj):
     """A copy of ``obj`` with one key or list item dropped, or one value (or
-    the whole document) swapped for a JSON scalar drawn from ``data``."""
+    the whole document) swapped for a JSON scalar, or a small list or object
+    of scalars, drawn from ``data``."""
     obj = copy.deepcopy(obj)
     where = data.draw(st.sampled_from(list(_json_locations(obj))))
     if not where:
-        return data.draw(JSON_SCALARS)
+        return data.draw(JSON_SWAPS)
     parent = functools.reduce(operator.getitem, where[:-1], obj)
     if data.draw(st.booleans()):
         del parent[where[-1]]
     else:
-        parent[where[-1]] = data.draw(JSON_SCALARS)
+        parent[where[-1]] = data.draw(JSON_SWAPS)
     return obj

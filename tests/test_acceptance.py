@@ -136,7 +136,9 @@ def test_criterion_3_null_closed_form():
         m = int(rng.integers(1, 120))
         actors, seq = random_sequence(n, m, rng)
         got = log_likelihood(
-            np.zeros(0), ModelSpec(terms=(), network_id="net"), seq, actors
+            np.zeros(0),
+            ModelSpec(terms=(), network_id="net"),
+            EventDesign(actors, seq, ()),
         )
         expected = -m * math.log(n * (n - 1))
         assert abs(got - expected) <= 1e-9 * abs(expected)
@@ -171,7 +173,8 @@ def test_criterion_5_parameter_recovery():
     for r in range(reps):
         seq = simulate_sequence(truth, actors, 2000, seed=7000 + r)
         fit = fit_map(
-            ModelSpec(terms=tuple(truth), network_id="net"), seq, actors
+            ModelSpec(terms=tuple(truth), network_id="net"),
+            EventDesign(actors, seq, tuple(truth)),
         )
         assert fit.converged
         intervals = posterior_interval(fit, 0.95)

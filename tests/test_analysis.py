@@ -251,7 +251,7 @@ def test_adequacy_saturated_model_maxes_out():
 
     seq = sequence_from_pairs(actors, events[1:])  # start after the seed event
     fit = point_mass_fit({Term.PSABBA: 50.0}, m=len(events) - 1)
-    report = adequacy(fit, seq, actors)
+    report = adequacy(fit, EventDesign(actors, seq, fit.spec.terms))
     # every event after the first reverses its predecessor
     assert report.both_match > 0.9
     assert report.either_match >= report.both_match
@@ -261,8 +261,9 @@ def test_adequacy_saturated_model_maxes_out():
 def test_adequacy_null_model_matches_null_rate():
     rng = np.random.default_rng(8)
     actors, seq = random_sequence(6, 2000, rng)
-    fit = fit_map(ModelSpec(terms=(), network_id="net"), seq, actors)
-    report = adequacy(fit, seq, actors)
+    design = EventDesign(actors, seq, ())
+    fit = fit_map(ModelSpec(terms=(), network_id="net"), design)
+    report = adequacy(fit, design)
     # ties all break to the first dyad; on uniform data the top-choice match
     # rate estimates the analytic null rate
     se = math.sqrt(report.null_either * (1 - report.null_either) / seq.m)
@@ -272,10 +273,9 @@ def test_adequacy_null_model_matches_null_rate():
 
 def test_adequacy_recall_monotone_random_model(small_fixture):
     actors, seq = small_fixture
-    fit = fit_map(
-        ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net"), seq, actors
-    )
-    report = adequacy(fit, seq, actors)
+    design = EventDesign(actors, seq, (Term.PSABBA, Term.RRECSND))
+    fit = fit_map(ModelSpec(terms=design.terms, network_id="net"), design)
+    report = adequacy(fit, design)
     assert 0.0 <= report.both_match <= report.either_match <= 1.0
     assert report.recall[1] <= report.recall[5] <= report.recall[10]
 
@@ -322,7 +322,7 @@ def test_adequacy_ranks_match_sorting_oracle(theta_kind):
     got_tops, got_positions = _ranks(scores, obs)
     np.testing.assert_array_equal(got_tops, tops)
     np.testing.assert_array_equal(got_positions, positions)
-    report = adequacy(fit, seq, actors, design=design)
+    report = adequacy(fit, design)
     assert_report_matches_sorting_oracle(report, design, fit, actors.n)
 
 
@@ -334,9 +334,9 @@ def test_streamed_adequacy_matches_single_block(
     actors, seq, design, fit = adequacy_case(theta_kind)
     # all 120 events in one block by default; 7 per block leaves a last block of 1
     assert inference._BLOCK_ROWS // design.n_dyads >= seq.m
-    whole = adequacy(fit, seq, actors, design=design)
+    whole = adequacy(fit, design)
     monkeypatch.setattr(inference, "_BLOCK_ROWS", events_per_block * design.n_dyads)
-    streamed = adequacy(fit, seq, actors, design=design)
+    streamed = adequacy(fit, design)
     assert streamed == whole
     assert_report_matches_sorting_oracle(streamed, design, fit, actors.n)
 
@@ -346,7 +346,7 @@ def test_adequacy_on_design_without_the_fit_terms():
     design = EventDesign(actors, seq, (Term.ICR,))
     fit = point_mass_fit({Term.PSABBA: 1.0, Term.ICR: 0.5}, m=seq.m)
     with pytest.raises(ValueError, match="no statistics for PSAB-BA;"):
-        adequacy(fit, seq, actors, design=design)
+        adequacy(fit, design)
 
 
 # --- concentration report ---------------------------------------------------

@@ -227,6 +227,8 @@ def test_unknown_config_key(tmp_path):
         ("knockout", {"conditions": [1]}, ["--seed", "1"]),
         ("fit", {"max_iter": 0}, []),
         ("select", {"max_iter": -3}, []),
+        ("knockout", {}, ["--seed", "1", "--conditions", "full", "full"]),
+        ("knockout", {"conditions": ["full", "pa_removed", "full"]}, ["--seed", "1"]),
     ],
 )
 def test_bad_config_value_is_config_error(data_dir, tmp_path, command, payload, flags):
@@ -298,6 +300,74 @@ def test_config_fuzz_loads_or_raises_config_error(key, value):
     ModelSpec(cfg.term_objects())
     for name in cfg.conditions:
         KnockoutCondition.named(name)
+
+
+# Selection steps (action, term, terms after the step) and adequacy.csv of
+# the data_dir fixture, recorded from the implementation before the model
+# layer took an EventDesign; refactors must leave them unchanged.
+PINNED_STEPS = {
+    "hill": {
+        "alpha": [
+            ("start", None, ""),
+            ("add", "PSAB-BA", "PSAB-BA"),
+            ("add", "ICR", "PSAB-BA ICR"),
+            ("add", "NTDegRec", "NTDegRec PSAB-BA ICR"),
+            ("add", "PSAB-AY", "NTDegRec PSAB-BA PSAB-AY ICR"),
+            ("stop", None, "NTDegRec PSAB-BA PSAB-AY ICR"),
+        ],
+        "beta": [
+            ("start", None, ""),
+            ("add", "PSAB-BA", "PSAB-BA"),
+            ("add", "ICR", "PSAB-BA ICR"),
+            ("add", "PSAB-BY", "PSAB-BA PSAB-BY ICR"),
+            ("add", "RRecSnd", "RRecSnd PSAB-BA PSAB-BY ICR"),
+            ("add", "FrPSndSnd", "FrPSndSnd RRecSnd PSAB-BA PSAB-BY ICR"),
+            ("add", "OSPSnd", "FrPSndSnd RRecSnd OSPSnd PSAB-BA PSAB-BY ICR"),
+            ("add", "ITPSnd", "FrPSndSnd RRecSnd ITPSnd OSPSnd PSAB-BA PSAB-BY ICR"),
+            ("stop", None, "FrPSndSnd RRecSnd ITPSnd OSPSnd PSAB-BA PSAB-BY ICR"),
+        ],
+    },
+    "exhaustive": {
+        "alpha": [("stop", None, "NTDegRec PSAB-BA ICR")],
+        "beta": [("stop", None, "PSAB-BA ICR")],
+    },
+}
+PINNED_ADEQUACY = {
+    "hill": "alpha,0.5625,0.3000,0.3500,0.0333,0.3500,0.4375,0.4500\r\n"
+    "beta,0.7500,0.3500,0.4167,0.0500,0.4167,0.4167,0.6000\r\n",
+    "exhaustive": "alpha,0.5750,0.3000,0.3500,0.0333,0.3500,0.4375,0.4500\r\n"
+    "beta,0.7167,0.3500,0.4500,0.0500,0.4500,0.4500,0.5333\r\n",
+}
+
+
+@pytest.mark.parametrize(
+    "selection, terms",
+    [
+        ("hill", [t.value for t in Term]),
+        ("exhaustive", ["NTDegRec", "PSAB-BA", "RRecSnd", "ICR"]),
+    ],
+    ids=["hill_14_terms", "exhaustive_4_terms"],
+)
+def test_selection_and_adequacy_outputs_are_pinned(
+    data_dir, tmp_path, selection, terms
+):
+    out = tmp_path / "out"
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    base += ["--out", out]
+    select = ["select", *base, "--selection", selection, "--terms", *terms]
+    assert run(select) == EXIT_OK
+    for net, want in PINNED_STEPS[selection].items():
+        trace = json.loads((out / f"selection_{net}.json").read_text())
+        steps = [(s["action"], s["term"], " ".join(s["terms"])) for s in trace["steps"]]
+        assert steps == want
+        assert " ".join(trace["final"]["terms"]) == want[-1][2]
+    assert run(["adequacy", *base]) == EXIT_OK
+    header = (
+        "network_id,either_match,null_either,both_match,null_both,"
+        "recall_1pct,recall_5pct,recall_10pct\r\n"
+    )
+    want = (header + PINNED_ADEQUACY[selection]).encode()
+    assert (out / "adequacy.csv").read_bytes() == want
 
 
 def test_full_pipeline_and_idempotence(data_dir, tmp_path):
@@ -456,6 +526,26 @@ def test_malformed_json_is_data_error(tmp_path):
         )
     )
     assert run(["summarize", "--events", path, "--out", tmp_path / "o"]) == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "network_ids, actor_id",
+    [((5, "x"), "a"), ((["q"],), "a"), ((5,), "a"), (("net",), ["a"])],
+    ids=["mixed_int_and_str", "list", "single_int", "actor_id_list"],
+)
+def test_non_string_json_id_is_data_error(tmp_path, capsys, network_ids, actor_id):
+    nets = [
+        {
+            "network_id": net_id,
+            "actors": [{"actor_id": actor_id, "icr": 0}, {"actor_id": "b", "icr": 1}],
+            "events": [{"order": 1, "sender": "b", "receiver": "a"}],
+        }
+        for net_id in network_ids
+    ]
+    path = tmp_path / "nets.json"
+    path.write_text(json.dumps(nets))
+    assert run(["summarize", "--events", path, "--out", tmp_path / "o"]) == EXIT_DATA
+    assert "string" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

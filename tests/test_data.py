@@ -221,6 +221,20 @@ def test_json_events_sorted_by_order(tmp_path):
         (lambda nets: nets[1]["events"][0].update(order=3), "strictly increasing"),
         (lambda nets: nets[0].update(specialist="yes"), "specialist must be 0 or 1"),
         (lambda nets: nets[1].update(events=5), "must be a list of objects"),
+        (lambda nets: nets[0].update(network_id=["q"]), "string network_id"),
+        (lambda nets: nets[1].update(network_id=5), "string network_id"),
+        (
+            lambda nets: nets[0]["actors"][0].update(actor_id=["a"]),
+            r"actors:0: actor_id must be a string",
+        ),
+        (
+            lambda nets: nets[1]["events"][0].update(sender=5),
+            r"events:0: sender must be a string",
+        ),
+        (
+            lambda nets: nets[0]["events"][1].update(receiver=None),
+            r"events:1: receiver must be a string",
+        ),
     ],
     ids=[
         "icr_yes",
@@ -229,6 +243,11 @@ def test_json_events_sorted_by_order(tmp_path):
         "order_duplicate",
         "specialist_yes",
         "events_not_list",
+        "network_id_list",
+        "network_id_int",
+        "actor_id_list",
+        "sender_int",
+        "receiver_null",
     ],
 )
 def test_json_malformed_rows_are_data_errors(tmp_path, corrupt, match):
@@ -250,7 +269,8 @@ def test_truncated_json_is_data_error(tmp_path):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_corrupted_json_loads_or_raises_data_error(data):
-    """Drop any key or list item, or swap any value for a JSON scalar."""
+    """Drop any key or list item, or swap any value for a JSON scalar, list
+    or object."""
     nets = corrupt_json(data, VALID_JSON)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "nets.json"

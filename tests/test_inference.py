@@ -41,7 +41,7 @@ def all_term_spec(network_id="net"):
 def test_null_loglik_closed_form(path_sized_fixture):
     actors, seq = path_sized_fixture
     spec = ModelSpec(terms=(), network_id="net")
-    ll = log_likelihood(np.zeros(0), spec, seq, actors)
+    ll = log_likelihood(np.zeros(0), spec, EventDesign(actors, seq, spec.terms))
     expected = -70 * math.log(32 * 31)
     assert ll == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(-482.98, abs=0.01)
@@ -51,7 +51,8 @@ def test_null_loglik_single_event_two_actors():
     actors = make_actors(2)
     seq = sequence_from_pairs(actors, [(0, 1)])
     spec = ModelSpec(terms=(), network_id="net")
-    assert log_likelihood(np.zeros(0), spec, seq, actors) == pytest.approx(
+    design = EventDesign(actors, seq, spec.terms)
+    assert log_likelihood(np.zeros(0), spec, design) == pytest.approx(
         -math.log(2)
     )
 
@@ -137,7 +138,7 @@ def test_hessian_matches_finite_differences(small_fixture):
 def test_gradient_empty_spec(small_fixture):
     actors, seq = small_fixture
     spec = ModelSpec(terms=(), network_id="net")
-    assert gradient(np.zeros(0), spec, seq, actors).shape == (0,)
+    assert gradient(np.zeros(0), spec, EventDesign(actors, seq, ())).shape == (0,)
 
 
 def _fgh(theta, spec, design):
@@ -190,16 +191,16 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
     assert full.full_tensor.nbytes == 14 * rows * 8
     assert small.full_tensor.nbytes == 4 * rows * 8
     assert np.array_equal(small.obs_idx, full.obs_idx)
-    own = small.columns(terms)
+    own = small.rows(terms)
     assert np.shares_memory(own, small.full_tensor)
-    assert own.flags.f_contiguous
-    assert np.array_equal(own, full.columns(terms))
+    assert own.flags.c_contiguous
+    assert np.array_equal(own, full.rows(terms))
     # another order or a subset is a contiguous copy of the same values
     for other in (terms[::-1], terms[1:3]):
-        cols = small.columns(other)
+        cols = small.rows(other)
         assert not np.shares_memory(cols, small.full_tensor)
-        assert cols.flags.f_contiguous
-        assert np.array_equal(cols, full.columns(other))
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, full.rows(other))
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -208,7 +209,7 @@ def test_design_without_spec_terms_is_rejected(small_fixture):
     spec = ModelSpec(terms=(Term.PSABBA, Term.ICR, Term.RRECSND), network_id="net")
     match = r"no statistics for PSAB-BA, RRecSnd; it was built for \[ICR, NTDegRec\]"
     with pytest.raises(ValueError, match=match):
-        design.columns(spec.terms)
+        design.rows(spec.terms)
     with pytest.raises(ValueError, match=match):
         fit_map(spec, design=design)
     for view in (log_likelihood, gradient, hessian):
@@ -230,9 +231,10 @@ def test_hessian_symmetric_nsd(small_fixture):
 
 def test_dimension_mismatch_rejected(small_fixture):
     actors, seq = small_fixture
+    design = EventDesign(actors, seq)
     for view in (log_likelihood, gradient, hessian):
         with pytest.raises(ValueError):
-            view(np.zeros(3), all_term_spec(), seq, actors)
+            view(np.zeros(3), all_term_spec(), design)
 
 
 def test_aicc_formula():
@@ -252,7 +254,7 @@ def test_aicc_inadmissible():
 
 def test_fit_empty_spec(path_sized_fixture):
     actors, seq = path_sized_fixture
-    fit = fit_map(ModelSpec(terms=(), network_id="net"), seq, actors)
+    fit = fit_map(ModelSpec(terms=(), network_id="net"), EventDesign(actors, seq, ()))
     assert fit.converged
     assert fit.log_lik_at_mode == pytest.approx(null_log_likelihood(32, 70))
     assert fit.aicc == pytest.approx(-2 * fit.log_lik_at_mode)
@@ -272,7 +274,8 @@ def strong_pshift():
 
 def test_fit_recovers_strong_pshift(strong_pshift):
     actors, seq = strong_pshift
-    fit = fit_map(STRONG_PSHIFT_SPEC, seq, actors)
+    design = EventDesign(actors, seq, STRONG_PSHIFT_SPEC.terms)
+    fit = fit_map(STRONG_PSHIFT_SPEC, design)
     assert fit.converged
     sd = fit.sd
     assert abs(fit.mode[0] - 2.5) < 3 * sd[0] + 0.3
@@ -365,16 +368,16 @@ def test_fit_from_its_mode_takes_no_iteration(strong_pshift, monkeypatch):
 
 def test_fit_stops_at_max_iter(strong_pshift):
     actors, seq = strong_pshift
-    fit = fit_map(STRONG_PSHIFT_SPEC, seq, actors, max_iter=1)
+    design = EventDesign(actors, seq, STRONG_PSHIFT_SPEC.terms)
+    fit = fit_map(STRONG_PSHIFT_SPEC, design, max_iter=1)
     assert fit.n_iter == 1
     assert fit.converged is False
 
 
 def test_covariance_symmetric_psd_diag(small_fixture):
     actors, seq = small_fixture
-    fit = fit_map(
-        ModelSpec(terms=(Term.PSABBA, Term.ICR), network_id="net"), seq, actors
-    )
+    spec = ModelSpec(terms=(Term.PSABBA, Term.ICR), network_id="net")
+    fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
     assert np.allclose(fit.covariance, fit.covariance.T)
     assert np.all(np.diag(fit.covariance) >= 0.0)
 
@@ -407,11 +410,8 @@ def test_posterior_interval_boundary_not_excluding():
 
 def test_fit_result_json_roundtrip(tmp_path, small_fixture):
     actors, seq = small_fixture
-    fit = fit_map(
-        ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net"),
-        seq,
-        actors,
-    )
+    spec = ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net")
+    fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
     path = tmp_path / "fit.json"
     fit.save(path)
     loaded = FitResult.load(path)

@@ -111,9 +111,8 @@ def test_exhaustive_cap():
     rng = np.random.default_rng(0)
     actors, seq = random_sequence(4, 20, rng)
     with pytest.raises(ValueError, match="cap"):
-        exhaustive_select(
-            (Term.PSABBA, Term.RRECSND, Term.ICR), seq, actors, cap=2
-        )
+        candidates = (Term.PSABBA, Term.RRECSND, Term.ICR)
+        exhaustive_select(candidates, EventDesign(actors, seq, candidates), cap=2)
 
 
 def test_empty_candidate_set_rejected(strong_pshift_design):
@@ -131,11 +130,10 @@ def test_null_data_usually_selects_empty_model():
     for r in range(reps):
         rng = np.random.default_rng(1000 + r)
         actors, seq = random_sequence(6, 40, rng, icr_indices=(0,))
-        trace = hill_climb_select(
-            (Term.PSABBA, Term.RRECSND, Term.ICR, Term.NTDEGREC, Term.FRPSNDSND),
-            seq,
-            actors,
+        candidates = (
+            Term.PSABBA, Term.RRECSND, Term.ICR, Term.NTDEGREC, Term.FRPSNDSND
         )
+        trace = hill_climb_select(candidates, EventDesign(actors, seq, candidates))
         hits += trace.final.spec.terms == ()
     # picking the null model by chance among 32 subsets is ~3%; spurious
     # single-term gains are chi2(1)-sized so some overfitting remains, but
