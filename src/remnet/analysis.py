@@ -2,8 +2,9 @@
 
 Theil index of per-actor communication volume, excess-concentration
 rescaling against the no-hub baseline, percent changes, next-event
-match/recall adequacy of a fit on an ``EventDesign``, and the significance
-tests used to compare knock-out conditions.
+match/recall adequacy of a fit, ranked over the blocks of an
+``EventDesign``, and the significance tests used to compare knock-out
+conditions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import stats as sps
 
 from remnet.data import ActorTable
-from remnet.inference import EventDesign, FitResult, event_blocks
+from remnet.inference import EventDesign, FitResult, _term_scores
 from remnet.stats import dyad_from_index
 
 # recall levels of ``adequacy``: percent of the risk set, best-ranked first
@@ -126,16 +127,6 @@ class AdequacyReport:
     null_both: float
     recall: dict[int, float]  # percent threshold -> coverage
 
-    def to_json_dict(self) -> dict:
-        return {
-            "network_id": self.network_id,
-            "either_match": self.either_match,
-            "both_match": self.both_match,
-            "null_either": self.null_either,
-            "null_both": self.null_both,
-            "recall": {str(k): v for k, v in self.recall.items()},
-        }
-
 
 def _ranks(scores: np.ndarray, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per event, the top-ranked dyad and the observed dyad's 0-based rank.
@@ -160,14 +151,12 @@ def adequacy(fit: FitResult, design: EventDesign) -> AdequacyReport:
     For each event, candidate dyads are ranked by model rate given the
     true history; ties break by canonical dyad order (stable sort). Recall
     is reported at each of ``RECALL_PCTS``. Scores and ranks are computed
-    one of the design's ``event_blocks`` at a time, so no score or
-    comparison temporary is larger than one block.
+    one of the design's ``blocks`` at a time, so no score or comparison
+    temporary is larger than one block.
     """
     n, obs = design.n, design.obs_idx
-    ranks = [
-        _ranks(design.scores(fit.mode, fit.spec.terms, block), obs[block])
-        for block in event_blocks(design)
-    ]
+    blocks = design.blocks(fit.spec.terms)
+    ranks = [_ranks(_term_scores(fit.mode, X), obs_b) for X, obs_b in blocks]
     top, positions = (np.concatenate(r) for r in zip(*ranks))
     obs_i, obs_j = dyad_from_index(obs, n)
     top_i, top_j = dyad_from_index(top, n)

@@ -110,7 +110,7 @@ def _load_config(args) -> RunConfig:
         if not _conforms(getattr(cfg, key), hint):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ConfigError(f"{key} must be {name}, got {getattr(cfg, key)!r}")
-    if not cfg.events:
+    if not cfg.events and args.command != "report":
         raise ConfigError("no events path given (flag --events or config key)")
     if cfg.selection not in ("hill", "exhaustive"):
         raise ConfigError(f"selection must be 'hill' or 'exhaustive', got {cfg.selection!r}")

@@ -233,12 +233,15 @@ def _load_json_networks(path: str | Path):
     except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     objs = payload if isinstance(payload, list) else [payload]
-    result = {}
+    result, first = {}, {}
     for k, obj in enumerate(objs):
         label = f"{path}[{k}]"
         if not isinstance(obj, dict) or not isinstance(obj.get("network_id"), str):
             raise DataError(f"{label}: a network needs a string network_id")
         net = obj["network_id"]
+        if net in first:
+            raise DataError(f"{label}: network_id {net!r} repeats {path}[{first[net]}]")
+        first[net] = k
         actor_rows = _json_rows(
             obj, "actors", label, network_id=net, specialist=obj.get("specialist")
         )

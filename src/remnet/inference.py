@@ -8,10 +8,11 @@ default). The posterior covariance is the inverse negative Hessian of the
 log-posterior at the mode.
 
 Every model-layer function reads its data from an ``EventDesign``, the
-per-event statistics of one network. One kernel, ``_evaluate``, gives the
-log-likelihood, gradient and Hessian in one pass over the spec's rows of
-that design, a block of events at a time; ``fit_map`` takes those rows
-once per fit and runs the kernel once per theta.
+per-event statistics of one network, through ``EventDesign.blocks``: the
+statistics of a spec's terms a block of whole events at a time. One kernel,
+``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass
+over those blocks; ``fit_map`` collects them once per fit and runs the
+kernel once per theta.
 """
 
 from __future__ import annotations
@@ -167,9 +168,10 @@ class EventDesign:
     ``full_tensor`` holds the statistics of ``terms`` (all 14 by default)
     as one C-contiguous (k, m * n*(n-1)) array: row r is the r-th term over
     every event's risk set, events in order, dyads in canonical order. Each
-    event is written once, into the layout ``rows`` hands the likelihood
-    kernel. Memory is k * m * n*(n-1) * 8 bytes, so callers build a design
-    for the terms they fit: a spec's, or a selection's candidates.
+    event is written once. ``blocks`` is the only reader of that layout;
+    the likelihood kernel, ``scores`` and adequacy see only its blocks.
+    Memory is k * m * n*(n-1) * 8 bytes, so callers build a design for the
+    terms they fit: a spec's, or a selection's candidates.
     """
 
     def __init__(
@@ -200,40 +202,32 @@ class EventDesign:
         self.full_tensor = X.reshape(len(self.terms), self.m * D)
         self.obs_idx = obs
 
-    def rows(self, terms: Sequence[Term], events: slice = slice(None)) -> np.ndarray:
-        """The statistics of ``terms`` at ``events`` (all by default), as one
-        (k, events * n_dyads) array whose rows are contiguous.
-
-        A view of ``full_tensor`` when ``terms`` are the design's own terms
-        in order (C-contiguous over all events), else a C-contiguous copy
-        of their rows. Raises ValueError naming any term the design was
-        built without.
+    def blocks(self, terms: Sequence[Term]) -> Iterator[tuple[np.ndarray, ...]]:
+        """Per block of b whole events, the (k, b, n_dyads) statistics of
+        ``terms`` and the b observed dyad indices; b is ``_BLOCK_ROWS //
+        n_dyads`` (at least 1), less in the last block. The only reader of
+        ``full_tensor``: a block is a view of it for the design's own terms
+        in order, else a C-contiguous copy. Raises ValueError naming any
+        term the design was built without.
         """
         terms = tuple(terms)
-        start, stop, _ = events.indices(self.m)
-        dyads = slice(start * self.n_dyads, stop * self.n_dyads)
-        if terms == self.terms:
-            return self.full_tensor[:, dyads]
         missing = [t.value for t in terms if t not in self._row]
         if missing:
             raise ValueError(
                 f"design has no statistics for {', '.join(missing)}; it was "
                 f"built for [{', '.join(t.value for t in self.terms)}]"
             )
-        return self.full_tensor[[self._row[t] for t in terms], dyads]
+        index = slice(None) if terms == self.terms else [self._row[t] for t in terms]
+        D, per_block = self.n_dyads, max(1, _BLOCK_ROWS // self.n_dyads)
+        for start in range(0, self.m, per_block):
+            stop = min(start + per_block, self.m)
+            X = self.full_tensor[index, start * D : stop * D]
+            yield X.reshape(len(terms), stop - start, D), self.obs_idx[start:stop]
 
-    def scores(
-        self, theta: np.ndarray, terms: Sequence[Term], events: slice = slice(None)
-    ) -> np.ndarray:
-        """Linear predictors at ``events`` (all by default), shape (events,
-        n_dyads), summed term by term: a dyad's score does not depend on the
-        events asked for, and dyads with equal statistics tie exactly."""
+    def scores(self, theta: np.ndarray, terms: Sequence[Term]) -> np.ndarray:
+        """Linear predictors of every event, shape (m, n_dyads)."""
         theta = _as_theta(theta, len(terms))
-        X = self.rows(terms, events)
-        s = np.zeros(X.shape[1])
-        for coef, row in zip(theta, X):
-            s += coef * row
-        return s.reshape(-1, self.n_dyads)
+        return np.concatenate([_term_scores(theta, X) for X, _ in self.blocks(terms)])
 
 
 def _as_theta(theta, k: int) -> np.ndarray:
@@ -243,36 +237,38 @@ def _as_theta(theta, k: int) -> np.ndarray:
     return theta
 
 
+def _term_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """theta' X of a (k, b, n_dyads) block, shape (b, n_dyads), summed term
+    by term: a dyad's score does not depend on its block, and dyads with
+    equal statistics tie exactly."""
+    s = np.zeros(X.shape[1:])
+    for coef, stats in zip(theta, X):
+        s += coef * stats
+    return s
+
+
 # dyad rows per block: a block's scores and p * X stay cache-sized
 _BLOCK_ROWS = 1 << 16
 
 
-def event_blocks(design: EventDesign) -> Iterator[slice]:
-    """Slices of ``_BLOCK_ROWS // n_dyads`` (at least one) whole events."""
-    per_block = max(1, _BLOCK_ROWS // design.n_dyads)
-    for start in range(0, design.m, per_block):
-        yield slice(start, min(start + per_block, design.m))
+def _evaluate(theta, blocks) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, gradient and Hessian of ``theta`` in one pass over
+    ``blocks``, the (statistics, observed dyads) pairs of ``EventDesign.blocks``.
 
-
-def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, gradient and Hessian of ``theta``, scoring X once.
-
-    X is the spec's (k, m * n_dyads) rows of ``design``. The pass runs over
-    ``event_blocks(design)``. In each block the scores are shifted by
-    each event's maximum, exponentiated and normalised in place, and the
-    block adds its terms to ll, g and H = E'E - X'(p * X), where E holds
-    each event's expected statistics; no temporary is larger than one block.
+    In each block the scores are shifted by each event's maximum,
+    exponentiated and normalised in place, and the block adds its terms to
+    ll, g and H = E'E - X'(p * X), where E holds each event's expected
+    statistics; no temporary is larger than one block.
     """
-    D, k = design.n_dyads, X.shape[0]
-    theta = _as_theta(theta, k)
+    k = len(theta)
     ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
-    for block in event_blocks(design):
-        b = block.stop - block.start
-        Xb = X[:, block.start * D : block.stop * D]
+    for Xb, obs in blocks:
+        _, b, D = Xb.shape
+        Xb = Xb.reshape(k, b * D)
         s = (theta @ Xb).reshape(b, D)
         if not np.all(np.isfinite(s)):
             raise NumericalError("non-finite linear predictor")
-        observed = np.arange(b) * D + design.obs_idx[block]
+        observed = np.arange(b) * D + obs
         s -= s.max(axis=1, keepdims=True)
         observed_score = s.reshape(-1)[observed]
         np.exp(s, out=s)
@@ -287,15 +283,15 @@ def _evaluate(theta, design, X) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def log_likelihood(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> float:
-    return _evaluate(theta, design, design.rows(spec.terms))[0]
+    return _evaluate(_as_theta(theta, spec.k), design.blocks(spec.terms))[0]
 
 
 def gradient(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarray:
-    return _evaluate(theta, design, design.rows(spec.terms))[1]
+    return _evaluate(_as_theta(theta, spec.k), design.blocks(spec.terms))[1]
 
 
 def hessian(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarray:
-    return _evaluate(theta, design, design.rows(spec.terms))[2]
+    return _evaluate(_as_theta(theta, spec.k), design.blocks(spec.terms))[2]
 
 
 def null_log_likelihood(n: int, m: int) -> float:
@@ -360,7 +356,7 @@ def fit_map(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    X = design.rows(spec.terms)
+    blocks = list(design.blocks(spec.terms))
     m = design.m
     k = spec.k
 
@@ -378,7 +374,7 @@ def fit_map(
 
     def objective(theta):
         """(-log posterior, its gradient, its Hessian, log-likelihood)."""
-        ll, g, H = _evaluate(theta, design, X)
+        ll, g, H = _evaluate(theta, blocks)
         return (
             -(ll + prior.log_density(theta)),
             -(g + prior.grad(theta)),

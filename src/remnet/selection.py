@@ -4,9 +4,10 @@ Both searches fit term sets to one ``EventDesign``, which must hold the
 statistics of every candidate term. ``hill_climb_select`` starts from the
 empty model and repeatedly applies the single-term addition or deletion
 with the largest strict AICc reduction, stopping at a local optimum.
-``exhaustive_select`` enumerates every subset (capped) and returns the
-global minimizer. Tie-breaking is deterministic: deletions are preferred
-over additions, then the lowest canonical term order wins.
+``exhaustive_select`` enumerates every subset and returns the global
+minimizer. Both reject an empty or repeated candidate set. Tie-breaking is
+deterministic: deletions are preferred over additions, then the lowest
+canonical term order wins.
 """
 
 from __future__ import annotations
@@ -108,6 +109,16 @@ class _FitCache:
         return None
 
 
+def _candidates(candidate_terms) -> tuple[Term, ...]:
+    """The candidates in canonical order; ValueError if none or repeated."""
+    candidates = canonical_terms(candidate_terms)
+    if not candidates:
+        raise ValueError("candidate term set is empty")
+    if len(set(candidates)) != len(candidates):
+        raise ValueError(f"duplicate candidate terms: {[t.value for t in candidates]}")
+    return candidates
+
+
 def hill_climb_select(
     candidate_terms,
     design: EventDesign,
@@ -117,9 +128,7 @@ def hill_climb_select(
 ) -> SelectionTrace:
     """Steepest-descent AICc search over single-term changes; each candidate
     fit starts from the current model's coefficients (0 for an added term)."""
-    candidates = canonical_terms(candidate_terms)
-    if not candidates:
-        raise ValueError("candidate term set is empty")
+    candidates = _candidates(candidate_terms)
     fitter = _FitCache(design, prior, tol, max_iter)
 
     current = fitter.fit(())
@@ -166,16 +175,9 @@ def exhaustive_select(
     prior: PriorSpec = PriorSpec(),
     tol: float = 1e-6,
     max_iter: int = 500,
-    cap: int = 14,
 ) -> SelectionTrace:
     """Fit every subset of the candidates; return the global AICc minimizer."""
-    candidates = canonical_terms(candidate_terms)
-    if not candidates:
-        raise ValueError("candidate term set is empty")
-    if len(candidates) > cap:
-        raise ValueError(
-            f"{len(candidates)} candidates exceed the exhaustive cap of {cap}"
-        )
+    candidates = _candidates(candidate_terms)
     if len(candidates) > 12:
         log.warning(
             "exhaustive search over %d terms requires %d fits",

@@ -165,9 +165,8 @@ def simulate_trajectory(
     events = []
     for _ in range(m):
         X = design_matrix(state, icr, spec.terms)
-        scores = X @ theta_eff if spec.k else np.zeros(X.shape[0])
-        scores = scores - scores.max()
-        w = np.exp(scores)
+        scores = X @ theta_eff
+        w = np.exp(scores - scores.max())
         cdf = np.cumsum(w)
         idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
         idx = min(idx, len(cdf) - 1)

@@ -104,6 +104,11 @@ def test_summarize_single_network_mean_row(data_dir, tmp_path):
 
 def test_missing_events_is_config_error(tmp_path):
     assert run(["summarize", "--out", tmp_path / "o"]) == EXIT_CONFIG
+    # every command that reads the network needs the path; report does not
+    for command in ("summarize", "fit", "select", "adequacy", "simulate", "knockout"):
+        out = tmp_path / command
+        assert run([command, "--out", out, "--seed", "1"]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 def test_bad_path_is_data_error(tmp_path):
@@ -416,6 +421,10 @@ def test_full_pipeline_and_idempotence(data_dir, tmp_path):
     assert (out / "concentration.csv").read_bytes() == conc_csv_first
 
     assert run(["report", *base]) == EXIT_OK
+    assert (out / "concentration.csv").read_bytes() == conc_csv_first
+    # report reads only the saved reports, so it needs no events path
+    (out / "concentration.csv").unlink()
+    assert run(["report", "--out", out]) == EXIT_OK
     assert (out / "concentration.csv").read_bytes() == conc_csv_first
 
 

@@ -235,6 +235,10 @@ def test_json_events_sorted_by_order(tmp_path):
             lambda nets: nets[0]["events"][1].update(receiver=None),
             r"events:1: receiver must be a string",
         ),
+        (
+            lambda nets: nets[1].update(network_id="n1"),
+            r"nets.json\[1\]: network_id 'n1' repeats \S*nets.json\[0\]",
+        ),
     ],
     ids=[
         "icr_yes",
@@ -248,6 +252,7 @@ def test_json_events_sorted_by_order(tmp_path):
         "actor_id_list",
         "sender_int",
         "receiver_null",
+        "network_id_repeated",
     ],
 )
 def test_json_malformed_rows_are_data_errors(tmp_path, corrupt, match):

@@ -182,7 +182,7 @@ def test_streamed_kernel_matches_single_block(
         assert got[0] == pytest.approx(naive, rel=1e-12)
 
 
-def test_spec_design_columns_equal_full_design(path_sized_fixture):
+def test_spec_design_columns_equal_full_design(path_sized_fixture, monkeypatch):
     actors, seq = path_sized_fixture
     terms = (Term.NTDEGREC, Term.PSABBA, Term.RRECSND, Term.ICR)
     full = EventDesign(actors, seq)
@@ -191,16 +191,29 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
     assert full.full_tensor.nbytes == 14 * rows * 8
     assert small.full_tensor.nbytes == 4 * rows * 8
     assert np.array_equal(small.obs_idx, full.obs_idx)
-    own = small.rows(terms)
-    assert np.shares_memory(own, small.full_tensor)
-    assert own.flags.c_contiguous
-    assert np.array_equal(own, full.rows(terms))
+    # 70 events of 992 dyads make two blocks: 66 events, then 4
+    own = list(small.blocks(terms))
+    assert [X.shape for X, _ in own] == [(4, 66, 992), (4, 4, 992)]
+    stitched = np.concatenate([X for X, _ in own], axis=1)
+    assert np.array_equal(stitched.reshape(4, -1), small.full_tensor)
+    assert np.array_equal(np.concatenate([obs for _, obs in own]), small.obs_idx)
+    for (X, obs), (want, want_obs) in zip(own, full.blocks(terms)):
+        assert np.shares_memory(X, small.full_tensor)
+        assert all(row.flags.c_contiguous for row in X)
+        # the kernel's (k, b * n_dyads) reshape of a view is still a view
+        assert np.shares_memory(X.reshape(4, -1), small.full_tensor)
+        assert np.array_equal(X, want) and np.array_equal(obs, want_obs)
     # another order or a subset is a contiguous copy of the same values
     for other in (terms[::-1], terms[1:3]):
-        cols = small.rows(other)
-        assert not np.shares_memory(cols, small.full_tensor)
-        assert cols.flags.c_contiguous
-        assert np.array_equal(cols, full.rows(other))
+        for (X, obs), (want, want_obs) in zip(small.blocks(other), full.blocks(other)):
+            assert not np.shares_memory(X, small.full_tensor)
+            assert X.flags.c_contiguous
+            assert np.array_equal(X, want) and np.array_equal(obs, want_obs)
+    # in one block, the design's own terms are the whole C-contiguous tensor
+    monkeypatch.setattr(inference, "_BLOCK_ROWS", rows)
+    [(X, obs)] = small.blocks(terms)
+    assert np.shares_memory(X, small.full_tensor) and X.flags.c_contiguous
+    assert np.array_equal(X.reshape(4, -1), small.full_tensor)
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -209,7 +222,7 @@ def test_design_without_spec_terms_is_rejected(small_fixture):
     spec = ModelSpec(terms=(Term.PSABBA, Term.ICR, Term.RRECSND), network_id="net")
     match = r"no statistics for PSAB-BA, RRecSnd; it was built for \[ICR, NTDegRec\]"
     with pytest.raises(ValueError, match=match):
-        design.rows(spec.terms)
+        next(design.blocks(spec.terms))
     with pytest.raises(ValueError, match=match):
         fit_map(spec, design=design)
     for view in (log_likelihood, gradient, hessian):

@@ -107,19 +107,16 @@ def test_exhaustive_never_worse_than_hill(strong_pshift_design):
     assert full.final.aicc <= hill.final.aicc + 1e-9
 
 
-def test_exhaustive_cap():
-    rng = np.random.default_rng(0)
-    actors, seq = random_sequence(4, 20, rng)
-    with pytest.raises(ValueError, match="cap"):
-        candidates = (Term.PSABBA, Term.RRECSND, Term.ICR)
-        exhaustive_select(candidates, EventDesign(actors, seq, candidates), cap=2)
-
-
 def test_empty_candidate_set_rejected(strong_pshift_design):
     with pytest.raises(ValueError):
         hill_climb_select((), design=strong_pshift_design)
     with pytest.raises(ValueError):
         exhaustive_select((), design=strong_pshift_design)
+    # a repeated candidate is rejected like a repeated term in a ModelSpec
+    repeated = (Term.ICR, Term.ICR, Term.PSABBA)
+    for select in (hill_climb_select, exhaustive_select):
+        with pytest.raises(ValueError, match="duplicate candidate terms"):
+            select(repeated, design=strong_pshift_design)
 
 
 def test_null_data_usually_selects_empty_model():
