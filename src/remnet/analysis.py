@@ -9,8 +9,6 @@ conditions.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -230,25 +228,6 @@ class ConcentrationReport:
                 for name, c in obj["conditions"].items()
             },
         )
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    def write_csv_rows(self, writer) -> None:
-        for name, c in self.conditions.items():
-            writer.writerow(
-                [
-                    self.network_id,
-                    name,
-                    f"{c.mean_theil:.6f}",
-                    "" if c.pct_change_vs_full is None else f"{c.pct_change_vs_full:.4f}",
-                    "" if c.excess_fraction is None else f"{c.excess_fraction:.6f}",
-                    "" if c.t_stat is None else f"{c.t_stat:.6f}",
-                    "" if c.p_value is None else f"{c.p_value:.6g}",
-                ]
-            )
 
 
 def concentration_report(

@@ -3,16 +3,16 @@
 Runs are configured by a JSON file with keys mirroring RunConfig; command
 line flags override file values. The resolved configuration (including the
 seed and software version) is written next to the outputs so every run is
-reproducible from its artifacts.
+reproducible from its artifacts. Each command formats its outputs here and
+writes them through ``data.write_csv`` and ``data.write_json``.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success, 2 configuration error (including an output file
+that cannot be written), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -29,7 +29,7 @@ from remnet.analysis import (
     adequacy,
     concentration_report,
 )
-from remnet.data import DataError, load_networks, summarize
+from remnet.data import DataError, load_networks, summarize, write_csv, write_json
 from remnet.inference import (
     EventDesign,
     FitResult,
@@ -45,7 +45,6 @@ from remnet.simulation import (
     DEFAULT_CONDITIONS,
     KnockoutCondition,
     run_knockout_experiment,
-    write_trajectories_csv,
 )
 from remnet.stats import ALL_TERMS, canonical_terms, term_from_name
 
@@ -156,9 +155,7 @@ def _prepare_out(cfg: RunConfig, command: str) -> Path:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     resolved = dict(asdict(cfg), command=command, version=remnet.__version__)
-    with open(out / f"{command}_config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / f"{command}_config.json", dict(sorted(resolved.items())))
     return out
 
 
@@ -175,49 +172,35 @@ def _fmt(x: float, digits: int = 4) -> str:
 
 def cmd_summarize(cfg: RunConfig) -> int:
     out = _prepare_out(cfg, "summarize")
-    nets = _load_all(cfg)
-    metas = [summarize(actors, seq) for actors, seq in nets.values()]
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["network_id", "actors", "events", "pct_icr", "specialization"]
-        )
-        for meta in metas:
-            spec = ""
-            if meta.specialist is not None:
-                spec = "Specialist" if meta.specialist else "Non Spec."
-            writer.writerow(
-                [
-                    meta.network_id,
-                    meta.n_actors,
-                    meta.n_events,
-                    _fmt(meta.pct_icr, 2),
-                    spec,
-                ]
-            )
-        writer.writerow(
-            [
-                "Mean",
-                _fmt(float(np.mean([m.n_actors for m in metas])), 2),
-                _fmt(float(np.mean([m.n_events for m in metas])), 2),
-                _fmt(float(np.mean([m.pct_icr for m in metas])), 2),
-                "",
-            ]
-        )
+    metas = [summarize(actors, seq) for actors, seq in _load_all(cfg).values()]
+    spec = {None: "", True: "Specialist", False: "Non Spec."}
+    rows = [
+        [m.network_id, m.n_actors, m.n_events, _fmt(m.pct_icr, 2), spec[m.specialist]]
+        for m in metas
+    ]
+    means = [
+        _fmt(float(np.mean([getattr(m, key) for m in metas])), 2)
+        for key in ("n_actors", "n_events", "pct_icr")
+    ]
+    write_csv(
+        out / "summary.csv",
+        ["network_id", "actors", "events", "pct_icr", "specialization"],
+        [*rows, ["Mean", *means, ""]],
+    )
     print(f"wrote {out / 'summary.csv'} ({len(metas)} networks)")
     return EXIT_OK
 
 
-def _write_coefficient_table(fit: FitResult, path: Path) -> None:
-    stars = star_codes(fit)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "estimate", "sd", "stars"])
-        for name, est, sd, star in zip(
-            fit.spec.term_names(), fit.mode, fit.sd, stars
-        ):
-            writer.writerow([name, _fmt(float(est)), _fmt(float(sd)), star])
-        writer.writerow(["AICc", _fmt(fit.aicc, 2), "", ""])
+def _write_fit(out: Path, net_id: str, fit: FitResult) -> None:
+    """``fit_<id>.json`` and its coefficient table ``coefficients_<id>.csv``."""
+    write_json(out / f"fit_{net_id}.json", fit.to_json_dict())
+    terms = zip(fit.spec.term_names(), fit.mode, fit.sd, star_codes(fit))
+    rows = [[t, _fmt(float(est)), _fmt(float(sd)), star] for t, est, sd, star in terms]
+    write_csv(
+        out / f"coefficients_{net_id}.csv",
+        ["term", "estimate", "sd", "stars"],
+        [*rows, ["AICc", _fmt(fit.aicc, 2), "", ""]],
+    )
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -231,8 +214,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             max_iter=cfg.max_iter,
             design=EventDesign(actors, seq, terms),
         )
-        fit.save(out / f"fit_{net_id}.json")
-        _write_coefficient_table(fit, out / f"coefficients_{net_id}.csv")
+        _write_fit(out, net_id, fit)
         print(f"{net_id}: AICc {fit.aicc:.2f} converged={fit.converged}")
     return EXIT_OK
 
@@ -251,9 +233,8 @@ def cmd_select(cfg: RunConfig) -> int:
             max_iter=cfg.max_iter,
             design=EventDesign(actors, seq, candidates),
         )
-        trace.save(out / f"selection_{net_id}.json")
-        trace.final.save(out / f"fit_{net_id}.json")
-        _write_coefficient_table(trace.final, out / f"coefficients_{net_id}.csv")
+        write_json(out / f"selection_{net_id}.json", trace.to_json_dict())
+        _write_fit(out, net_id, trace.final)
         terms = ", ".join(trace.final.spec.term_names()) or "(null)"
         print(f"{net_id}: selected [{terms}] AICc {trace.final.aicc:.2f}")
         for step in trace.steps:
@@ -266,7 +247,7 @@ def _read_saved(path: Path, from_json_dict):
     """``from_json_dict`` of a saved JSON output; a malformed one is a data error."""
     try:
         return from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: malformed saved output: {exc!r}") from None
 
 
@@ -285,22 +266,22 @@ def _require_fit(out: Path, net_id: str) -> FitResult:
 def cmd_adequacy(cfg: RunConfig) -> int:
     out = _prepare_out(cfg, "adequacy")
     nets = _load_all(cfg)
-    with open(out / "adequacy.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        rates = ("either_match", "null_either", "both_match", "null_both")
-        writer.writerow(
-            ["network_id", *rates, *(f"recall_{p}pct" for p in RECALL_PCTS)]
-        )
+    rates = ("either_match", "null_either", "both_match", "null_both")
+
+    def rows():  # drawn one network at a time: a failure keeps the rows before it
         for net_id, (actors, seq) in nets.items():
             fit = _require_fit(out, net_id)
             report = adequacy(fit, EventDesign(actors, seq, fit.spec.terms))
             values = [getattr(report, r) for r in rates]
             values += [report.recall[p] for p in RECALL_PCTS]
-            writer.writerow([net_id, *map(_fmt, values)])
             print(
                 f"{net_id}: either {report.either_match:.2f} "
                 f"(null {report.null_either:.2f}), both {report.both_match:.2f}"
             )
+            yield [net_id, *map(_fmt, values)]
+
+    header = ["network_id", *rates, *(f"recall_{p}pct" for p in RECALL_PCTS)]
+    write_csv(out / "adequacy.csv", header, rows())
     return EXIT_OK
 
 
@@ -323,8 +304,21 @@ def _simulate_networks(cfg: RunConfig, command: str):
             conditions=conditions,
             master_seed=cfg.seed,
         )
-        write_trajectories_csv(trajectories, out / f"trajectories_{net_id}.csv")
+        _write_trajectories(out, net_id, trajectories)
         yield net_id, actors, trajectories
+
+
+def _write_trajectories(out: Path, net_id: str, trajectories) -> None:
+    """``trajectories_<id>.csv``: the events CSV columns, condition, replicate, seed."""
+    write_csv(
+        out / f"trajectories_{net_id}.csv",
+        ["network_id", "order", "sender", "receiver", "condition", "replicate", "seed"],
+        (
+            [t.network_id, order, s, r, t.condition, t.replicate, t.seed]
+            for t in trajectories
+            for order, (s, r) in enumerate(t.events, start=1)
+        ),
+    )
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -338,29 +332,34 @@ def cmd_knockout(cfg: RunConfig) -> int:
     reports = []
     for net_id, actors, trajectories in _simulate_networks(cfg, "knockout"):
         report = concentration_report(trajectories, actors)
-        report.save_json(out / f"concentration_{net_id}.json")
+        write_json(out / f"concentration_{net_id}.json", report.to_json_dict())
         reports.append(report)
         print(f"{net_id}: {cfg.replicates} x {len(cfg.conditions)} trajectories")
     _write_concentration_csv(reports, out / "concentration.csv")
     return EXIT_OK
 
 
+# concentration.csv: network_id, condition, then these ConditionSummary fields
+_CONCENTRATION_COLUMNS = {
+    "mean_theil": ".6f",
+    "pct_change_vs_full": ".4f",
+    "excess_fraction": ".6f",
+    "t_stat": ".6f",
+    "p_value": ".6g",
+}
+
+
 def _write_concentration_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "network_id",
-                "condition",
-                "mean_theil",
-                "pct_change_vs_full",
-                "excess_fraction",
-                "t_stat",
-                "p_value",
-            ]
-        )
-        for report in reports:
-            report.write_csv_rows(writer)
+    def cell(x, spec):
+        return "" if x is None else format(x, spec)
+
+    rows = (
+        [report.network_id, name]
+        + [cell(getattr(c, col), spec) for col, spec in _CONCENTRATION_COLUMNS.items()]
+        for report in reports
+        for name, c in report.conditions.items()
+    )
+    write_csv(path, ["network_id", "condition", *_CONCENTRATION_COLUMNS], rows)
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -420,6 +419,10 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        # input paths are checked or mapped to a DataError where read: an output
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NumericalError, InadmissibleModelError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -1,18 +1,20 @@
-"""Loading, validation, and summary of dyadic event sequences.
+"""Loading, validation, and summary of dyadic event sequences; the writers.
 
 Input formats:
   events CSV: header ``network_id,order,sender,receiver``; order strictly
     increasing integers within a network.
   actors CSV: header ``network_id,actor_id,icr`` with icr in {0,1}; an
-    optional trailing ``specialist`` column (0/1) is accepted and carried
-    into NetworkMeta when present.
+    optional trailing ``specialist`` column (0/1; an empty cell is not
+    given, and a network's given flags must agree) goes into NetworkMeta.
   JSON alternative: a single object (or list of objects) per network with
     keys ``network_id``, ``actors`` and ``events`` mirroring the CSV fields;
     ids (network, actor, sender, receiver) must be strings, as in CSV.
 
 Timing is ordinal: the event order is the clock, no timestamps are kept.
 The actor table is authoritative for the risk set; actors with no events
-are still at risk.
+are still at risk. Inputs are read as UTF-8; a path that cannot be opened
+is a DataError. ``write_csv`` and ``write_json`` write every output file of
+the package, as UTF-8.
 """
 
 from __future__ import annotations
@@ -143,11 +145,16 @@ def _parse_actor_rows(rows, path) -> dict[str, tuple[list, list, bool | None]]:
             raise DataError(f"{path}:{lineno}: duplicate actor_id {aid!r}")
         ids.append(aid)
         flags.append(bool(int(icr_raw)))
-        if "specialist" in row and row["specialist"] not in (None, ""):
-            sval = row["specialist"]
+        sval = row.get("specialist")
+        if sval not in (None, ""):  # an empty cell is "not given"
             if sval not in ("0", "1", 0, 1, True, False):
                 raise DataError(
                     f"{path}:{lineno}: specialist must be 0 or 1, got {sval!r}"
+                )
+            if spec is not None and spec != bool(int(sval)):
+                raise DataError(
+                    f"{path}:{lineno}: network {net!r}: specialist {int(sval)} "
+                    f"contradicts the earlier {int(spec)}"
                 )
             nets[net] = (ids, flags, bool(int(sval)))
     return nets
@@ -184,11 +191,17 @@ def _parse_event_rows(rows, path) -> dict[str, list]:
     return nets
 
 
+def _open_input(path: Path, **kwargs):
+    """``open(path)`` for reading; a path that cannot be opened is a DataError."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_csv(path: str | Path):
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             # enumerate from 2: line 1 is the header
@@ -225,10 +238,8 @@ def _load_json_networks(path: str | Path):
     events may be listed in any order and are sorted by ``order``.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_input(path) as fh:
             payload = json.load(fh)
     except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
@@ -296,22 +307,36 @@ def save_network(
     actors_path: str | Path,
 ) -> None:
     """Write a network back to the canonical CSV pair (round-trip safe)."""
-    with open(actors_path, "w", newline="", encoding="utf-8") as fh:
-        cols = ["network_id", "actor_id", "icr"]
-        if actors.specialist is not None:
-            cols.append("specialist")
+    spec = {} if actors.specialist is None else {"specialist": int(actors.specialist)}
+    write_csv(
+        actors_path,
+        ["network_id", "actor_id", "icr", *spec],
+        (
+            [actors.network_id, aid, int(flag), *spec.values()]
+            for aid, flag in zip(actors.actor_ids, actors.icr)
+        ),
+    )
+    write_csv(
+        events_path,
+        ["network_id", "order", "sender", "receiver"],
+        ([seq.network_id, t, s, r] for t, (s, r) in enumerate(seq.events, start=1)),
+    )
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write ``header``, then ``rows`` as they are drawn, as UTF-8 CSV in the
+    default dialect; rows drawn before a failure stay in the file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for aid, flag in zip(actors.actor_ids, actors.icr):
-            row = [actors.network_id, aid, int(flag)]
-            if actors.specialist is not None:
-                row.append(int(actors.specialist))
-            writer.writerow(row)
-    with open(events_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network_id", "order", "sender", "receiver"])
-        for t, (s, r) in enumerate(seq.events, start=1):
-            writer.writerow([seq.network_id, t, s, r])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as UTF-8 JSON, indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def summarize(actors: ActorTable, seq: EventSequence) -> NetworkMeta:

@@ -133,11 +133,6 @@ class FitResult:
             "n_iter": self.n_iter,
         }
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":
         spec = ModelSpec(
@@ -158,7 +153,7 @@ class FitResult:
 
     @classmethod
     def load(cls, path) -> "FitResult":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
 

@@ -13,7 +13,6 @@ canonical term order wins.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 
@@ -62,11 +61,6 @@ class SelectionTrace:
             ],
             "final": self.final.to_json_dict(),
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 class _FitCache:

@@ -12,7 +12,6 @@ within a replicate share coefficients before zeroing (paired contrasts).
 
 from __future__ import annotations
 
-import csv
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -78,36 +77,6 @@ class Trajectory:
             vol[actors.index(s)] += 1
             vol[actors.index(r)] += 1
         return vol
-
-
-def write_trajectories_csv(trajectories, path) -> None:
-    """Events CSV schema plus condition, replicate, and seed columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "network_id",
-                "order",
-                "sender",
-                "receiver",
-                "condition",
-                "replicate",
-                "seed",
-            ]
-        )
-        for traj in trajectories:
-            for order, (s, r) in enumerate(traj.events, start=1):
-                writer.writerow(
-                    [
-                        traj.network_id,
-                        order,
-                        s,
-                        r,
-                        traj.condition,
-                        traj.replicate,
-                        traj.seed,
-                    ]
-                )
 
 
 def sample_parameters(fit: FitResult, seed) -> np.ndarray:

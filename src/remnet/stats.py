@@ -1,12 +1,13 @@
 """Event-history state and sufficient statistics for the 14 model terms.
 
-``HistoryState`` is the one store of the statistics: each event updates
-it in O(n). ``_fill_design`` reads it over the whole risk set into a
-caller's array and builds only the p-shifts and ICR at read time;
-``design_matrix`` is that read into a fresh (dyads, terms) matrix, and
-``stat_vector`` is one row of it. This is the only implementation of the
-statistics. The tests check it bitwise against a naive oracle that
-recomputes each statistic from the raw event prefix.
+``HistoryState`` is the one store of the statistics: each event rewrites
+the whole (n, n) NTDegRec array, in O(n^2), and of the others only the
+rows and columns it changes. ``_fill_design`` reads the store over the
+whole risk set into a caller's array and builds only the p-shifts and
+ICR at read time; ``design_matrix`` is that read into a fresh (dyads,
+terms) matrix, and ``stat_vector`` is one row of it. This is the only
+implementation of the statistics. The tests check it bitwise against a
+naive oracle that recomputes each statistic from the raw event prefix.
 
 Conventions (the source material gives only verbal definitions):
   NTDegRec normalizes by 2*n_past_events, so it is a [0,1] volume share;

@@ -21,6 +21,7 @@ from remnet.analysis import (
     welch_t_test,
 )
 from remnet import inference
+from remnet.data import write_json
 from remnet.inference import EventDesign, ModelSpec, fit_map
 from remnet.simulation import run_knockout_experiment
 from remnet.stats import Term
@@ -372,7 +373,7 @@ def test_concentration_report_json(tmp_path):
     trajs = run_knockout_experiment(fit, actors, 40, replicates=3, master_seed=1)
     report = concentration_report(trajs, actors)
     path = tmp_path / "conc.json"
-    report.save_json(path)
+    write_json(path, report.to_json_dict())
     import json
 
     obj = json.loads(path.read_text())

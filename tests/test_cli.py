@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,10 +22,10 @@ from remnet.cli import (
     build_parser,
     main,
 )
-from remnet.data import save_network
+from remnet.data import ActorTable, save_network
 from remnet import selection
 from remnet.inference import ModelSpec, fit_map
-from remnet.simulation import KnockoutCondition
+from remnet.simulation import DEFAULT_CONDITIONS, KnockoutCondition
 from remnet.stats import Term
 
 from conftest import corrupt_json, make_actors, sequence_from_pairs, simulate_sequence
@@ -111,7 +115,7 @@ def test_missing_events_is_config_error(tmp_path):
         assert not out.exists()
 
 
-def test_bad_path_is_data_error(tmp_path):
+def test_bad_path_is_data_error(data_dir, tmp_path, capsys):
     code = run(
         [
             "summarize",
@@ -124,6 +128,24 @@ def test_bad_path_is_data_error(tmp_path):
         ]
     )
     assert code == EXIT_DATA
+    # an input path that exists but cannot be opened: a directory
+    events, actors = data_dir / "events.csv", data_dir / "actors.csv"
+    folder, folder_json = tmp_path / "folder.csv", tmp_path / "folder.json"
+    folder.mkdir()
+    folder_json.mkdir()
+    for paths in (
+        ["--events", folder, "--actors", actors],
+        ["--events", events, "--actors", folder],
+        ["--events", folder_json],
+    ):
+        capsys.readouterr()
+        assert run(["summarize", *paths, "--out", tmp_path / "o"]) == EXIT_DATA
+        assert "folder" in capsys.readouterr().err
+    out = tmp_path / "fits"
+    (out / "fit_alpha.json").mkdir(parents=True)
+    base = ["--events", events, "--actors", actors, "--out", out]
+    assert run(["adequacy", *base]) == EXIT_DATA
+    assert "fit_alpha.json" in capsys.readouterr().err
 
 
 def test_bad_condition_is_config_error(data_dir, tmp_path):
@@ -250,6 +272,12 @@ def test_out_that_is_a_file_is_config_error(data_dir, tmp_path):
     out.write_text("")
     base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
     assert run(["summarize", *base, "--out", out]) == EXIT_CONFIG
+    # an output file that cannot be opened: a directory
+    out = tmp_path / "o"
+    for name in ("summary.csv", "fit_alpha.json"):
+        (out / name).mkdir(parents=True)
+    assert run(["summarize", *base, "--out", out]) == EXIT_CONFIG
+    assert run(["fit", *base, "--terms", "ICR", "--out", out]) == EXIT_CONFIG
 
 
 def test_config_must_be_an_object(tmp_path):
@@ -426,6 +454,124 @@ def test_full_pipeline_and_idempotence(data_dir, tmp_path):
     (out / "concentration.csv").unlink()
     assert run(["report", "--out", out]) == EXIT_OK
     assert (out / "concentration.csv").read_bytes() == conc_csv_first
+
+
+# Every other CSV the CLI writes on the data_dir fixture, and the key order
+# of every JSON output, recorded before the output files had one writer.
+PINNED_SUMMARY = (
+    "network_id,actors,events,pct_icr,specialization\r\n"
+    "alpha,6,80,16.67,Specialist\r\n"
+    "beta,5,60,20.00,Non Spec.\r\n"
+    "Mean,5.50,70.00,18.33,\r\n"
+)
+PINNED_COEFFICIENTS = {
+    "alpha": "term,estimate,sd,stars\r\n"
+    "PSAB-BA,2.6772,0.2390,***\r\nICR,0.6099,0.2380,*\r\nAICc,450.68,,\r\n",
+    "beta": "term,estimate,sd,stars\r\n"
+    "PSAB-BA,2.3550,0.2759,***\r\nICR,1.4663,0.3508,***\r\nAICc,259.49,,\r\n",
+}
+PINNED_CONCENTRATION = (
+    "network_id,condition,mean_theil,pct_change_vs_full,excess_fraction,t_stat,p_value\r\n"
+    "alpha,full,0.041440,0.0000,1.000000,,\r\n"
+    "alpha,pa_removed,0.034430,-16.9164,0.808576,-0.217323,0.861968\r\n"
+    "alpha,ps_removed,0.029286,-29.3294,0.668111,-0.352768,0.771448\r\n"
+    "alpha,icr_removed,0.023942,-42.2261,0.522174,-0.546727,0.678837\r\n"
+    "alpha,all_removed,0.004819,-88.3713,0.000000,-1.152248,0.453749\r\n"
+    "beta,full,0.137263,0.0000,1.000000,,\r\n"
+    "beta,pa_removed,0.137769,0.3684,1.004038,0.009332,0.993421\r\n"
+    "beta,ps_removed,0.098875,-27.9669,0.693408,-1.055431,0.46432\r\n"
+    "beta,icr_removed,0.006464,-95.2910,-0.044644,-3.702509,0.162781\r\n"
+    "beta,all_removed,0.012054,-91.2187,0.000000,-3.556287,0.17192\r\n"
+)
+PINNED_TRAJECTORIES_SHA256 = {
+    "alpha": "5ea4a5c8572bbcf60e0437859f7fcf2ae42098cf955d274026aed708bc0571e4",
+    "beta": "f83d0a0424482fee596692f38e1193adffd58a75193bf832f596c7cafc872c10",
+}
+FIT_KEYS = [
+    "network_id", "terms", "mode", "sd", "covariance", "logLik", "AICc",
+    "converged", "n_events", "n_iter",
+]
+CONFIG_KEYS = [
+    "actors", "command", "conditions", "events", "max_iter", "out", "prior_df",
+    "prior_location", "prior_scale", "replicates", "seed", "selection", "terms",
+    "tol", "version",
+]
+CONDITION_KEYS = [
+    "theil_values", "mean_theil", "pct_change_vs_full", "excess_fraction",
+    "t_stat", "p_value",
+]
+
+
+def test_every_output_file_is_pinned(data_dir, tmp_path):
+    out = tmp_path / "out"
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    base += ["--out", out]
+    terms = ["--terms", "PSAB-BA", "ICR"]
+    knock = ["--seed", "11", "--replicates", "2"]
+    commands = {
+        "summarize": [], "select": terms, "fit": terms, "adequacy": [],
+        "simulate": knock, "knockout": knock, "report": [],
+    }
+    for command, flags in commands.items():
+        assert run([command, *base, *flags]) == EXIT_OK
+
+    def load(name):
+        return json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+
+    assert (out / "summary.csv").read_bytes() == PINNED_SUMMARY.encode()
+    assert (out / "concentration.csv").read_bytes() == PINNED_CONCENTRATION.encode()
+    for net, want in PINNED_COEFFICIENTS.items():
+        assert (out / f"coefficients_{net}.csv").read_bytes() == want.encode()
+        traj = (out / f"trajectories_{net}.csv").read_bytes()
+        assert hashlib.sha256(traj).hexdigest() == PINNED_TRAJECTORIES_SHA256[net]
+        assert list(load(f"fit_{net}")) == FIT_KEYS
+        trace = load(f"selection_{net}")
+        assert list(trace) == ["steps", "final"]
+        for step in trace["steps"]:
+            assert list(step) == ["terms", "aicc", "action", "term"]
+        assert list(trace["final"]) == FIT_KEYS
+        report = load(f"concentration_{net}")
+        assert list(report) == ["network_id", "conditions"]
+        assert list(report["conditions"]) == [c.name for c in DEFAULT_CONDITIONS]
+        for condition in report["conditions"].values():
+            assert list(condition) == CONDITION_KEYS
+    for command in commands:
+        assert list(load(f"{command}_config")) == CONFIG_KEYS
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    """Output files are UTF-8 whatever encoding the locale prefers."""
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+
+    def cli(*args):
+        result = subprocess.run(
+            [sys.executable, "-m", "remnet.cli", *map(str, args)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+
+    # a non-ASCII network id (file names built from it are not tried)
+    accented = make_actors(3, (0,), network_id="nét")
+    seq = sequence_from_pairs(accented, [(0, 1), (1, 2), (2, 0)])
+    save_network(accented, seq, tmp_path / "e1.csv", tmp_path / "a1.csv")
+    out = tmp_path / "out"
+    base = ["--events", tmp_path / "e1.csv", "--actors", tmp_path / "a1.csv"]
+    cli("summarize", *base, "--out", out)
+    # a non-ASCII actor id
+    actors = ActorTable("net", ("Ω1", "b", "c"), (True, False, False))
+    seq = simulate_sequence({Term.PSABBA: 1.0}, actors, 30, seed=5)
+    save_network(actors, seq, tmp_path / "e2.csv", tmp_path / "a2.csv")
+    base = ["--events", tmp_path / "e2.csv", "--actors", tmp_path / "a2.csv"]
+    cli("fit", *base, "--out", out, "--terms", "PSAB-BA")
+    cli("knockout", *base, "--out", out, "--seed", "1", "--replicates", "1")
+    texts = {path.name: path.read_bytes().decode("utf-8") for path in out.iterdir()}
+    assert "nét," in texts["summary.csv"]
+    assert "Ω1," in texts["trajectories_net.csv"]
 
 
 def test_simulate_command(data_dir, tmp_path):

@@ -342,6 +342,18 @@ def test_valid_csv_fuzz_input_loads(tmp_path):
     assert {net: seq.m for net, (_, seq) in nets.items()} == {"n1": 3, "n2": 2}
     assert nets["n1"][0].specialist is True
     assert nets["n2"][0].specialist is None
+    # the flags of one network must agree; an empty cell is "not given"
+    for flags, line in [("1,0,1", 3), ("1,,0", 4), ("1,,1", None)]:
+        rows = [f"n1,{a},0,{flag}\n" for a, flag in zip("abc", flags.split(","))]
+        actors = "network_id,actor_id,icr,specialist\n" + "".join(rows) + "n2,x,1,\n"
+        (tmp_path / "actors.csv").write_text(actors + "n2,y,0,\n", encoding="utf-8")
+        if line is None:
+            nets = load_networks(tmp_path / "events.csv", tmp_path / "actors.csv")
+            assert nets["n1"][0].specialist is True
+            continue
+        match = f"actors.csv:{line}: network 'n1': specialist 0 contradicts the earlier 1"
+        with pytest.raises(DataError, match=match):
+            load_networks(tmp_path / "events.csv", tmp_path / "actors.csv")
 
 
 def test_multiple_networks(tmp_path):

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
 from remnet import inference
+from remnet.data import write_json
 from remnet.inference import (
     EventDesign,
     FitResult,
@@ -426,7 +427,7 @@ def test_fit_result_json_roundtrip(tmp_path, small_fixture):
     spec = ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net")
     fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
     path = tmp_path / "fit.json"
-    fit.save(path)
+    write_json(path, fit.to_json_dict())
     loaded = FitResult.load(path)
     assert loaded.spec == fit.spec
     assert np.allclose(loaded.mode, fit.mode)

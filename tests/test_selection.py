@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from remnet import selection
+from remnet.data import write_json
 from remnet.inference import EventDesign, ModelSpec, PriorSpec, fit_map
 from remnet.selection import exhaustive_select, hill_climb_select
 from remnet.stats import Term
@@ -141,7 +142,7 @@ def test_null_data_usually_selects_empty_model():
 def test_trace_json_roundtrip(tmp_path, strong_pshift_design):
     trace = hill_climb_select((Term.PSABBA, Term.ICR), design=strong_pshift_design)
     path = tmp_path / "trace.json"
-    trace.save(path)
+    write_json(path, trace.to_json_dict())
     import json
 
     obj = json.loads(path.read_text())

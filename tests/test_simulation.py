@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from remnet.cli import _write_trajectories
 from remnet.inference import EventDesign, ModelSpec
 from remnet.simulation import (
     DEFAULT_CONDITIONS,
@@ -11,7 +12,6 @@ from remnet.simulation import (
     run_knockout_experiment,
     sample_parameters,
     simulate_trajectory,
-    write_trajectories_csv,
 )
 from remnet.stats import ALL_TERMS, PSHIFT_TERMS, Term, dyad_index
 
@@ -194,8 +194,8 @@ def test_write_trajectories_csv(tmp_path):
     trajs = run_knockout_experiment(
         fit, actors, 5, replicates=2, conditions=(FULL,), master_seed=1
     )
-    path = tmp_path / "trajs.csv"
-    write_trajectories_csv(trajs, path)
+    path = tmp_path / "trajectories_net.csv"
+    _write_trajectories(tmp_path, "net", trajs)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "network_id,order,sender,receiver,condition,replicate,seed"
     assert len(lines) == 1 + 2 * 5
