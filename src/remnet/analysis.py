@@ -5,6 +5,11 @@ rescaling against the no-hub baseline, percent changes, next-event
 match/recall adequacy of a fit, ranked over the blocks of an
 ``EventDesign``, and the significance tests used to compare knock-out
 conditions.
+
+Only those tests use SciPy (``scipy.stats.ttest_ind`` and ``kruskal``).
+``scipy.stats`` loads on first use: its import takes longer than the rest
+of the package's together, and only a command that compares conditions
+(``knockout``) needs it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+import scipy
 
 from remnet.data import ActorTable
 from remnet.inference import EventDesign, FitResult, _term_scores
@@ -80,7 +85,7 @@ def welch_t_test(sample_a, sample_b) -> tuple[float, float]:
         if a.mean() == b.mean():
             return 0.0, 1.0
         raise ValueError("both samples are degenerate with unequal means")
-    t, p = sps.ttest_ind(a, b, equal_var=False)
+    t, p = scipy.stats.ttest_ind(a, b, equal_var=False)
     return float(t), float(p)
 
 
@@ -102,7 +107,7 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     first = groups[0].flat[0]
     if all((g == first).all() for g in groups):
         raise ValueError("all values are identical; H is undefined")
-    h, p = sps.kruskal(*groups)
+    h, p = scipy.stats.kruskal(*groups)
     return float(h), float(p)
 
 

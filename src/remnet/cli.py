@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field
@@ -159,11 +160,45 @@ def _prepare_out(cfg: RunConfig, command: str) -> Path:
     return out
 
 
-def _load_all(cfg: RunConfig):
+def _load_all(cfg: RunConfig, file_ids: bool = True):
+    """The networks by id, in id order.
+
+    With ``file_ids`` (every command that writes per-network files), each
+    id is checked to name a file before the command writes anything.
+    """
     nets = load_networks(cfg.events, cfg.actors or None)
     if not nets:
         raise DataError(f"no networks found in {cfg.events}")
+    if file_ids:
+        for net_id in nets:
+            _check_file_id(net_id)
     return dict(sorted(nets.items()))
+
+
+def _check_file_id(net_id: str) -> None:
+    """DataError unless ``net_id`` can be part of a file name.
+
+    It cannot when it holds a path separator or a NUL, or when the
+    file-system encoding cannot encode it.
+    """
+    problem = None
+    if os.sep in net_id or (os.altsep and os.altsep in net_id):
+        problem = "holds a path separator"
+    elif "\0" in net_id:
+        problem = "holds a NUL character"
+    else:
+        try:
+            os.fsencode(net_id)
+        except UnicodeEncodeError:
+            problem = f"cannot be encoded in {sys.getfilesystemencoding()}"
+    if problem:
+        raise DataError(f"network id {net_id!r} {problem}, so it cannot name a file")
+
+
+def _network_file(out: Path, prefix: str, net_id: str, suffix: str) -> Path:
+    """``out/<prefix>_<id><suffix>``, the path of every per-network file."""
+    _check_file_id(net_id)
+    return out / f"{prefix}_{net_id}{suffix}"
 
 
 def _fmt(x: float, digits: int = 4) -> str:
@@ -171,8 +206,9 @@ def _fmt(x: float, digits: int = 4) -> str:
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
+    nets = _load_all(cfg, file_ids=False)
     out = _prepare_out(cfg, "summarize")
-    metas = [summarize(actors, seq) for actors, seq in _load_all(cfg).values()]
+    metas = [summarize(actors, seq) for actors, seq in nets.values()]
     spec = {None: "", True: "Specialist", False: "Non Spec."}
     rows = [
         [m.network_id, m.n_actors, m.n_events, _fmt(m.pct_icr, 2), spec[m.specialist]]
@@ -193,20 +229,21 @@ def cmd_summarize(cfg: RunConfig) -> int:
 
 def _write_fit(out: Path, net_id: str, fit: FitResult) -> None:
     """``fit_<id>.json`` and its coefficient table ``coefficients_<id>.csv``."""
-    write_json(out / f"fit_{net_id}.json", fit.to_json_dict())
+    write_json(_network_file(out, "fit", net_id, ".json"), fit.to_json_dict())
     terms = zip(fit.spec.term_names(), fit.mode, fit.sd, star_codes(fit))
     rows = [[t, _fmt(float(est)), _fmt(float(sd)), star] for t, est, sd, star in terms]
     write_csv(
-        out / f"coefficients_{net_id}.csv",
+        _network_file(out, "coefficients", net_id, ".csv"),
         ["term", "estimate", "sd", "stars"],
         [*rows, ["AICc", _fmt(fit.aicc, 2), "", ""]],
     )
 
 
 def cmd_fit(cfg: RunConfig) -> int:
+    nets = _load_all(cfg)
     out = _prepare_out(cfg, "fit")
     terms = cfg.term_objects()
-    for net_id, (actors, seq) in _load_all(cfg).items():
+    for net_id, (actors, seq) in nets.items():
         fit = fit_map(
             ModelSpec(terms=terms, network_id=net_id),
             prior=cfg.prior(),
@@ -222,10 +259,11 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_select(cfg: RunConfig) -> int:
     if not cfg.terms:
         raise ConfigError("select needs at least one candidate term")
+    nets = _load_all(cfg)
     out = _prepare_out(cfg, "select")
     select = hill_climb_select if cfg.selection == "hill" else exhaustive_select
     candidates = canonical_terms(cfg.term_objects())
-    for net_id, (actors, seq) in _load_all(cfg).items():
+    for net_id, (actors, seq) in nets.items():
         trace = select(
             candidates,
             prior=cfg.prior(),
@@ -233,7 +271,8 @@ def cmd_select(cfg: RunConfig) -> int:
             max_iter=cfg.max_iter,
             design=EventDesign(actors, seq, candidates),
         )
-        write_json(out / f"selection_{net_id}.json", trace.to_json_dict())
+        path = _network_file(out, "selection", net_id, ".json")
+        write_json(path, trace.to_json_dict())
         _write_fit(out, net_id, trace.final)
         terms = ", ".join(trace.final.spec.term_names()) or "(null)"
         print(f"{net_id}: selected [{terms}] AICc {trace.final.aicc:.2f}")
@@ -252,7 +291,7 @@ def _read_saved(path: Path, from_json_dict):
 
 
 def _require_fit(out: Path, net_id: str) -> FitResult:
-    path = out / f"fit_{net_id}.json"
+    path = _network_file(out, "fit", net_id, ".json")
     if not path.exists():
         raise ConfigError(
             f"no fit for network {net_id!r} at {path}; run 'fit' or 'select' first"
@@ -264,8 +303,8 @@ def _require_fit(out: Path, net_id: str) -> FitResult:
 
 
 def cmd_adequacy(cfg: RunConfig) -> int:
-    out = _prepare_out(cfg, "adequacy")
     nets = _load_all(cfg)
+    out = _prepare_out(cfg, "adequacy")
     rates = ("either_match", "null_either", "both_match", "null_both")
 
     def rows():  # drawn one network at a time: a failure keeps the rows before it
@@ -293,9 +332,10 @@ def _simulate_networks(cfg: RunConfig, command: str):
     """
     if cfg.seed is None:
         raise ConfigError(f"--seed is mandatory for {command}")
+    nets = _load_all(cfg)
     out = _prepare_out(cfg, command)
     conditions = tuple(KnockoutCondition.named(c) for c in cfg.conditions)
-    for net_id, (actors, seq) in _load_all(cfg).items():
+    for net_id, (actors, seq) in nets.items():
         trajectories = run_knockout_experiment(
             _require_fit(out, net_id),
             actors,
@@ -311,7 +351,7 @@ def _simulate_networks(cfg: RunConfig, command: str):
 def _write_trajectories(out: Path, net_id: str, trajectories) -> None:
     """``trajectories_<id>.csv``: the events CSV columns, condition, replicate, seed."""
     write_csv(
-        out / f"trajectories_{net_id}.csv",
+        _network_file(out, "trajectories", net_id, ".csv"),
         ["network_id", "order", "sender", "receiver", "condition", "replicate", "seed"],
         (
             [t.network_id, order, s, r, t.condition, t.replicate, t.seed]
@@ -332,7 +372,8 @@ def cmd_knockout(cfg: RunConfig) -> int:
     reports = []
     for net_id, actors, trajectories in _simulate_networks(cfg, "knockout"):
         report = concentration_report(trajectories, actors)
-        write_json(out / f"concentration_{net_id}.json", report.to_json_dict())
+        path = _network_file(out, "concentration", net_id, ".json")
+        write_json(path, report.to_json_dict())
         reports.append(report)
         print(f"{net_id}: {cfg.replicates} x {len(cfg.conditions)} trajectories")
     _write_concentration_csv(reports, out / "concentration.csv")

@@ -13,6 +13,10 @@ statistics of a spec's terms a block of whole events at a time. One kernel,
 ``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass
 over those blocks; ``fit_map`` collects them once per fit and runs the
 kernel once per theta.
+
+SciPy is used for one call, ``scipy.special.ndtri`` in
+``posterior_interval``; the submodule loads on first use, so importing
+this module loads NumPy only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.stats import norm
+import scipy
 
 from remnet.data import ActorTable, EventSequence
 from remnet.stats import (
@@ -440,7 +444,7 @@ def posterior_interval(
     """Central Gaussian posterior intervals from the Laplace covariance."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = float(scipy.special.ndtri(0.5 + level / 2.0))
     sd = fit.sd
     return [
         (float(mu - z * s), float(mu + z * s)) for mu, s in zip(fit.mode, sd)
@@ -452,11 +456,12 @@ def star_codes(fit: FitResult) -> list[str]:
 
     An interval endpoint exactly at 0 counts as not excluding.
     """
+    intervals = [posterior_interval(fit, level) for level in _STAR_LEVELS]
     codes = []
     for idx in range(fit.spec.k):
         code = ""
-        for stars, level in zip(("***", "**", "*"), _STAR_LEVELS):
-            lo, hi = posterior_interval(fit, level)[idx]
+        for stars, by_term in zip(("***", "**", "*"), intervals):
+            lo, hi = by_term[idx]
             if lo > 0.0 or hi < 0.0:
                 code = stars
                 break

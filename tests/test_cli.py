@@ -539,20 +539,25 @@ def test_every_output_file_is_pinned(data_dir, tmp_path):
         assert list(load(f"{command}_config")) == CONFIG_KEYS
 
 
-def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
-    """Output files are UTF-8 whatever encoding the locale prefers."""
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def fresh_python(*args, **env):
+    """Run ``python *args`` in a new interpreter that imports remnet from src."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
     )
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, env=env, timeout=120
+    )
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    """Output files are UTF-8 whatever encoding the locale prefers."""
 
     def cli(*args):
-        result = subprocess.run(
-            [sys.executable, "-m", "remnet.cli", *map(str, args)],
-            capture_output=True,
-            env=env,
-            timeout=120,
-        )
+        result = fresh_python("-m", "remnet.cli", *args, **ASCII_LOCALE)
         assert result.returncode == EXIT_OK, result.stderr
 
     # a non-ASCII network id (file names built from it are not tried)
@@ -572,6 +577,90 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
     texts = {path.name: path.read_bytes().decode("utf-8") for path in out.iterdir()}
     assert "nét," in texts["summary.csv"]
     assert "Ω1," in texts["trajectories_net.csv"]
+
+
+# a fresh process: which SciPy submodules are loaded when it is done
+LOADED_SCIPY = """
+import json, sys
+{body}
+loaded = [m for m in ("scipy.special", "scipy.stats") if m in sys.modules]
+print(json.dumps([code, loaded]))
+"""
+
+
+def loaded_scipy(body, *args):
+    result = fresh_python("-c", LOADED_SCIPY.format(body=body), *args)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.decode().splitlines()[-1])
+
+
+def test_import_and_load_leave_scipy_submodules_unloaded(data_dir):
+    body = (
+        "import remnet, remnet.cli\n"
+        "code = len(remnet.load_networks(sys.argv[1], sys.argv[2]))"
+    )
+    events, actors = data_dir / "events.csv", data_dir / "actors.csv"
+    assert loaded_scipy(body, events, actors) == [2, []]
+
+
+def test_each_command_loads_only_the_scipy_submodule_it_uses(data_dir, tmp_path):
+    """summarize and adequacy load none, fit and select scipy.special only."""
+    body = "from remnet.cli import main\ncode = main(sys.argv[1:])"
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    base += ["--out", tmp_path / "out", "--terms", "PSAB-BA", "ICR"]
+    assert loaded_scipy(body, "summarize", *base) == [EXIT_OK, []]
+    assert loaded_scipy(body, "select", *base) == [EXIT_OK, ["scipy.special"]]
+    assert loaded_scipy(body, "adequacy", *base) == [EXIT_OK, []]
+    assert loaded_scipy(body, "fit", *base) == [EXIT_OK, ["scipy.special"]]
+
+
+def write_json_networks(path, network_ids):
+    """One JSON input of 4-actor networks with these ids."""
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "b"), ("c", "a")]
+    nets = [
+        {
+            "network_id": net_id,
+            "actors": [{"actor_id": a, "icr": int(a == "a")} for a in "abcd"],
+            "events": [
+                {"order": k, "sender": s, "receiver": r}
+                for k, (s, r) in enumerate(pairs, start=1)
+            ],
+        }
+        for net_id in network_ids
+    ]
+    path.write_text(json.dumps(nets), encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad_id", ["x/y", "a\0b"], ids=["separator", "nul"])
+def test_network_id_that_cannot_name_a_file_is_data_error(tmp_path, capsys, bad_id):
+    events = tmp_path / "nets.json"
+    write_json_networks(events, ["alpha", bad_id])  # alpha's files would come first
+    flags = ["--events", events, "--seed", "1", "--replicates", "1", "--terms", "ICR"]
+    for command in ("fit", "select", "adequacy", "simulate", "knockout"):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert run([command, *flags, "--out", out]) == EXIT_DATA
+        assert repr(bad_id) in capsys.readouterr().err
+        assert not out.exists()
+    # the summary table holds ids, not file names
+    out = tmp_path / "summarize"
+    assert run(["summarize", *flags, "--out", out]) == EXIT_OK
+    assert bad_id in (out / "summary.csv").read_text(encoding="utf-8")
+
+
+def test_network_id_the_file_system_cannot_encode_is_data_error(tmp_path):
+    events = tmp_path / "nets.json"
+    write_json_networks(events, ["nét"])
+    flags = ["--events", events, "--terms", "ICR"]
+    fit = ["-m", "remnet.cli", "fit", *flags, "--out", tmp_path / "fit"]
+    result = fresh_python(*fit, **ASCII_LOCALE)
+    assert result.returncode == EXIT_DATA, result.stderr
+    assert b"cannot name a file" in result.stderr
+    assert not (tmp_path / "fit").exists()
+    summarize = ["-m", "remnet.cli", "summarize", *flags, "--out", tmp_path / "s"]
+    result = fresh_python(*summarize, **ASCII_LOCALE)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "nét," in (tmp_path / "s" / "summary.csv").read_text(encoding="utf-8")
 
 
 def test_simulate_command(data_dir, tmp_path):

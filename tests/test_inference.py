@@ -422,6 +422,28 @@ def test_posterior_interval_boundary_not_excluding():
     assert star_codes(fit) == [""]
 
 
+def test_posterior_interval_z_is_the_normal_quantile_exactly():
+    """z is norm.ppf to the last bit: a 1-ulp shift moves boundary star codes."""
+    from scipy.stats import norm
+
+    fit = point_mass_fit({Term.ICR: 0.0}, m=100)
+    fit.covariance = np.array([[1.0]])
+    rng = np.random.default_rng(7)
+    levels = [*inference._STAR_LEVELS, *rng.uniform(1e-6, 1 - 1e-6, 300)]
+    for level in levels:
+        lo, hi = posterior_interval(fit, level)[0]
+        z = norm.ppf(0.5 + level / 2.0)
+        assert (-lo, hi) == (z, z), level
+
+
+def test_star_codes_per_term():
+    # sd 1: the 99.9/99/95% half-widths are 3.29, 2.58 and 1.96
+    modes = {Term.PSABBA: 3.5, Term.ICR: 2.8, Term.RRECSND: -2.0, Term.PSABAY: 1.0}
+    fit = point_mass_fit(modes, m=100)
+    fit.covariance = np.eye(len(modes))
+    assert star_codes(fit) == ["***", "**", "*", ""]
+
+
 def test_fit_result_json_roundtrip(tmp_path, small_fixture):
     actors, seq = small_fixture
     spec = ModelSpec(terms=(Term.PSABBA, Term.RRECSND), network_id="net")
