@@ -8,8 +8,8 @@ conditions.
 
 Only those tests use SciPy (``scipy.stats.ttest_ind`` and ``kruskal``).
 ``scipy.stats`` loads on first use: its import takes longer than the rest
-of the package's together, and only a command that compares conditions
-(``knockout``) needs it.
+of the package's together, and only ``knockout`` loads it, for Welch's t
+in ``welch_t_test``; no command calls ``kruskal_wallis``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ Input formats:
     given, and a network's given flags must agree) goes into NetworkMeta.
   JSON alternative: a single object (or list of objects) per network with
     keys ``network_id``, ``actors`` and ``events`` mirroring the CSV fields;
-    ids (network, actor, sender, receiver) must be strings, as in CSV.
+    ids (network, actor, sender, receiver) must be strings, as in CSV, and
+    UTF-8 text (no lone surrogate from an escape such as ``"\\ud800"``).
 
 Timing is ordinal: the event order is the clock, no timestamps are kept.
 The actor table is authoritative for the risk set; actors with no events
@@ -121,11 +122,21 @@ def _check_consistency(actors: ActorTable, seq: EventSequence) -> None:
                 )
 
 
+def _check_utf8(value: str, where: str, key: str) -> None:
+    """An id must be UTF-8 text: a JSON escape such as ``"\\udc80"`` gives a
+    lone surrogate, which no output file can hold or be named by."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"{where}: {key} is not UTF-8 text: {value!r}") from None
+
+
 def _check_ids(row, keys, path, lineno) -> None:
-    """Ids are strings, as CSV makes them; any other (JSON) value is a DataError."""
+    """Ids are UTF-8 strings, as CSV makes them; anything else is a DataError."""
     for key in keys:
         if not isinstance(row[key], str):
             raise DataError(f"{path}:{lineno}: {key} must be a string: {row[key]!r}")
+        _check_utf8(row[key], f"{path}:{lineno}", key)
 
 
 def _parse_actor_rows(rows, path) -> dict[str, tuple[list, list, bool | None]]:
@@ -250,6 +261,7 @@ def _load_json_networks(path: str | Path):
         if not isinstance(obj, dict) or not isinstance(obj.get("network_id"), str):
             raise DataError(f"{label}: a network needs a string network_id")
         net = obj["network_id"]
+        _check_utf8(net, label, "network_id")
         if net in first:
             raise DataError(f"{label}: network_id {net!r} repeats {path}[{first[net]}]")
         first[net] = k

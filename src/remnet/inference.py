@@ -168,7 +168,7 @@ class EventDesign:
     as one C-contiguous (k, m * n*(n-1)) array: row r is the r-th term over
     every event's risk set, events in order, dyads in canonical order. Each
     event is written once. ``blocks`` is the only reader of that layout;
-    the likelihood kernel, ``scores`` and adequacy see only its blocks.
+    the likelihood kernel and adequacy see only its blocks.
     Memory is k * m * n*(n-1) * 8 bytes, so callers build a design for the
     terms they fit: a spec's, or a selection's candidates.
     """
@@ -222,11 +222,6 @@ class EventDesign:
             stop = min(start + per_block, self.m)
             X = self.full_tensor[index, start * D : stop * D]
             yield X.reshape(len(terms), stop - start, D), self.obs_idx[start:stop]
-
-    def scores(self, theta: np.ndarray, terms: Sequence[Term]) -> np.ndarray:
-        """Linear predictors of every event, shape (m, n_dyads)."""
-        theta = _as_theta(theta, len(terms))
-        return np.concatenate([_term_scores(theta, X) for X, _ in self.blocks(terms)])
 
 
 def _as_theta(theta, k: int) -> np.ndarray:
@@ -351,25 +346,15 @@ def fit_map(
     stops when that norm is at most ``tol`` (``converged``), after
     ``max_iter`` iterations or when the radius cannot move theta; a
     non-converged result is still returned. ``n_iter`` counts iterations,
-    so a fit makes ``n_iter + 1`` passes over the design.
+    so a fit makes ``n_iter + 1`` passes over the design. The empty model
+    is no special case: its gradient max-norm is 0, so it converges with
+    no iteration, in one pass.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     blocks = list(design.blocks(spec.terms))
     m = design.m
     k = spec.k
-
-    if k == 0:
-        ll = null_log_likelihood(design.n, m)
-        return FitResult(
-            spec=spec,
-            mode=np.zeros(0),
-            covariance=np.zeros((0, 0)),
-            log_lik_at_mode=ll,
-            aicc=aicc(ll, 0, m),
-            converged=True,
-            n_events=m,
-        )
 
     def objective(theta):
         """(-log posterior, its gradient, its Hessian, log-likelihood)."""
@@ -384,7 +369,7 @@ def fit_map(
     theta = np.zeros(k) if theta0 is None else _as_theta(theta0, k).copy()
     f, g, H, ll = objective(theta)
     radius, n_iter = 1.0, 0
-    while np.max(np.abs(g)) > tol and n_iter < max_iter:
+    while np.max(np.abs(g), initial=0.0) > tol and n_iter < max_iter:
         if radius <= _EPS * (1.0 + np.max(np.abs(theta))):
             break
         n_iter += 1
@@ -429,7 +414,7 @@ def fit_map(
         covariance=cov,
         log_lik_at_mode=ll,
         aicc=crit,
-        converged=bool(np.max(np.abs(g)) <= tol),
+        converged=bool(np.max(np.abs(g), initial=0.0) <= tol),
         n_events=m,
         n_iter=n_iter,
     )

@@ -87,9 +87,6 @@ def sample_parameters(fit: FitResult, seed) -> np.ndarray:
     covariance returns the mode exactly.
     """
     rng = np.random.default_rng(seed)
-    k = fit.spec.k
-    if k == 0:
-        return np.zeros(0)
     cov = np.asarray(fit.covariance, dtype=np.float64)
     eigval, eigvec = np.linalg.eigh(cov)
     if np.any(eigval < 0):
@@ -100,7 +97,7 @@ def sample_parameters(fit: FitResult, seed) -> np.ndarray:
                 RuntimeWarning,
             )
         eigval = np.clip(eigval, 0.0, None)
-    z = rng.standard_normal(k)
+    z = rng.standard_normal(fit.spec.k)
     return fit.mode + eigvec @ (np.sqrt(eigval) * z)
 
 
@@ -133,8 +130,7 @@ def simulate_trajectory(
     state = HistoryState(n)
     events = []
     for _ in range(m):
-        X = design_matrix(state, icr, spec.terms)
-        scores = X @ theta_eff
+        scores = theta_eff @ design_matrix(state, icr, spec.terms)
         w = np.exp(scores - scores.max())
         cdf = np.cumsum(w)
         idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))

@@ -4,8 +4,8 @@
 the whole (n, n) NTDegRec array, in O(n^2), and of the others only the
 rows and columns it changes. ``_fill_design`` reads the store over the
 whole risk set into a caller's array and builds only the p-shifts and
-ICR at read time; ``design_matrix`` is that read into a fresh (dyads,
-terms) matrix, and ``stat_vector`` is one row of it. This is the only
+ICR at read time; ``design_matrix`` is that read into a fresh (terms,
+dyads) matrix, and ``stat_vector`` is one column of it. This is the only
 implementation of the statistics. The tests check it bitwise against a
 naive oracle that recomputes each statistic from the raw event prefix.
 
@@ -228,11 +228,12 @@ def _fill_design(
 def design_matrix(
     state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
 ) -> np.ndarray:
-    """Statistic matrix of shape (n*(n-1), len(terms)) in canonical dyad
-    order, C-contiguous, as ``_fill_design`` writes it."""
-    n, k = state.n, len(terms)
-    X = np.empty((n * (n - 1), k))
-    _fill_design(state, icr, terms, X.reshape(n - 1, n, k).transpose(2, 0, 1))
+    """Statistic matrix of shape (len(terms), n*(n-1)), C-contiguous: row c
+    is term c over the risk set in canonical dyad order, the layout
+    ``_fill_design`` writes into ``EventDesign``."""
+    n = state.n
+    X = np.empty((len(terms), n * (n - 1)))
+    _fill_design(state, icr, terms, X.reshape(len(terms), n - 1, n))
     return X
 
 
@@ -245,11 +246,10 @@ def stat_vector(
 ) -> np.ndarray:
     """Statistic values for dyad (i, j), in the order of ``terms``.
 
-    The row of ``design_matrix`` for that dyad. Raises ValueError for a
+    The column of ``design_matrix`` for that dyad. Raises ValueError for a
     self-loop or an actor outside ``[0, n)``.
     """
     n = state.n
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"unknown actor in dyad ({i}, {j})")
-    row = dyad_index(i, j, n)
-    return design_matrix(state, icr, terms)[row]
+    return design_matrix(state, icr, terms)[:, dyad_index(i, j, n)]

@@ -100,7 +100,7 @@ def test_criterion_1_oracle_equivalence():
                 inc = stat_vector(state, icr, i, j, ALL_TERMS)
                 naive = naive_stat_vector(prefix, icr, n, i, j, ALL_TERMS)
                 assert np.array_equal(inc, naive), (n, t, i, j)
-                assert np.array_equal(design[dyad_index(i, j, n)], inc)
+                assert np.array_equal(design[:, dyad_index(i, j, n)], inc)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 

@@ -26,7 +26,13 @@ from remnet.inference import EventDesign, ModelSpec, fit_map
 from remnet.simulation import run_knockout_experiment
 from remnet.stats import Term
 
-from conftest import make_actors, point_mass_fit, random_sequence, simulate_sequence
+from conftest import (
+    design_scores,
+    make_actors,
+    point_mass_fit,
+    random_sequence,
+    simulate_sequence,
+)
 from oracle import sorted_adequacy_ranks
 
 
@@ -301,7 +307,7 @@ def adequacy_case(theta_kind):
 
 
 def assert_report_matches_sorting_oracle(report, design, fit, n):
-    scores = design.scores(fit.mode, fit.spec.terms)
+    scores = design_scores(design, fit.mode, fit.spec.terms)
     _, positions, either, both = sorted_adequacy_ranks(scores, design.obs_idx, n)
     assert report.either_match == either / design.m
     assert report.both_match == both / design.m
@@ -313,7 +319,7 @@ def assert_report_matches_sorting_oracle(report, design, fit, n):
 @pytest.mark.parametrize("theta_kind", ["fitted", "zero", "ties"])
 def test_adequacy_ranks_match_sorting_oracle(theta_kind):
     actors, seq, design, fit = adequacy_case(theta_kind)
-    scores = design.scores(fit.mode, ADEQUACY_SPEC.terms)
+    scores = design_scores(design, fit.mode, ADEQUACY_SPEC.terms)
     obs = design.obs_idx
     if theta_kind == "ties":
         # the observed dyad shares its score with others at some events

@@ -614,15 +614,17 @@ def test_each_command_loads_only_the_scipy_submodule_it_uses(data_dir, tmp_path)
     assert loaded_scipy(body, "fit", *base) == [EXIT_OK, ["scipy.special"]]
 
 
-def write_json_networks(path, network_ids):
+def write_json_networks(path, network_ids, actors="abcd"):
     """One JSON input of 4-actor networks with these ids."""
-    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "b"), ("c", "a")]
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1), (2, 0)]
     nets = [
         {
             "network_id": net_id,
-            "actors": [{"actor_id": a, "icr": int(a == "a")} for a in "abcd"],
+            "actors": [
+                {"actor_id": a, "icr": int(k == 0)} for k, a in enumerate(actors)
+            ],
             "events": [
-                {"order": k, "sender": s, "receiver": r}
+                {"order": k, "sender": actors[s], "receiver": actors[r]}
                 for k, (s, r) in enumerate(pairs, start=1)
             ],
         }
@@ -661,6 +663,27 @@ def test_network_id_the_file_system_cannot_encode_is_data_error(tmp_path):
     result = fresh_python(*summarize, **ASCII_LOCALE)
     assert result.returncode == EXIT_OK, result.stderr
     assert "nét," in (tmp_path / "s" / "summary.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "network_id, actors",
+    [("n\udc80", "abcd"), ("net", ("\ud800", "b", "c", "d"))],
+    ids=["network_id", "actor_id"],
+)
+@pytest.mark.parametrize("command", ["summarize", "fit", "knockout"])
+def test_id_that_is_not_utf8_is_data_error(
+    tmp_path, capsys, command, network_id, actors
+):
+    # json.dumps writes a lone surrogate as the escape "\udc80"
+    events = tmp_path / "nets.json"
+    write_json_networks(events, [network_id], actors)
+    bad_id = network_id if network_id != "net" else actors[0]
+    out = tmp_path / "out"
+    flags = ["--events", events, "--out", out, "--seed", "1", "--replicates", "1"]
+    assert run([command, *flags, "--terms", "ICR"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert repr(bad_id) in err and "nets.json" in err
+    assert not out.exists()
 
 
 def test_simulate_command(data_dir, tmp_path):

@@ -236,6 +236,14 @@ def test_json_events_sorted_by_order(tmp_path):
             r"events:1: receiver must be a string",
         ),
         (
+            lambda nets: nets[1].update(network_id="n\udc80"),
+            r"nets.json\[1\]: network_id is not UTF-8 text",
+        ),
+        (
+            lambda nets: nets[1]["events"][1].update(sender="\ud800"),
+            r"events:1: sender is not UTF-8 text",
+        ),
+        (
             lambda nets: nets[1].update(network_id="n1"),
             r"nets.json\[1\]: network_id 'n1' repeats \S*nets.json\[0\]",
         ),
@@ -252,6 +260,8 @@ def test_json_events_sorted_by_order(tmp_path):
         "actor_id_list",
         "sender_int",
         "receiver_null",
+        "network_id_surrogate",
+        "sender_surrogate",
         "network_id_repeated",
     ],
 )

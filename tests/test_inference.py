@@ -26,6 +26,7 @@ from remnet.inference import (
 from remnet.stats import ALL_TERMS, Term
 
 from conftest import (
+    design_scores,
     make_actors,
     point_mass_fit,
     random_sequence,
@@ -71,7 +72,7 @@ def test_step_probabilities_sum_to_one(small_fixture):
     actors, seq = small_fixture
     design = EventDesign(actors, seq)
     theta = np.random.default_rng(1).normal(0, 2, 14)
-    scores = design.scores(theta, ALL_TERMS)
+    scores = design_scores(design, theta, ALL_TERMS)
     log_p = scores - logsumexp(scores, axis=1, keepdims=True)
     total = np.exp(log_p).sum(axis=1)
     assert np.all(np.abs(total - 1.0) < 1e-12)
@@ -105,10 +106,10 @@ def test_loglik_matches_naive_oracle(small_fixture):
     thetas = [rng.normal(0, 1, 14) for _ in range(3)]
     # scaled so the largest score is 1000: plain exp of it overflows
     big = rng.normal(0, 1, 14)
-    scores = design.scores(big, ALL_TERMS)
+    scores = design_scores(design, big, ALL_TERMS)
     big *= 1000.0 / scores.flat[np.abs(scores).argmax()]
     with np.errstate(over="ignore"):
-        assert not np.all(np.isfinite(np.exp(design.scores(big, ALL_TERMS))))
+        assert not np.all(np.isfinite(np.exp(design_scores(design, big, ALL_TERMS))))
     for theta in thetas + [big]:
         got = log_likelihood(theta, spec, design=design)
         want = naive_log_likelihood(
@@ -269,7 +270,8 @@ def test_aicc_inadmissible():
 def test_fit_empty_spec(path_sized_fixture):
     actors, seq = path_sized_fixture
     fit = fit_map(ModelSpec(terms=(), network_id="net"), EventDesign(actors, seq, ()))
-    assert fit.converged
+    assert fit.converged and fit.n_iter == 0
+    assert fit.mode.shape == (0,) and fit.covariance.shape == (0, 0)
     assert fit.log_lik_at_mode == pytest.approx(null_log_likelihood(32, 70))
     assert fit.aicc == pytest.approx(-2 * fit.log_lik_at_mode)
 

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from remnet.cli import _write_trajectories
@@ -16,6 +17,7 @@ from remnet.simulation import (
 from remnet.stats import ALL_TERMS, PSHIFT_TERMS, Term, dyad_index
 
 from conftest import make_actors, point_mass_fit, random_events, sequence_from_pairs
+from oracle import naive_stat_vector
 
 FULL = KnockoutCondition.named("full")
 
@@ -111,6 +113,53 @@ def test_trajectory_respects_risk_set():
     ids = set(actors.actor_ids)
     for s, r in traj.events:
         assert s in ids and r in ids and s != r
+
+
+# a p-shift model; ps_removed zeroes PSAB-BA and PSAB-XA, all_removed all
+# but RRecSnd
+ORACLE_SPEC = ModelSpec(
+    terms=(Term.NTDEGREC, Term.RRECSND, Term.PSABBA, Term.PSABXA, Term.ICR),
+    network_id="net",
+)
+
+
+@pytest.mark.parametrize("condition", ["full", "ps_removed", "all_removed"])
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_sampler_draws_match_oracle_inverse_cdf(seed, condition):
+    """Every step's draw is the inverse-CDF draw of the step's uniform under
+    the dense softmax of the oracle statistics, over the canonical dyads."""
+    n, m = 6, 30
+    actors = make_actors(n, icr_indices=(0, 3))
+    icr = actors.icr_array()
+    theta = np.array([1.5, 1.0, 2.5, -0.7, 0.8])
+    zeroed = KnockoutCondition.named(condition).zeroed_terms
+    theta_eff = np.array(
+        [0.0 if t in zeroed else c for t, c in zip(ORACLE_SPEC.terms, theta)]
+    )
+    traj = simulate_trajectory(
+        theta, ORACLE_SPEC, actors, m, KnockoutCondition.named(condition), seed
+    )
+    events = [(actors.index(s), actors.index(r)) for s, r in traj.events]
+    dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rng = np.random.default_rng(seed)  # the sampler draws one uniform a step
+    checked = 0
+    for t, event in enumerate(events):
+        u = rng.random()
+        scores = np.array(
+            [
+                naive_stat_vector(events[:t], icr, n, i, j, ORACLE_SPEC.terms)
+                @ theta_eff
+                for i, j in dyads
+            ]
+        )
+        cdf = np.cumsum(np.exp(scores - logsumexp(scores)))
+        cdf /= cdf[-1]
+        if np.min(np.abs(cdf - u)) < 1e-12:
+            continue  # rounding decides which side of a boundary u falls
+        idx = min(int(np.searchsorted(cdf, u, side="right")), len(dyads) - 1)
+        assert dyads[idx] == event, (t, u)
+        checked += 1
+    assert checked >= m - 1
 
 
 def test_trajectory_huge_coefficients_stay_finite():

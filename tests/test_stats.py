@@ -244,13 +244,14 @@ def test_incremental_matches_naive_oracle(case):
         assert X.dtype == np.float64 and X.flags.c_contiguous
         naive = np.array(
             [naive_stat_vector(events[:t], icr, n, i, j, ALL_TERMS) for i, j in dyads]
-        )
+        ).T.copy()
+        assert X.shape == naive.shape == (len(ALL_TERMS), len(dyads))
         assert X.tobytes() == naive.tobytes(), (t, np.argwhere(X != naive)[:5])
         if t < len(events):
             state.update(*events[t])
     for i, j in dyads:
         fast = stat_vector(state, icr, i, j, ALL_TERMS)
-        assert np.array_equal(X[dyad_index(i, j, n)], fast)
+        assert np.array_equal(X[:, dyad_index(i, j, n)], fast)
 
 
 @settings(max_examples=60, deadline=None)
