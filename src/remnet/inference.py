@@ -8,11 +8,18 @@ default). The posterior covariance is the inverse negative Hessian of the
 log-posterior at the mode.
 
 Every model-layer function reads its data from an ``EventDesign``, the
-per-event statistics of one network, through ``EventDesign.blocks``: the
-statistics of a spec's terms a block of whole events at a time. One kernel,
-``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass
-over those blocks; ``fit_map`` collects them once per fit and runs the
-kernel once per theta.
+per-event statistics of one network in O(m*n + nnz) memory: NTDegRec as a
+receiver share per event, ICR as a static actor vector and the other
+twelve terms as their nonzero entries. One kernel, ``_evaluate``, gives
+the log-likelihood, gradient and Hessian in one pass over a spec's
+``_Factors``, which ``fit_map`` collects once per fit. Over the dyads where
+none of the spec's sparse terms is nonzero, a score is a sender part plus a
+receiver part, so the normaliser and the moments factorise,
+sum_{i != j} e^(r_i + c_j) = (sum_i e^(r_i))(sum_j e^(c_j)) - sum_i
+e^(r_i + c_i), and each touched dyad adds one correction (Vu, Asuncion,
+Hunter & Smyth, NeurIPS 2011; Perry & Wolfe, JRSS-B 2013). A pass costs
+O(m*(n + nnz)*k^2), not O(m*n^2*k^2). ``EventDesign.blocks`` rebuilds the
+dense statistics a block of events at a time for adequacy.
 
 SciPy is used for one call, ``scipy.special.ndtri`` in
 ``posterior_interval``; the submodule loads on first use, so importing
@@ -36,6 +43,7 @@ from remnet.stats import (
     HistoryState,
     Term,
     _fill_design,
+    dyad_from_index,
     dyad_index,
     term_from_name,
 )
@@ -161,16 +169,52 @@ class FitResult:
             return cls.from_json_dict(json.load(fh))
 
 
+# terms with a dense natural form: NTDegRec is a receiver share per event
+# and ICR a static actor vector; every other term is stored sparse
+_BASE_TERMS = (Term.NTDEGREC, Term.ICR)
+
+
+@dataclass(frozen=True)
+class DesignStore:
+    """The statistics of an ``EventDesign``, each term in its natural form.
+
+    ``share[t]`` is NTDegRec's receiver share at event t (None unless the
+    design has NTDegRec): dyad (i, j) has ``share[t, j]``. ``icr`` is the
+    0/1 actor vector: dyad (i, j) has ICR ``icr[i] + icr[j]``. The other
+    (sparse) terms are nonzero only on the dyads ``keys`` lists, in
+    increasing order of ``event * n_dyads + dyad``: the union of their
+    nonzero entries. ``entries[term]`` is a sparse term's (slots, values):
+    its nonzero statistics and their positions in ``keys``, in increasing
+    order.
+    """
+
+    share: np.ndarray | None
+    icr: np.ndarray
+    keys: np.ndarray
+    entries: dict[Term, tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the share, icr, keys, slots and values arrays."""
+        arrays = [self.icr, self.keys]
+        arrays += [a for pair in self.entries.values() for a in pair]
+        if self.share is not None:
+            arrays.append(self.share)
+        return sum(a.nbytes for a in arrays)
+
+
 class EventDesign:
     """Per-event statistics of one network, for the terms a model uses.
 
-    ``full_tensor`` holds the statistics of ``terms`` (all 14 by default)
-    as one C-contiguous (k, m * n*(n-1)) array: row r is the r-th term over
-    every event's risk set, events in order, dyads in canonical order. Each
-    event is written once. ``blocks`` is the only reader of that layout;
-    the likelihood kernel and adequacy see only its blocks.
-    Memory is k * m * n*(n-1) * 8 bytes, so callers build a design for the
-    terms they fit: a spec's, or a selection's candidates.
+    The statistics of ``terms`` (all 14 by default) are read from one
+    ``HistoryState`` replay of the events into ``store``, a
+    ``DesignStore``: NTDegRec as an (m, n) receiver share, ICR as the
+    static actor vector and each other term as its nonzero entries. Memory
+    is O(m*n + nnz), ``store.nbytes`` bytes; ``full_tensor`` is another
+    name for ``store``, the attribute perfbench's spans read. There are
+    two readers: ``blocks`` rebuilds the dense statistics a block of whole
+    events at a time (adequacy reads them), and ``factors`` gives a spec's
+    statistics in the factorised form of the likelihood kernel.
     """
 
     def __init__(
@@ -182,46 +226,96 @@ class EventDesign:
         if actors.network_id != seq.network_id:
             raise ValueError("actor table and event sequence network_id differ")
         self.terms = tuple(terms)
-        self._row = {term: r for r, term in enumerate(self.terms)}
         self.actors = actors
         self.seq = seq
-        self.n = actors.n
-        self.m = seq.m
-        self.n_dyads = D = self.n * (self.n - 1)
+        self.n = n = actors.n
+        self.m = m = seq.m
+        self.n_dyads = D = n * (n - 1)
+        sparse = [t for t in self.terms if t not in _BASE_TERMS]
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
-        X = np.empty((len(self.terms), self.m, self.n - 1, self.n))
-        obs = np.empty(self.m, dtype=np.intp)
-        state = HistoryState(self.n)
-        for t2 in range(self.m):
-            _fill_design(state, icr, self.terms, X[:, t2])
-            a, b = int(pairs[t2, 0]), int(pairs[t2, 1])
-            obs[t2] = dyad_index(a, b, self.n)
-            state.update(a, b)
-        self.full_tensor = X.reshape(len(self.terms), self.m * D)
+        share = np.empty((m, n)) if Term.NTDEGREC in self.terms else None
+        per_block = max(1, _BLOCK_ROWS // D)
+        stats = np.empty((len(sparse), per_block, n - 1, n))
+        keys, n_keys = [np.empty(0, np.intp)], 0
+        found = [[(np.empty(0, np.intp), np.empty(0))] for _ in sparse]
+        obs = np.empty(m, dtype=np.intp)
+        state = HistoryState(n)
+        for start in range(0, m, per_block):
+            stop = min(start + per_block, m)
+            for t in range(start, stop):
+                if share is not None:
+                    share[t] = state.stat[Term.NTDEGREC][0]  # every row is the share
+                _fill_design(state, icr, sparse, stats[:, t - start])
+                a, b = int(pairs[t, 0]), int(pairs[t, 1])
+                obs[t] = dyad_index(a, b, n)
+                state.update(a, b)
+            # the block's nonzero entries, term by term in (event, dyad) order
+            size = (stop - start) * D
+            flat = stats.reshape(len(sparse), per_block * D)[:, :size]
+            nonzero = flat != 0.0
+            touched = nonzero.any(axis=0)
+            slot = np.cumsum(touched) + (n_keys - 1)
+            keys.append(start * D + np.flatnonzero(touched))
+            n_keys += keys[-1].size
+            term, pos = np.divmod(np.flatnonzero(nonzero), size)
+            value = flat[term, pos]
+            bounds = np.searchsorted(term, np.arange(len(sparse) + 1))
+            for c, parts in enumerate(found):
+                lo, hi = bounds[c], bounds[c + 1]
+                parts.append((slot[pos[lo:hi]], value[lo:hi]))
+        entries = {
+            t: tuple(np.concatenate(x) for x in zip(*parts))
+            for t, parts in zip(sparse, found)
+        }
+        self.store = DesignStore(share, icr, np.concatenate(keys), entries)
         self.obs_idx = obs
 
-    def blocks(self, terms: Sequence[Term]) -> Iterator[tuple[np.ndarray, ...]]:
-        """Per block of b whole events, the (k, b, n_dyads) statistics of
-        ``terms`` and the b observed dyad indices; b is ``_BLOCK_ROWS //
-        n_dyads`` (at least 1), less in the last block. The only reader of
-        ``full_tensor``: a block is a view of it for the design's own terms
-        in order, else a C-contiguous copy. Raises ValueError naming any
-        term the design was built without.
-        """
+    @property
+    def full_tensor(self) -> DesignStore:
+        return self.store
+
+    def _checked(self, terms: Sequence[Term]) -> tuple[Term, ...]:
         terms = tuple(terms)
-        missing = [t.value for t in terms if t not in self._row]
+        missing = [t.value for t in terms if t not in self.terms]
         if missing:
             raise ValueError(
                 f"design has no statistics for {', '.join(missing)}; it was "
                 f"built for [{', '.join(t.value for t in self.terms)}]"
             )
-        index = slice(None) if terms == self.terms else [self._row[t] for t in terms]
-        D, per_block = self.n_dyads, max(1, _BLOCK_ROWS // self.n_dyads)
+        return terms
+
+    def blocks(self, terms: Sequence[Term]) -> Iterator[tuple[np.ndarray, ...]]:
+        """Per block of b whole events, the C-contiguous (k, b, n_dyads)
+        statistics of ``terms``, rebuilt from ``store``, and the b observed
+        dyad indices; b is ``_BLOCK_ROWS // n_dyads`` (at least 1), less in
+        the last block. Row (c, t) holds the bits ``design_matrix`` gives
+        for term c at event t. Raises ValueError naming any term the design
+        was built without.
+        """
+        terms = self._checked(terms)
+        store, D = self.store, self.n_dyads
+        sender, receiver = dyad_from_index(np.arange(D), self.n)
+        per_block = max(1, _BLOCK_ROWS // D)
         for start in range(0, self.m, per_block):
             stop = min(start + per_block, self.m)
-            X = self.full_tensor[index, start * D : stop * D]
-            yield X.reshape(len(terms), stop - start, D), self.obs_idx[start:stop]
+            block_slots = np.searchsorted(store.keys, (start * D, stop * D))
+            X = np.zeros((len(terms), stop - start, D))
+            for c, term in enumerate(terms):
+                if term is Term.NTDEGREC:
+                    X[c] = store.share[start:stop, receiver]
+                elif term is Term.ICR:
+                    X[c] = store.icr[sender] + store.icr[receiver]
+                else:
+                    slots, values = store.entries[term]
+                    lo, hi = np.searchsorted(slots, block_slots)
+                    X[c].reshape(-1)[store.keys[slots[lo:hi]] - start * D] = values[lo:hi]
+            yield X, self.obs_idx[start:stop]
+
+    def factors(self, terms: Sequence[Term]) -> "_Factors":
+        """The statistics of ``terms`` in the form ``_evaluate`` reads.
+        Raises ValueError naming any term the design was built without."""
+        return _Factors(self, self._checked(terms))
 
 
 def _as_theta(theta, k: int) -> np.ndarray:
@@ -241,51 +335,273 @@ def _term_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return s
 
 
-# dyad rows per block: a block's scores and p * X stay cache-sized
+# dyad rows per block: a block of ``EventDesign.blocks``, or of the
+# kernel's direct sums, stays cache-sized
 _BLOCK_ROWS = 1 << 16
 
 
-def _evaluate(theta, blocks) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood, gradient and Hessian of ``theta`` in one pass over
-    ``blocks``, the (statistics, observed dyads) pairs of ``EventDesign.blocks``.
+class _Factors:
+    """A spec's statistics in the form ``_evaluate`` reads, collected once
+    per fit.
 
-    In each block the scores are shifted by each event's maximum,
-    exponentiated and normalised in place, and the block adds its terms to
-    ll, g and H = E'E - X'(p * X), where E holds each event's expected
-    statistics; no temporary is larger than one block.
+    The kernel orders the terms base first: ``order[q]`` is the spec
+    position of kernel term q, and the first ``n_base`` are the spec's
+    NTDegRec and ICR. The other (sparse) terms are nonzero only on the
+    touched dyads, the union of their entries. The kernel scores the
+    listed dyads one by one: each event's touched dyads, or all of its
+    dyads when more than half are touched (a ``full`` event). ``event``,
+    ``sender`` and ``receiver`` list them, each event's together in dyad
+    order, the ``partial`` (not full) events' first ``n_partial`` before
+    the full events'; ``X`` holds every term's statistics there, shape
+    (k, U). ``starts`` and ``events`` are where each event with a listed
+    dyad begins and which event it is.
+
+    A partial event's untouched dyads have only base statistics, a sender
+    part plus a receiver part: ``P[q, i] + Q[q, e, j]`` for dyad (i, j)
+    of event ``partial[e]`` (NTDegRec: 0 + share; ICR: icr_i + icr_j).
+    ``x_obs`` holds the statistics of each event's observed dyad, shape
+    (k, m).
     """
-    k = len(theta)
-    ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
-    for Xb, obs in blocks:
-        _, b, D = Xb.shape
-        Xb = Xb.reshape(k, b * D)
-        s = (theta @ Xb).reshape(b, D)
-        if not np.all(np.isfinite(s)):
-            raise NumericalError("non-finite linear predictor")
-        observed = np.arange(b) * D + obs
-        s -= s.max(axis=1, keepdims=True)
-        observed_score = s.reshape(-1)[observed]
-        np.exp(s, out=s)
-        total = s.sum(axis=1, keepdims=True)
-        s /= total
-        ll += float(np.sum(observed_score - np.log(total[:, 0])))
-        pX = Xb * s.reshape(-1)
-        expected = pX.reshape(k, b, D).sum(axis=2)
-        g += Xb[:, observed].sum(axis=1) - expected.sum(axis=1)
-        H += expected @ expected.T - pX @ Xb.T
+
+    def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
+        store, n, m, D = design.store, design.n, design.m, design.n_dyads
+        base = [c for c, t in enumerate(terms) if t in _BASE_TERMS]
+        sparse = [c for c, t in enumerate(terms) if t not in _BASE_TERMS]
+        self.order = np.array(base + sparse, dtype=np.intp)
+        self.n_base = nb = len(base)
+        self.m, self.n = m, n
+        self.P = np.zeros((nb, n))
+        Q = np.empty((nb, m, n))
+        for q, c in enumerate(base):
+            if terms[c] is Term.ICR:
+                self.P[q] = Q[q] = store.icr
+            else:
+                Q[q] = store.share
+        entries = [store.entries[terms[c]] for c in sparse]
+
+        # the spec's touched dyads: the slots of ``store.keys`` where any of
+        # its sparse terms is nonzero
+        in_spec = np.zeros(store.keys.size, dtype=bool)
+        for slots, _ in entries:
+            in_spec[slots] = True
+        event, dyad = np.divmod(store.keys[in_spec], D)
+        touched = np.bincount(event, minlength=m)
+        self.full = 2 * touched > D
+        listed = np.where(self.full, D, touched)
+        # the partial events' dyads first, the full events' last
+        event_order = np.concatenate([np.flatnonzero(~self.full), np.flatnonzero(self.full)])
+        first = np.empty(m, dtype=np.intp)
+        first[event_order] = np.cumsum(listed[event_order]) - listed[event_order]
+        self.n_partial = int(listed[~self.full].sum())
+        # each touched slot's column of X: a full event lists every dyad,
+        # any other event only its touched ones, in order
+        rank = np.arange(event.size) - (np.cumsum(touched) - touched)[event]
+        column = np.zeros(store.keys.size, dtype=np.intp)
+        column[in_spec] = first[event] + np.where(self.full[event], dyad, rank)
+        self.event = np.repeat(event_order, listed[event_order])
+        all_dyads = np.empty(self.event.size, dtype=np.intp)
+        all_dyads[column[in_spec]] = dyad
+        all_dyads[first[self.full][:, None] + np.arange(D)] = np.arange(D)
+        self.sender, self.receiver = dyad_from_index(all_dyads, n)
+        self.events = event_order[listed[event_order] > 0]
+        self.starts = first[self.events]
+
+        self.X = np.zeros((len(terms), self.event.size))
+        for q in range(nb):
+            self.X[q] = self.P[q, self.sender] + Q[q, self.event, self.receiver]
+        for q, (slots, values) in enumerate(entries, start=nb):
+            self.X[q, column[slots]] = values
+        obs_event = np.arange(m)
+        obs_sender, obs_receiver = dyad_from_index(design.obs_idx, n)
+        self.x_obs = np.zeros((len(terms), m))
+        for q in range(nb):
+            self.x_obs[q] = self.P[q, obs_sender] + Q[q, obs_event, obs_receiver]
+        if store.keys.size:  # else every sparse statistic is 0
+            obs_key = obs_event * D + design.obs_idx
+            obs_slot = np.searchsorted(store.keys[:-1], obs_key)
+            hit = in_spec[obs_slot] & (store.keys[obs_slot] == obs_key)
+            self.x_obs[nb:, hit] = self.X[nb:, column[obs_slot[hit]]]
+        self.partial = event_order[: m - int(self.full.sum())]
+        self.Q = Q[:, self.partial]
+        # the kernel's (k, U) temporary, reused by every pass
+        self.work = np.empty_like(self.X)
+
+
+def _per_event(f, x):
+    """Sums of ``x`` (..., u) over each event's listed dyads among the
+    first u, shape (..., m)."""
+    sums = np.zeros(x.shape[:-1] + (f.m,))
+    count = np.searchsorted(f.starts, x.shape[-1])
+    if count:
+        sums[..., f.events[:count]] = np.add.reduceat(x, f.starts[:count], axis=-1)
+    return sums
+
+
+def _row_sums(b, b_top, top, F=None):
+    """Per event t and sender i, the sum over receivers j != i of
+    ``b[t, j] * F[t, j]`` (F = 1 when None); the sender ``top[t]`` gets the
+    sum of ``b_top[t, j] * F[t, j]`` instead, whose entry ``top[t]`` is 0."""
+    bF = b if F is None else b * F
+    sums = bF.sum(axis=1, keepdims=True) - bF
+    sums[np.arange(len(top)), top] = (b_top if F is None else b_top * F).sum(axis=1)
+    return sums
+
+
+def _untouched_direct(f, r, c, M, events):
+    """Sums over the untouched off-diagonal dyads of ``events`` (indices
+    into ``f.partial``; ``c`` and ``M`` are theirs too), dyad by dyad:
+    weight e^(r_i + c_tj - M_t), its base-statistic moments and second
+    moments, shapes (e,), (nb, e), (nb, nb, e)."""
+    n, nb, e = f.n, f.n_base, len(events)
+    mass, first, second = np.empty(e), np.empty((nb, e)), np.empty((nb, nb, e))
+    if not e:
+        return mass, first, second
+    local = np.full(f.m, -1)
+    local[f.partial[events]] = np.arange(e)
+    hit = local[f.event[: f.n_partial]]
+    mine = hit >= 0
+    hit_event = hit[mine]
+    hit_cell = f.sender[: f.n_partial][mine] * n + f.receiver[: f.n_partial][mine]
+    per_block = max(1, _BLOCK_ROWS // (n * n))
+    for start in range(0, e, per_block):
+        part = slice(start, min(start + per_block, e))
+        ev = events[part]
+        W = r[None, :, None] + c[ev][:, None, :] - M[ev][:, None, None]
+        flat = W.reshape(len(ev), n * n)
+        flat[:, :: n + 1] = -np.inf
+        here = (hit_event >= part.start) & (hit_event < part.stop)
+        flat[hit_event[here] - part.start, hit_cell[here]] = -np.inf
+        np.exp(W, out=W)
+        out_w, in_w = W.sum(axis=2), W.sum(axis=1)
+        Q = f.Q[:, ev]
+        mass[part] = out_w.sum(axis=1)
+        first[:, part] = f.P @ out_w.T + np.einsum("tj,qtj->qt", in_w, Q)
+        cross = np.einsum("pi,tij,qtj->pqt", f.P, W, Q)
+        second[:, :, part] = (
+            np.einsum("ti,pi,qi->pqt", out_w, f.P, f.P)
+            + np.einsum("tj,ptj,qtj->pqt", in_w, Q, Q)
+            + cross
+            + cross.transpose(1, 0, 2)
+        )
+    return mass, first, second
+
+
+def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, gradient and Hessian of ``theta`` in one pass over
+    ``f``, the spec's ``_Factors``.
+
+    Event t's score of dyad (i, j) is r_i + c_tj plus, on a touched dyad,
+    the sparse terms' part d. Its normaliser, and the sums of p * x and
+    p * x x' that g and H need, are a sum over every off-diagonal dyad
+    with d = 0, which factorises into per-sender sums over receivers, plus
+    one correction e^(r_i + c_tj + d) x - e^(r_i + c_tj) x0 per touched
+    dyad (x0: x without its sparse part). A full event is summed over its
+    listed dyads alone. Each event is shifted by M_t, an upper bound on
+    its scores: the larger of the exact off-diagonal maximum of
+    r_i + c_tj (from the top two of r and of c_t) and its largest listed
+    score. Where the touched dyads hold over half an event's base mass,
+    the sum over its untouched dyads is taken dyad by dyad, not as a
+    cancelling difference. Raises NumericalError for a non-finite theta
+    or score.
+    """
+    if not np.all(np.isfinite(theta)):
+        raise NumericalError("non-finite theta")
+    nb, m, n = f.n_base, f.m, f.n
+    th = theta[f.order]
+    pe, part = f.partial, slice(0, f.n_partial)
+    rows = np.arange(pe.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        base = th[:nb] @ f.X[:nb]
+        s = base + th[nb:] @ f.X[nb:]
+        M = np.full(m, -np.inf)
+        if s.size:
+            M[f.events] = np.maximum.reduceat(s, f.starts)
+        # off-diagonal maximum of r_i + c_tj: sender `top` = argmax c_t
+        # pairs with the runner-up receiver, every other sender with `top`
+        r = th[:nb] @ f.P
+        c = np.tensordot(th[:nb], f.Q, axes=1) if nb else np.zeros((pe.size, n))
+        top = np.argmax(c, axis=1)
+        c_max = c[rows, top]
+        c_second = np.partition(c, n - 2, axis=1)[:, n - 2]
+        r_other = np.where(top == np.argmax(r), np.partition(r, n - 2)[n - 2], r.max())
+        M[pe] = np.maximum(M[pe], np.maximum(r_other + c_max, r[top] + c_second))
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(s))):
+        raise NumericalError("non-finite linear predictor")
+
+    # every off-diagonal dyad of a partial event at d = 0: sender i's
+    # weight times its receivers' sums, each shifted so that no factor
+    # exceeds 1
+    Mp = M[pe]
+    rho = r + (c_max - Mp)[:, None]
+    rho[rows, top] = r[top] + c_second - Mp
+    np.exp(rho, out=rho)
+    b = np.exp(c - c_max[:, None])
+    b_top = c - c_second[:, None]
+    b_top[rows, top] = -np.inf
+    np.exp(b_top, out=b_top)
+    G0 = _row_sums(b, b_top, top)
+    G1 = [_row_sums(b, b_top, top, f.Q[q]) for q in range(nb)]
+    S0 = np.sum(rho * G0, axis=1)
+    S1 = np.empty((nb, pe.size))
+    for q in range(nb):
+        S1[q] = np.sum(rho * (f.P[q] * G0 + G1[q]), axis=1)
+
+    # less the touched dyads at d = 0 (w0): the untouched sums
+    M_listed = M[f.event]
+    w0 = np.exp(base[part] - M_listed[part])
+    Xb = f.X[:nb, part]
+    U0, U1 = np.zeros(m), np.zeros((nb, m))
+    U0[pe] = S0 - _per_event(f, w0)[pe]
+    U1[:, pe] = S1 - _per_event(f, w0 * Xb)[:, pe]
+    direct = np.flatnonzero(U0[pe] < 0.5 * S0)
+    mass, first, U2_direct = _untouched_direct(f, r, c, Mp, direct)
+    U0[pe[direct]], U1[:, pe[direct]] = mass, first
+
+    # plus the listed dyads at their scores
+    w = np.exp(s - M_listed)
+    Z = U0 + _per_event(f, w)
+    inv_Z = 1.0 / Z
+    w *= inv_Z[f.event]
+    pX = np.multiply(w, f.X, out=f.work)
+    E = _per_event(f, pX)
+    E[:nb] += U1 * inv_Z
+    ll = float(np.sum(th @ f.x_obs - M - np.log(Z)))
+    g_k = f.x_obs.sum(axis=1) - E.sum(axis=1)
+    H_k = E @ E.T - pX @ f.X.T
+
+    # second moments of the base statistics over untouched dyads
+    weight = inv_Z.copy()
+    weight[f.full] = weight[pe[direct]] = 0.0
+    rho *= weight[pe, None]
+    w0 *= weight[f.event[part]]
+    for p in range(nb):
+        for q in range(p, nb):
+            G2 = _row_sums(b, b_top, top, f.Q[p] * f.Q[q])
+            S2 = np.sum(
+                rho
+                * (f.P[p] * f.P[q] * G0 + f.P[p] * G1[q] + f.P[q] * G1[p] + G2)
+            )
+            U2 = S2 - (w0 * Xb[p]) @ Xb[q] + U2_direct[p, q] @ inv_Z[pe[direct]]
+            H_k[p, q] -= U2
+            if q != p:
+                H_k[q, p] -= U2
+
+    g, H = np.empty_like(g_k), np.empty_like(H_k)
+    g[f.order] = g_k
+    H[np.ix_(f.order, f.order)] = H_k
     return ll, g, H
 
 
 def log_likelihood(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> float:
-    return _evaluate(_as_theta(theta, spec.k), design.blocks(spec.terms))[0]
+    return _evaluate(_as_theta(theta, spec.k), design.factors(spec.terms))[0]
 
 
 def gradient(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarray:
-    return _evaluate(_as_theta(theta, spec.k), design.blocks(spec.terms))[1]
+    return _evaluate(_as_theta(theta, spec.k), design.factors(spec.terms))[1]
 
 
 def hessian(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarray:
-    return _evaluate(_as_theta(theta, spec.k), design.blocks(spec.terms))[2]
+    return _evaluate(_as_theta(theta, spec.k), design.factors(spec.terms))[2]
 
 
 def null_log_likelihood(n: int, m: int) -> float:
@@ -352,13 +668,13 @@ def fit_map(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    blocks = list(design.blocks(spec.terms))
+    factors = design.factors(spec.terms)
     m = design.m
     k = spec.k
 
     def objective(theta):
         """(-log posterior, its gradient, its Hessian, log-likelihood)."""
-        ll, g, H = _evaluate(theta, blocks)
+        ll, g, H = _evaluate(theta, factors)
         return (
             -(ll + prior.log_density(theta)),
             -(g + prior.grad(theta)),

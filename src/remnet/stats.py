@@ -5,9 +5,12 @@ the whole (n, n) NTDegRec array, in O(n^2), and of the others only the
 rows and columns it changes. ``_fill_design`` reads the store over the
 whole risk set into a caller's array and builds only the p-shifts and
 ICR at read time; ``design_matrix`` is that read into a fresh (terms,
-dyads) matrix, and ``stat_vector`` is one column of it. This is the only
-implementation of the statistics. The tests check it bitwise against a
-naive oracle that recomputes each statistic from the raw event prefix.
+dyads) matrix, and ``stat_vector`` is one column of it.
+``inference.EventDesign`` keeps the same reads in structured form (the
+NTDegRec share, the ICR vector and each other term's nonzero entries).
+This is the only implementation of the statistics. The tests check it
+bitwise against a naive oracle that recomputes each statistic from the
+raw event prefix.
 
 Conventions (the source material gives only verbal definitions):
   NTDegRec normalizes by 2*n_past_events, so it is a [0,1] volume share;
@@ -230,7 +233,7 @@ def design_matrix(
 ) -> np.ndarray:
     """Statistic matrix of shape (len(terms), n*(n-1)), C-contiguous: row c
     is term c over the risk set in canonical dyad order, the layout
-    ``_fill_design`` writes into ``EventDesign``."""
+    ``_fill_design`` writes."""
     n = state.n
     X = np.empty((len(terms), n * (n - 1)))
     _fill_design(state, icr, terms, X.reshape(len(terms), n - 1, n))

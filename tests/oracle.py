@@ -5,6 +5,9 @@ to agree bitwise. ``naive_log_likelihood`` builds the likelihood from these
 statistics one event at a time, independent of ``remnet.inference``.
 ``sorted_adequacy_ranks`` ranks each event's dyads by a stable sort, the
 reference for the vectorised ranks of ``remnet.analysis.adequacy``.
+``dense_evaluate`` is the dense likelihood kernel over the rows of
+``EventDesign.blocks``, the reference for the factorised kernel of
+``remnet.inference``.
 """
 
 from typing import Sequence
@@ -12,6 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from remnet.inference import NumericalError
 from remnet.stats import PSHIFT_TERMS, Term
 
 
@@ -150,3 +154,36 @@ def sorted_adequacy_ranks(scores: np.ndarray, obs_idx: np.ndarray, n: int):
         tops[t] = top
         positions[t] = int(np.nonzero(order == obs)[0][0])
     return tops, positions, either, both
+
+
+def dense_evaluate(theta, blocks) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, gradient and Hessian of ``theta`` in one pass over
+    ``blocks``, the (statistics, observed dyads) pairs of
+    ``EventDesign.blocks``. Test oracle.
+
+    Every dyad of every event is scored; each event's scores are shifted
+    by their maximum, exponentiated and normalised, and a block adds its
+    terms to ll, g and H = E'E - X'(p * X), where E holds each event's
+    expected statistics.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    k = len(theta)
+    ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
+    for Xb, obs in blocks:
+        _, b, D = Xb.shape
+        Xb = Xb.reshape(k, b * D)
+        s = (theta @ Xb).reshape(b, D)
+        if not np.all(np.isfinite(s)):
+            raise NumericalError("non-finite linear predictor")
+        observed = np.arange(b) * D + obs
+        s -= s.max(axis=1, keepdims=True)
+        observed_score = s.reshape(-1)[observed]
+        np.exp(s, out=s)
+        total = s.sum(axis=1, keepdims=True)
+        s /= total
+        ll += float(np.sum(observed_score - np.log(total[:, 0])))
+        pX = Xb * s.reshape(-1)
+        expected = pX.reshape(k, b, D).sum(axis=2)
+        g += Xb[:, observed].sum(axis=1) - expected.sum(axis=1)
+        H += expected @ expected.T - pX @ Xb.T
+    return ll, g, H

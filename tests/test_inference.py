@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
@@ -13,6 +16,7 @@ from remnet.inference import (
     FitResult,
     InadmissibleModelError,
     ModelSpec,
+    NumericalError,
     PriorSpec,
     aicc,
     fit_map,
@@ -23,7 +27,7 @@ from remnet.inference import (
     posterior_interval,
     star_codes,
 )
-from remnet.stats import ALL_TERMS, Term
+from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design
 
 from conftest import (
     design_scores,
@@ -33,7 +37,7 @@ from conftest import (
     sequence_from_pairs,
     simulate_sequence,
 )
-from oracle import naive_log_likelihood
+from oracle import dense_evaluate, naive_log_likelihood, naive_stat_vector
 
 
 def all_term_spec(network_id="net"):
@@ -170,13 +174,15 @@ def test_streamed_kernel_matches_single_block(
     assert seq.m % 3 == 2
     rng = np.random.default_rng(6)
     thetas = [rng.normal(0, 1, 14) for _ in range(3)]
-    whole = [_fgh(theta, spec, design) for theta in thetas]
+    whole = [dense_evaluate(theta, design.blocks(spec.terms)) for theta in thetas]
     monkeypatch.setattr(
         inference, "_BLOCK_ROWS", 1 if events_per_block == 1 else 3 * design.n_dyads + 1
     )
     for theta, want in zip(thetas, whole):
+        streamed = dense_evaluate(theta, design.blocks(spec.terms))
         got = _fgh(theta, spec, design)
-        for part, want_part in zip(got, want):
+        for part, streamed_part, want_part in zip(got, streamed, want):
+            _assert_close(streamed_part, want_part)
             _assert_close(part, want_part)
         naive = naive_log_likelihood(
             events, actors.icr_array(), actors.n, ALL_TERMS, theta
@@ -184,38 +190,58 @@ def test_streamed_kernel_matches_single_block(
         assert got[0] == pytest.approx(naive, rel=1e-12)
 
 
-def test_spec_design_columns_equal_full_design(path_sized_fixture, monkeypatch):
+def test_spec_design_columns_equal_full_design(path_sized_fixture):
     actors, seq = path_sized_fixture
     terms = (Term.NTDEGREC, Term.PSABBA, Term.RRECSND, Term.ICR)
     full = EventDesign(actors, seq)
     small = EventDesign(actors, seq, terms)
-    rows = seq.m * small.n_dyads
-    assert full.full_tensor.nbytes == 14 * rows * 8
-    assert small.full_tensor.nbytes == 4 * rows * 8
     assert np.array_equal(small.obs_idx, full.obs_idx)
     # 70 events of 992 dyads make two blocks: 66 events, then 4
     own = list(small.blocks(terms))
     assert [X.shape for X, _ in own] == [(4, 66, 992), (4, 4, 992)]
-    stitched = np.concatenate([X for X, _ in own], axis=1)
-    assert np.array_equal(stitched.reshape(4, -1), small.full_tensor)
     assert np.array_equal(np.concatenate([obs for _, obs in own]), small.obs_idx)
-    for (X, obs), (want, want_obs) in zip(own, full.blocks(terms)):
-        assert np.shares_memory(X, small.full_tensor)
-        assert all(row.flags.c_contiguous for row in X)
-        # the kernel's (k, b * n_dyads) reshape of a view is still a view
-        assert np.shares_memory(X.reshape(4, -1), small.full_tensor)
-        assert np.array_equal(X, want) and np.array_equal(obs, want_obs)
-    # another order or a subset is a contiguous copy of the same values
-    for other in (terms[::-1], terms[1:3]):
-        for (X, obs), (want, want_obs) in zip(small.blocks(other), full.blocks(other)):
-            assert not np.shares_memory(X, small.full_tensor)
+    # the spec's design and the full one hold the same values, in any order
+    for some in (terms, terms[::-1], terms[1:3]):
+        for (X, obs), (want, want_obs) in zip(small.blocks(some), full.blocks(some)):
             assert X.flags.c_contiguous
             assert np.array_equal(X, want) and np.array_equal(obs, want_obs)
-    # in one block, the design's own terms are the whole C-contiguous tensor
-    monkeypatch.setattr(inference, "_BLOCK_ROWS", rows)
-    [(X, obs)] = small.blocks(terms)
-    assert np.shares_memory(X, small.full_tensor) and X.flags.c_contiguous
-    assert np.array_equal(X.reshape(4, -1), small.full_tensor)
+    # the store is O(m*n + nnz): an (m, n) share, the icr vector, an
+    # 8-byte slot and an 8-byte value per nonzero sparse statistic, and an
+    # 8-byte key per dyad where any of them is nonzero
+    for design in (small, full):
+        stats = np.concatenate([X for X, _ in design.blocks(design.terms)], axis=1)
+        sparse = [c for c, t in enumerate(design.terms) if t not in (Term.NTDEGREC, Term.ICR)]
+        nnz = np.count_nonzero(stats[sparse])
+        keys = np.count_nonzero(np.any(stats[sparse] != 0, axis=0))
+        assert design.store.nbytes == 8 * (seq.m * actors.n + actors.n + keys) + 16 * nnz
+        assert design.full_tensor is design.store
+        assert design.store.nbytes < stats.nbytes / 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.data())
+def test_blocks_match_fill_design_and_naive_oracle(case):
+    n = case.draw(st.integers(2, 7), label="n")
+    m = case.draw(st.integers(1, 20), label="m")
+    rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+    actors, seq = random_sequence(n, m, rng, icr_indices=tuple(range(0, n, 3)))
+    # the build and the read both go a block of events at a time
+    per_block = case.draw(st.integers(1, m), label="events per block")
+    with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
+        design = EventDesign(actors, seq)
+        X = np.concatenate([X for X, _ in design.blocks(ALL_TERMS)], axis=1)
+    icr = actors.icr_array()
+    events = [(int(i), int(j)) for i, j in seq.index_pairs(actors)]
+    dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
+    state = HistoryState(n)
+    for t, event in enumerate(events):
+        filled = np.empty((14, n - 1, n))
+        _fill_design(state, icr, ALL_TERMS, filled)
+        naive = np.array(
+            [naive_stat_vector(events[:t], icr, n, i, j, ALL_TERMS) for i, j in dyads]
+        ).T
+        assert X[:, t].tobytes() == filled.tobytes() == naive.tobytes(), t
+        state.update(*event)
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -230,6 +256,152 @@ def test_design_without_spec_terms_is_rejected(small_fixture):
     for view in (log_likelihood, gradient, hessian):
         with pytest.raises(ValueError, match=match):
             view(np.zeros(3), spec, design=design)
+
+
+def kernel_errors(design, terms, theta):
+    """Errors of the factorised kernel against the dense oracle, each over
+    the size of the numbers it is a difference of: ll over |ll| plus each
+    event's largest |score|; g_c over sum_t |x_obs,c| plus sum_t E_t|x_c|;
+    H over max |H| plus the largest sum_t E_t[x_c^2]. The second parts
+    bound what no float kernel can avoid: a concentrated event's ll and
+    variance are differences of numbers that size."""
+    theta = np.asarray(theta, dtype=np.float64)
+    got = inference._evaluate(theta, design.factors(terms))
+    want = dense_evaluate(theta, design.blocks(terms))
+    X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
+    s = np.tensordot(theta, X, axes=1)
+    p = np.exp(s - s.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    x_obs = X[:, np.arange(design.m), design.obs_idx]
+    scales = (
+        abs(want[0]) + np.abs(s).max(axis=1).sum(),
+        np.abs(x_obs).sum(axis=1) + np.einsum("td,ktd->k", p, np.abs(X)),
+        np.abs(want[2]).max() + np.einsum("td,ktd->k", p, X * X).max(),
+    )
+    return [
+        np.max(np.abs(np.subtract(a, b)) / np.where(scale > 0, scale, np.inf))
+        for a, b, scale in zip(got, want, scales)
+    ]
+
+
+def assert_kernel_matches_oracle(design, terms, theta, rel=1e-12):
+    """ll to ``rel`` relative, each g_c to rel * sum_t |x_obs,c| (or
+    |sum_t E_t x_c| where that is larger: a term never observed has
+    g_c = -sum_t E_t x_c) and H entrywise to rel * max |H|, against the
+    dense oracle."""
+    theta = np.asarray(theta, dtype=np.float64)
+    got = inference._evaluate(theta, design.factors(terms))
+    ll, g, H = dense_evaluate(theta, design.blocks(terms))
+    X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
+    x_obs = X[:, np.arange(design.m), design.obs_idx]
+    g_scale = np.maximum(np.abs(x_obs).sum(axis=1), np.abs(x_obs.sum(axis=1) - g))
+    assert all(np.all(np.isfinite(part)) for part in got)
+    assert abs(got[0] - ll) <= rel * abs(ll)
+    assert np.all(np.abs(got[1] - g) <= rel * g_scale)
+    assert np.all(np.abs(got[2] - H) <= rel * np.abs(H).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.data())
+def test_factorised_kernel_matches_dense_oracle(case):
+    n = case.draw(st.integers(2, 12), label="n")
+    m = case.draw(st.integers(1, 40), label="m")
+    icr = case.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="icr")
+    terms = case.draw(st.permutations(ALL_TERMS), label="order")
+    terms = terms[: case.draw(st.integers(1, 14), label="k")]
+    theta = case.draw(
+        st.lists(st.floats(-3, 3), min_size=len(terms), max_size=len(terms)),
+        label="theta",
+    )
+    rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+    icr_indices = tuple(np.flatnonzero(icr))
+    actors, seq = random_sequence(n, m, rng, icr_indices=icr_indices)
+    design = EventDesign(actors, seq, terms)
+    assert max(kernel_errors(design, terms, theta)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (Term.NTDEGREC, Term.RRECSND, Term.ICR),
+        (Term.PSABBA, Term.RRECSND, Term.OTPSND, Term.ITPSND),
+        ALL_TERMS,
+    ],
+    ids=["base_and_sparse", "no_base_terms", "all_terms"],
+)
+def test_kernel_matches_dense_oracle_at_fitted_modes(path_sized_fixture, terms):
+    actors, seq = path_sized_fixture
+    design = EventDesign(actors, seq, terms)
+    fit = fit_map(ModelSpec(terms, network_id="net"), design)
+    rng = np.random.default_rng(8)
+    for theta in (fit.mode, rng.uniform(-1, 1, len(terms))):
+        assert_kernel_matches_oracle(design, terms, theta)
+
+
+def test_kernel_event_without_touched_dyad(small_fixture):
+    actors, seq = small_fixture
+    terms = (Term.NTDEGREC, Term.RRECSND, Term.PSABXB, Term.ICR)
+    design = EventDesign(actors, seq, terms)
+    factors = design.factors(terms)
+    # no history before the first event: no sparse statistic is nonzero
+    assert factors.events[0] == 1 and len(factors.events) == seq.m - 1
+    for theta in ([1.5, -2.0, 0.7, 0.9], [-3.0, 2.5, 3.0, -1.0]):
+        assert_kernel_matches_oracle(design, terms, theta)
+
+
+def test_kernel_spec_without_base_terms(small_fixture):
+    actors, seq = small_fixture
+    terms = (Term.OSPSND, Term.PSABBA, Term.RSNDSND)
+    design = EventDesign(actors, seq, terms)
+    factors = design.factors(terms)
+    # r = c = 0: every untouched dyad scores 0
+    assert factors.n_base == 0 and factors.P.shape == (0, actors.n)
+    for theta in ([0.4, 2.0, -1.0], [-2.5, -3.0, 2.0]):
+        assert_kernel_matches_oracle(design, terms, theta)
+
+
+def test_kernel_two_actors():
+    rng = np.random.default_rng(21)
+    actors, seq = random_sequence(2, 15, rng, icr_indices=(1,))
+    design = EventDesign(actors, seq)
+    for theta in (rng.uniform(-3, 3, 14), np.zeros(14)):
+        assert_kernel_matches_oracle(design, ALL_TERMS, theta)
+
+
+STRESS_TERMS = (Term.NTDEGREC, Term.RRECSND, Term.ICR)
+
+
+def test_kernel_stress_touched_base_maximum():
+    # actor 0 is the only ICR actor and takes part in every event, so at
+    # every late event the highest base score is a dyad (i, 0), and each is
+    # touched: 0 has sent to i, so i has RRecSnd 1 towards 0
+    actors = make_actors(6, icr_indices=(0,))
+    cycle = [(0, j) for j in range(1, 6)] + [(j, 0) for j in range(1, 6)]
+    seq = sequence_from_pairs(actors, 3 * cycle)
+    design = EventDesign(actors, seq, STRESS_TERMS)
+    X = np.concatenate([X for X, _ in design.blocks(STRESS_TERMS)], axis=1)
+    touched = X[1] != 0
+    for theta in ([40.0, -40.0, 40.0], [40.0, -40.0, 20.0], [-40.0, 40.0, 40.0]):
+        base = theta[0] * X[0] + theta[2] * X[2]
+        top = base.argmax(axis=1)
+        weight = np.exp(base - base.max(axis=1, keepdims=True))
+        untouched = np.sum(weight * ~touched, axis=1) / weight.sum(axis=1)
+        assert np.any(touched[np.arange(seq.m), top] & (untouched < 1e-12))
+        ll, g, H = inference._evaluate(np.array(theta), design.factors(STRESS_TERMS))
+        assert np.isfinite(ll) and np.all(np.isfinite(g)) and np.all(np.isfinite(H))
+        assert max(kernel_errors(design, STRESS_TERMS, theta)) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_kernel_rejects_non_finite_theta(small_fixture, bad):
+    actors, seq = small_fixture
+    design = EventDesign(actors, seq)
+    spec = all_term_spec()
+    theta = np.full(14, 0.5)
+    theta[-1] = bad  # 1e308 on ICR overflows the scores
+    for view in (log_likelihood, gradient, hessian):
+        with pytest.raises(NumericalError):
+            view(theta, spec, design)
 
 
 def test_hessian_symmetric_nsd(small_fixture):

@@ -285,8 +285,8 @@ def test_trajectory_and_design_bits_are_pinned():
     )
     pairs = random_events(12, 200, np.random.default_rng(11))
     design = EventDesign(actors, sequence_from_pairs(actors, pairs))
-    tensor = design.full_tensor
-    assert tensor.shape == (14, 200 * 132) and tensor.flags.c_contiguous
+    blocks = [X for X, _ in design.blocks(ALL_TERMS)]
+    tensor = np.concatenate(blocks, axis=1).reshape(14, 200 * 132)
     assert hashlib.sha256(tensor.tobytes()).hexdigest() == (
         "e9ae9ad5aaf4ec7d170f25efb893a2d4a6376b528803f4a87dc19edc73a5be3a"
     )
