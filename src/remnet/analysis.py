@@ -6,10 +6,11 @@ match/recall adequacy of a fit, ranked over the blocks of an
 ``EventDesign``, and the significance tests used to compare knock-out
 conditions.
 
-Only those tests use SciPy (``scipy.stats.ttest_ind`` and ``kruskal``).
-``scipy.stats`` loads on first use: its import takes longer than the rest
-of the package's together, and only ``knockout`` loads it, for Welch's t
-in ``welch_t_test``; no command calls ``kruskal_wallis``.
+Only the significance tests use SciPy, through submodules that load on
+first use. ``welch_t_test`` computes Welch's t and its degrees of freedom
+itself and takes the p-value from ``scipy.special.stdtr``, so
+``knockout`` loads ``scipy.special`` only. ``kruskal_wallis`` calls ``scipy.stats.kruskal``;
+no command calls it.
 """
 
 from __future__ import annotations
@@ -67,13 +68,24 @@ def percent_change(t_knockout_mean: float, t_full_mean: float) -> float:
     return 100.0 * (t_knockout_mean - t_full_mean) / t_full_mean
 
 
+def _mean_var(x: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance, in ``scipy.stats.ttest_ind``'s arithmetic:
+    the mean squared deviation, times n/(n-1)."""
+    mean = x.mean()
+    return mean, np.mean((x - mean) ** 2) * (x.size / (x.size - 1))
+
+
 def welch_t_test(sample_a, sample_b) -> tuple[float, float]:
     """Welch two-sample t statistic and two-sided p-value.
 
-    Two samples with zero variance give (0.0, 1.0) when their means are
-    equal. Raises ValueError when a sample has fewer than 2 values, when
-    a value is NaN or infinite, or when both samples have zero variance
-    and unequal means.
+    t is the difference of the means over sqrt(v_a/n_a + v_b/n_b), with
+    Welch-Satterthwaite degrees of freedom, and the p-value is
+    ``2 * stdtr(df, -|t|)``: the arithmetic of
+    ``scipy.stats.ttest_ind(equal_var=False)``, without loading
+    ``scipy.stats``. Two samples with zero variance give (0.0, 1.0) when
+    their means are equal. Raises ValueError when a sample has fewer than
+    2 values, when a value is NaN or infinite, or when both samples have
+    zero variance and unequal means.
     """
     a = np.asarray(sample_a, dtype=np.float64)
     b = np.asarray(sample_b, dtype=np.float64)
@@ -81,11 +93,18 @@ def welch_t_test(sample_a, sample_b) -> tuple[float, float]:
         raise ValueError("both samples need size >= 2")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("samples must be finite (no NaN or inf)")
-    if a.var(ddof=1) == 0 and b.var(ddof=1) == 0:
-        if a.mean() == b.mean():
+    (mean_a, var_a), (mean_b, var_b) = _mean_var(a), _mean_var(b)
+    if var_a == 0 and var_b == 0:
+        if mean_a == mean_b:
             return 0.0, 1.0
         raise ValueError("both samples are degenerate with unequal means")
-    t, p = scipy.stats.ttest_ind(a, b, equal_var=False)
+    vn_a, vn_b = var_a / a.size, var_b / b.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn_a + vn_b) ** 2 / (vn_a**2 / (a.size - 1) + vn_b**2 / (b.size - 1))
+    if np.isnan(df):  # the squares underflowed to 0/0; as ttest_ind, take 1
+        df = 1.0
+    t = (mean_a - mean_b) / np.sqrt(vn_a + vn_b)
+    p = 2 * scipy.special.stdtr(df, -np.abs(t))
     return float(t), float(p)
 
 

@@ -240,12 +240,12 @@ class EventDesign:
         keys, n_keys = [np.empty(0, np.intp)], 0
         found = [[(np.empty(0, np.intp), np.empty(0))] for _ in sparse]
         obs = np.empty(m, dtype=np.intp)
-        state = HistoryState(n)
+        state = HistoryState(n, self.terms)
         for start in range(0, m, per_block):
             stop = min(start + per_block, m)
             for t in range(start, stop):
                 if share is not None:
-                    share[t] = state.stat[Term.NTDEGREC][0]  # every row is the share
+                    share[t] = state.share
                 _fill_design(state, icr, sparse, stats[:, t - start])
                 a, b = int(pairs[t, 0]), int(pairs[t, 1])
                 obs[t] = dyad_index(a, b, n)
@@ -254,16 +254,16 @@ class EventDesign:
             size = (stop - start) * D
             flat = stats.reshape(len(sparse), per_block * D)[:, :size]
             nonzero = flat != 0.0
-            touched = nonzero.any(axis=0)
-            slot = np.cumsum(touched) + (n_keys - 1)
-            keys.append(start * D + np.flatnonzero(touched))
-            n_keys += keys[-1].size
+            touched = np.flatnonzero(nonzero.any(axis=0))
+            keys.append(start * D + touched)
             term, pos = np.divmod(np.flatnonzero(nonzero), size)
+            slot = np.searchsorted(touched, pos) + n_keys
+            n_keys += touched.size
             value = flat[term, pos]
             bounds = np.searchsorted(term, np.arange(len(sparse) + 1))
             for c, parts in enumerate(found):
                 lo, hi = bounds[c], bounds[c + 1]
-                parts.append((slot[pos[lo:hi]], value[lo:hi]))
+                parts.append((slot[lo:hi], value[lo:hi]))
         entries = {
             t: tuple(np.concatenate(x) for x in zip(*parts))
             for t, parts in zip(sparse, found)

@@ -3,7 +3,13 @@
 A trajectory draws one coefficient vector from the Laplace posterior,
 zeroes the knocked-out terms, then samples events sequentially: each step
 is a categorical draw over the risk set with probabilities proportional
-to exp(theta' u), computed max-shifted so any finite theta is safe.
+to exp(theta' u), computed max-shifted so any finite theta is safe. The
+sampler builds no design: it replays a ``HistoryState`` sized to the
+terms with a nonzero coefficient and keeps the (n, n) score of the terms
+the store holds as arrays (plus ICR) current, recomputing only the rows
+and columns an event changes; NTDegRec and the p-shifts are added per
+step. A step costs O(n^2) for the exp and O(n * s) for the store, s the
+number of array terms, with one uniform drawn per step.
 
 Seeds derive deterministically from a master seed via numpy SeedSequence;
 the theta draw is keyed by replicate index only, so knock-out conditions
@@ -24,8 +30,8 @@ from remnet.stats import (
     HistoryState,
     PSHIFT_TERMS,
     Term,
-    design_matrix,
-    dyad_from_index,
+    _PSHIFT_ROLES,
+    canonical_terms,
 )
 
 _CONDITION_ZEROES = {
@@ -118,26 +124,66 @@ def simulate_trajectory(
     seed,
     replicate: int = 0,
 ) -> Trajectory:
-    """Sample m events from the model with the condition's terms zeroed."""
+    """Sample m events from the model with the condition's terms zeroed.
+
+    The terms with a nonzero coefficient are replayed in a ``HistoryState``
+    sized to them. ``s_rest``, the (n, n) score of ICR and the store's
+    array terms, is recomputed from the store in the rows (and, on a new
+    tie with a triadic term, the columns) of each event. Each step adds
+    NTDegRec's receiver share and the p-shift rows and columns to it,
+    masks the diagonal and draws with one uniform (``_draw``).
+    """
     if m < 1:
         raise ValueError("trajectory length must be >= 1")
     theta_eff = _zeroed(theta, spec, condition)
     if not np.all(np.isfinite(theta_eff)):
         raise ValueError("non-finite coefficients")
+    coef = {t: float(c) for t, c in zip(spec.terms, theta_eff) if c != 0.0}
     n = actors.n
+    state = HistoryState(n, canonical_terms(coef))
     icr = actors.icr_array()
+    base = coef.get(Term.ICR, 0.0) * (icr[:, None] + icr[None, :])
+    theta_arr = np.array([coef[t] for t in state.array_terms])[:, None]
+    theta_deg = coef.get(Term.NTDEGREC, 0.0)
+    # (coefficient, (sender role, receiver role)) of each p-shift in use
+    pshifts = [(coef[t], r) for t, r in zip(PSHIFT_TERMS, _PSHIFT_ROLES) if t in coef]
+    s_rest = base.copy()
+    w = np.empty((n, n))
+    diagonal = w.reshape(-1)[:: n + 1]
+    other = np.ones(n)  # 0 at the last event's actors
     rng = np.random.default_rng(seed)
-    state = HistoryState(n)
     events = []
     for _ in range(m):
-        scores = theta_eff @ design_matrix(state, icr, spec.terms)
-        w = np.exp(scores - scores.max())
-        cdf = np.cumsum(w)
-        idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-        idx = min(idx, len(cdf) - 1)
-        i, j = dyad_from_index(idx, n)
+        if theta_deg:
+            np.add(s_rest, theta_deg * state.share, out=w)
+        else:
+            w[:] = s_rest
+        if pshifts and state.last_event is not None:
+            # a p-shift is a row (receiver role 2), a column (sender role
+            # 2) or one dyad; role 2 is every actor outside the last event
+            actor = state.last_event
+            other[list(actor)] = 0.0
+            for coef_p, (sender, receiver) in pshifts:
+                if receiver == 2:
+                    w[actor[sender]] += coef_p * other
+                elif sender == 2:
+                    w[:, actor[receiver]] += coef_p * other
+                else:
+                    w[actor[sender], actor[receiver]] += coef_p
+            other[list(actor)] = 1.0
+        diagonal[:] = -np.inf
+        w -= w.max()
+        np.exp(w, out=w)
+        i, j = _draw(w, rng.random())
         events.append((actors.actor_ids[i], actors.actor_ids[j]))
         state.update(i, j)
+        if state.array_terms:
+            new_tie = state.tie is not None and state.dyad_count[i, j] == 1
+            for x in (i, j):
+                s_rest[x] = (theta_arr * state.stat[:, x]).sum(axis=0) + base[x]
+                if new_tie:
+                    col = (theta_arr * state.stat[:, :, x]).sum(axis=0)
+                    s_rest[:, x] = col + base[:, x]
     seed_int = int(seed) if isinstance(seed, numbers.Integral) else -1
     return Trajectory(
         network_id=actors.network_id,
@@ -146,6 +192,22 @@ def simulate_trajectory(
         seed=seed_int,
         events=tuple(events),
     )
+
+
+def _draw(w: np.ndarray, u: float) -> tuple[int, int]:
+    """Dyad (i, j) of the inverse-CDF draw of ``u`` under the weights ``w``,
+    an (n, n) array with a zero diagonal, read in row-major (canonical dyad)
+    order: the row from the cumulative row sums, then the column from that
+    row's cumulative sum. A ``u * total`` that rounds past the last
+    boundary of the row sums, or of the row's, takes the row's last dyad."""
+    n = w.shape[0]
+    row_cdf = (w @ np.ones(n)).cumsum()
+    x = u * row_cdf[-1]
+    i = min(int(row_cdf.searchsorted(x, side="right")), n - 1)
+    if i:
+        x -= row_cdf[i - 1]
+    j = int(w[i].cumsum().searchsorted(x, side="right"))
+    return i, min(j, n - 2 if i == n - 1 else n - 1)
 
 
 def _derived_seed(master_seed: int, *key) -> int:

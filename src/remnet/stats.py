@@ -1,13 +1,16 @@
 """Event-history state and sufficient statistics for the 14 model terms.
 
-``HistoryState`` is the one store of the statistics: each event rewrites
-the whole (n, n) NTDegRec array, in O(n^2), and of the others only the
-rows and columns it changes. ``_fill_design`` reads the store over the
-whole risk set into a caller's array and builds only the p-shifts and
-ICR at read time; ``design_matrix`` is that read into a fresh (terms,
-dyads) matrix, and ``stat_vector`` is one column of it.
+``HistoryState`` is the one store of the statistics, sized to the terms
+it is built for: NTDegRec as an (n,) receiver share that each event
+rewrites in O(n), and the other terms that depend on more than the last
+event as (n, n) arrays stacked by position, of which each event rewrites
+only the rows and columns it changes. ``_fill_design`` reads the store
+over the whole risk set into a caller's array and builds only the
+p-shifts and ICR at read time; ``design_matrix`` is that read into a
+fresh (terms, dyads) matrix, and ``stat_vector`` is one column of it.
 ``inference.EventDesign`` keeps the same reads in structured form (the
-NTDegRec share, the ICR vector and each other term's nonzero entries).
+NTDegRec share, the ICR vector and each other term's nonzero entries),
+and ``simulation.simulate_trajectory`` scores from the store directly.
 This is the only implementation of the statistics. The tests check it
 bitwise against a naive oracle that recomputes each statistic from the
 raw event prefix.
@@ -51,20 +54,38 @@ class Term(enum.Enum):
 
 
 ALL_TERMS: tuple[Term, ...] = tuple(Term)
-# each p-shift's (sender, receiver) roles: 0 is the last event's sender,
-# 1 its receiver, 2 any other actor
-_PSHIFT_ROLES = {
-    Term.PSABBA: (1, 0),
-    Term.PSABBY: (1, 2),
-    Term.PSABXA: (2, 0),
-    Term.PSABXB: (2, 1),
-    Term.PSABAY: (0, 2),
-}
-PSHIFT_TERMS: tuple[Term, ...] = tuple(_PSHIFT_ROLES)
-# the terms HistoryState stores an (n, n) array for: design_matrix builds
-# the p-shifts and ICR at read time, and ITPSnd is OTPSnd's transpose
-_STORED_TERMS: tuple[Term, ...] = tuple(
-    t for t in Term if t not in (*PSHIFT_TERMS, Term.ITPSND, Term.ICR)
+# each term's canonical position, read as ``term.position``: an attribute
+# read, where a Term-keyed dict lookup or a tuple scan runs Python code
+for _position, _term in enumerate(ALL_TERMS):
+    _term.position = _position
+del _position, _term
+PSHIFT_TERMS: tuple[Term, ...] = (
+    Term.PSABBA,
+    Term.PSABBY,
+    Term.PSABXA,
+    Term.PSABXB,
+    Term.PSABAY,
+)
+# each p-shift's (sender, receiver) roles, by position in PSHIFT_TERMS: 0
+# is the last event's sender, 1 its receiver, 2 any other actor
+_PSHIFT_ROLES = ((1, 0), (1, 2), (2, 0), (2, 1), (0, 2))
+# the terms with an (n, n) array in ``HistoryState.stat``, in canonical
+# order; design_matrix builds NTDegRec from the (n,) share and the
+# p-shifts and ICR at read time
+_ARRAY_TERMS: tuple[Term, ...] = (
+    Term.FRPSNDSND,
+    Term.RRECSND,
+    Term.RSNDSND,
+    Term.OTPSND,
+    Term.ITPSND,
+    Term.OSPSND,
+    Term.ISPSND,
+)
+_TRIADIC_TERMS = _ARRAY_TERMS[3:]
+# by term position: a p-shift's roles, None for any other term
+_ROLES_AT = tuple(
+    _PSHIFT_ROLES[PSHIFT_TERMS.index(t)] if t in PSHIFT_TERMS else None
+    for t in ALL_TERMS
 )
 
 _TERM_BY_NAME = {t.value: t for t in Term}
@@ -85,14 +106,21 @@ def canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
 
 class HistoryState:
     """Cumulative event history of one network of ``n`` actors, and the
-    statistics that depend on more than the last event.
+    statistics of ``terms`` (all 14 by default) that depend on more than
+    the last event.
 
-    Besides the counts, the recency lists and ``last_event``, it keeps the
-    0/1 tie matrix ``tie`` and, in ``stat``, one (n, n) float64 array for
-    each of NTDegRec, FrPSndSnd, RRecSnd, RSndSnd, OTPSnd, OSPSnd and
-    ISPSnd, plus ITPSnd as a view of OTPSnd's transpose; entry (i, j),
-    i != j, is the statistic of dyad (i, j). ``update(a, b)`` rewrites
-    only what event a -> b changes: the NTDegRec share; row a of
+    It always keeps the counts (``dyad_count``, ``out_degree``,
+    ``in_degree``, ``n_past_events``) and ``last_event``, from which the
+    p-shifts are read. Of the rest it keeps only what ``terms`` read:
+    ``share``, NTDegRec's (n,) receiver share (None without NTDegRec);
+    ``recency_out`` with RSndSnd and ``recency_in`` with RRecSnd (else
+    they stay empty); the 0/1 tie matrix ``tie`` (None without a triadic
+    term); and ``stat``, one (n, n) float64 array per term of
+    ``array_terms`` (the terms of ``terms`` among FrPSndSnd,
+    RRecSnd, RSndSnd, OTPSnd, ITPSnd, OSPSnd and ISPSnd, in that order),
+    stacked by position: entry (p, i, j), i != j, is term p's statistic
+    of dyad (i, j). ``update(a, b)`` rewrites only what event a -> b
+    changes, all in rows and columns a and b: the share; row a of
     FrPSndSnd; the listed alters of RSndSnd row a and of RRecSnd row b;
     and, on a new tie a -> b only, rows and columns a or b of the triadic
     arrays, each by adding a row or column of ``tie``. Each entry has the
@@ -104,6 +132,7 @@ class HistoryState:
 
     __slots__ = (
         "n",
+        "terms",
         "dyad_count",
         "out_degree",
         "in_degree",
@@ -111,13 +140,24 @@ class HistoryState:
         "recency_out",
         "last_event",
         "n_past_events",
+        "share",
         "tie",
+        "array_terms",
         "stat",
+        "slot",
+        "_frp",
+        "_rrec",
+        "_rsnd",
+        "_otp",
+        "_itp",
+        "_osp",
+        "_isp",
         "_inv_rank",
     )
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, terms: Iterable[Term] = ALL_TERMS):
         self.n = n
+        self.terms = tuple(terms)
         self.dyad_count = np.zeros((n, n), dtype=np.int64)
         self.out_degree = np.zeros(n, dtype=np.int64)
         self.in_degree = np.zeros(n, dtype=np.int64)
@@ -127,9 +167,26 @@ class HistoryState:
         self.recency_out: list[list[int]] = [[] for _ in range(n)]
         self.last_event: tuple[int, int] | None = None
         self.n_past_events = 0
-        self.tie = np.zeros((n, n))
-        self.stat = {term: np.zeros((n, n)) for term in _STORED_TERMS}
-        self.stat[Term.ITPSND] = self.stat[Term.OTPSND].T  # a view
+        self.share = np.zeros(n) if Term.NTDEGREC in self.terms else None
+        kept = tuple(t for t in _ARRAY_TERMS if t in self.terms)
+        self.array_terms = kept
+        self.stat = np.zeros((len(kept), n, n))
+        self.tie = np.zeros((n, n)) if any(t in kept for t in _TRIADIC_TERMS) else None
+        # by term position: the term's index in ``stat``, -1 for a kept
+        # term read otherwise, None for a term not kept
+        self.slot = tuple(
+            kept.index(t) if t in kept else -1 if t in self.terms else None
+            for t in ALL_TERMS
+        )
+        (
+            self._frp,
+            self._rrec,
+            self._rsnd,
+            self._otp,
+            self._itp,
+            self._osp,
+            self._isp,
+        ) = (self.stat[kept.index(t)] if t in kept else None for t in _ARRAY_TERMS)
         self._inv_rank = 1.0 / np.arange(1, n + 1)
 
     def update(self, a: int, b: int) -> "HistoryState":
@@ -138,35 +195,47 @@ class HistoryState:
             raise ValueError("self-loop event")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError(f"unknown actor in event ({a}, {b})")
-        stat = self.stat
-        if not self.tie[a, b]:
+        tie = self.tie
+        if tie is not None and not tie[a, b]:
             # B -> B + e_a e_b' adds e_a B[b] + B[:, a] e_b' to B B, and
-            # likewise to B B' and B'B; their diagonals are never read
-            tie = self.tie
-            stat[Term.OTPSND][a] += tie[b]
-            stat[Term.OTPSND][:, b] += tie[:, a]
-            stat[Term.OSPSND][a] += tie[:, b]
-            stat[Term.OSPSND][:, a] += tie[:, b]
-            stat[Term.ISPSND][b] += tie[a]
-            stat[Term.ISPSND][:, b] += tie[a]
+            # likewise to B B' and B'B; their diagonals are never read.
+            # ITPSnd is OTPSnd's transpose.
+            if self._otp is not None:
+                self._otp[a] += tie[b]
+                self._otp[:, b] += tie[:, a]
+            if self._itp is not None:
+                self._itp[:, a] += tie[b]
+                self._itp[b] += tie[:, a]
+            if self._osp is not None:
+                self._osp[a] += tie[:, b]
+                self._osp[:, a] += tie[:, b]
+            if self._isp is not None:
+                self._isp[b] += tie[a]
+                self._isp[:, b] += tie[a]
             tie[a, b] = 1.0
         self.dyad_count[a, b] += 1
         self.out_degree[a] += 1
         self.in_degree[b] += 1
         self.n_past_events += 1
-        volume = self.in_degree + self.out_degree
-        stat[Term.NTDEGREC][:] = volume / (2 * self.n_past_events)
-        stat[Term.FRPSNDSND][a] = self.dyad_count[a] / self.out_degree[a]
-        for row, alter, recency, term in (
-            (a, b, self.recency_out[a], Term.RSNDSND),
-            (b, a, self.recency_in[b], Term.RRECSND),
-        ):
-            if alter in recency:
-                recency.remove(alter)
-            recency.insert(0, alter)
-            stat[term][row, recency] = self._inv_rank[: len(recency)]
+        if self.share is not None:
+            volume = self.in_degree + self.out_degree
+            np.divide(volume, 2 * self.n_past_events, out=self.share)
+        if self._frp is not None:
+            self._frp[a] = self.dyad_count[a] / self.out_degree[a]
+        if self._rsnd is not None:
+            self._push(self.recency_out[a], b, self._rsnd[a])
+        if self._rrec is not None:
+            self._push(self.recency_in[b], a, self._rrec[b])
         self.last_event = (a, b)
         return self
+
+    def _push(self, recency: list[int], alter: int, row: np.ndarray) -> None:
+        """Move ``alter`` to the front of ``recency`` and write the inverse
+        ranks of the listed alters into ``row``."""
+        if alter in recency:
+            recency.remove(alter)
+        recency.insert(0, alter)
+        row[recency] = self._inv_rank[: len(recency)]
 
 
 def replay(events: Sequence[tuple[int, int]], n: int) -> HistoryState:
@@ -203,10 +272,10 @@ def _fill_design(
     view: ``out[c]``, read row-major, is term c over the risk set in
     canonical dyad order.
 
-    A read of ``state``: the stored terms are copied out of ``state.stat``
-    (ITPSnd from OTPSnd's transpose). Each p-shift is built from
+    A read of ``state``: the array terms are copied out of ``state.stat``
+    and NTDegRec from ``state.share``. Each p-shift is built from
     ``state.last_event`` as an outer product of role indicators, and ICR
-    from ``icr``.
+    from ``icr``. Raises ValueError for a term ``state`` was built without.
     """
     n = state.n
     role = np.zeros((3, n))
@@ -215,16 +284,19 @@ def _fill_design(
         role[0, a] = role[1, b] = 1.0
         role[2] = 1.0 - role[0] - role[1]
     for c, term in enumerate(terms):
-        if term in state.stat:
-            mat = state.stat[term]
-        elif term in _PSHIFT_ROLES:
-            sender, receiver = _PSHIFT_ROLES[term]
+        slot = state.slot[term.position]
+        if slot is None:
+            raise ValueError(f"history state keeps no statistics for {term!r}")
+        if slot >= 0:
+            mat = state.stat[slot]
+        elif term is Term.NTDEGREC:
+            mat = np.broadcast_to(state.share, (n, n))
+        elif _ROLES_AT[term.position] is not None:
+            sender, receiver = _ROLES_AT[term.position]
             mat = role[sender, :, None] * role[receiver]
-        elif term is Term.ICR:
+        else:  # ICR
             vec = np.asarray(icr, dtype=np.float64)
             mat = vec[:, None] + vec[None, :]
-        else:
-            raise ValueError(f"unknown term {term!r}")
         out[c] = _offdiag(mat)
 
 

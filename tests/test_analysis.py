@@ -217,6 +217,58 @@ def test_kruskal_near_degenerate_panel():
     assert p == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+def assert_matches_scipy_welch(a, b):
+    """welch_t_test agrees with scipy.stats.ttest_ind(equal_var=False): t to
+    1e-14 and p to 1e-12, relative."""
+    from scipy.stats import ttest_ind
+
+    t, p = welch_t_test(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # precision-loss notes
+        ref = ttest_ind(a, b, equal_var=False)
+    assert math.isclose(t, ref.statistic, rel_tol=1e-14, abs_tol=0.0), (t, ref)
+    assert math.isclose(p, ref.pvalue, rel_tol=1e-12, abs_tol=0.0), (p, ref)
+
+
+samples = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=2, max_size=59
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples, samples)
+def test_welch_matches_scipy_ttest_ind(a, b):
+    a, b = np.array(a), np.array(b)
+    if a.var() == 0 and b.var() == 0:
+        return  # both degenerate: covered by test_welch_identical_samples
+    assert_matches_scipy_welch(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+    st.integers(min_value=2, max_value=59),
+    samples,
+)
+def test_welch_with_one_zero_variance_sample_matches_scipy(value, size, b):
+    b = np.array(b)
+    if b.var() == 0:
+        b = np.append(b, b[0] + 1.0)
+    a = np.full(size, value)
+    assert_matches_scipy_welch(a, b)
+    assert_matches_scipy_welch(b, a)
+
+
+@pytest.mark.parametrize("sizes", [(40, 59), (50, 50), (59, 45)])
+def test_welch_large_t_underflows_like_scipy(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    a = rng.normal(0.0, 1e-6, sizes[0])
+    b = rng.normal(1e3, 1e-6, sizes[1])
+    t, p = welch_t_test(a, b)
+    assert abs(t) > 1e9 and p == 0.0
+    assert_matches_scipy_welch(a, b)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_kruskal_rejects_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):

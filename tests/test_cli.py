@@ -604,14 +604,19 @@ def test_import_and_load_leave_scipy_submodules_unloaded(data_dir):
 
 
 def test_each_command_loads_only_the_scipy_submodule_it_uses(data_dir, tmp_path):
-    """summarize and adequacy load none, fit and select scipy.special only."""
+    """summarize, adequacy, simulate and report load none; fit, select and
+    knockout load scipy.special only (knockout for Welch's t p-values)."""
     body = "from remnet.cli import main\ncode = main(sys.argv[1:])"
     base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
     base += ["--out", tmp_path / "out", "--terms", "PSAB-BA", "ICR"]
+    sim = ["--seed", "1", "--replicates", "2"]
     assert loaded_scipy(body, "summarize", *base) == [EXIT_OK, []]
     assert loaded_scipy(body, "select", *base) == [EXIT_OK, ["scipy.special"]]
     assert loaded_scipy(body, "adequacy", *base) == [EXIT_OK, []]
     assert loaded_scipy(body, "fit", *base) == [EXIT_OK, ["scipy.special"]]
+    assert loaded_scipy(body, "simulate", *base, *sim) == [EXIT_OK, []]
+    assert loaded_scipy(body, "knockout", *base, *sim) == [EXIT_OK, ["scipy.special"]]
+    assert loaded_scipy(body, "report", *base) == [EXIT_OK, []]
 
 
 def write_json_networks(path, network_ids, actors="abcd"):
