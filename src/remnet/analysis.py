@@ -6,10 +6,11 @@ match/recall adequacy of a fit, ranked over the blocks of an
 ``EventDesign``, and the significance tests used to compare knock-out
 conditions.
 
-Only the significance tests use SciPy, through submodules that load on
-first use. ``welch_t_test`` computes Welch's t and its degrees of freedom
-itself and takes the p-value from ``scipy.special.stdtr``, so
-``knockout`` loads ``scipy.special`` only. ``kruskal_wallis`` calls ``scipy.stats.kruskal``;
+Only the significance tests use SciPy, and each imports the submodule it
+needs when called, so importing this module loads NumPy only.
+``welch_t_test`` computes Welch's t and its degrees of freedom itself and
+takes the p-value from ``scipy.special.stdtr``, so ``knockout`` loads
+``scipy.special`` only. ``kruskal_wallis`` calls ``scipy.stats.kruskal``;
 no command calls it.
 """
 
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from remnet.data import ActorTable
 from remnet.inference import EventDesign, FitResult, _term_scores
@@ -104,6 +104,8 @@ def welch_t_test(sample_a, sample_b) -> tuple[float, float]:
     if np.isnan(df):  # the squares underflowed to 0/0; as ttest_ind, take 1
         df = 1.0
     t = (mean_a - mean_b) / np.sqrt(vn_a + vn_b)
+    import scipy.special
+
     p = 2 * scipy.special.stdtr(df, -np.abs(t))
     return float(t), float(p)
 
@@ -126,6 +128,8 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     first = groups[0].flat[0]
     if all((g == first).all() for g in groups):
         raise ValueError("all values are identical; H is undefined")
+    import scipy.stats
+
     h, p = scipy.stats.kruskal(*groups)
     return float(h), float(p)
 

@@ -21,9 +21,10 @@ Hunter & Smyth, NeurIPS 2011; Perry & Wolfe, JRSS-B 2013). A pass costs
 O(m*(n + nnz)*k^2), not O(m*n^2*k^2). ``EventDesign.blocks`` rebuilds the
 dense statistics a block of events at a time for adequacy.
 
-SciPy is used for one call, ``scipy.special.ndtri`` in
-``posterior_interval``; the submodule loads on first use, so importing
-this module loads NumPy only.
+Only ``posterior_interval`` uses SciPy: it imports ``scipy.special`` when
+called, for the normal quantile ``ndtri`` at any level. ``star_codes``
+reads its three quantiles from the constant ``_STAR_Z``, so importing this
+module, fitting and starring load NumPy only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy
 
 from remnet.data import ActorTable, EventSequence
 from remnet.stats import (
@@ -86,10 +86,13 @@ class PriorSpec:
     df: float = 4.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("prior scale must be positive")
-        if self.df <= 0:
-            raise ValueError("prior df must be positive")
+        # written so that NaN fails each check
+        if not math.isfinite(self.location):
+            raise ValueError("prior location must be finite")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("prior scale must be positive and finite")
+        if not 0 < self.df < math.inf:
+            raise ValueError("prior df must be positive and finite")
 
     def log_density(self, theta: np.ndarray) -> float:
         """Sum of the t log-densities of the coefficients, in closed form."""
@@ -666,8 +669,8 @@ def fit_map(
     is no special case: its gradient max-norm is 0, so it converges with
     no iteration, in one pass.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError("tol must be positive and finite")
     factors = design.factors(spec.terms)
     m = design.m
     k = spec.k
@@ -737,6 +740,15 @@ def fit_map(
 
 
 _STAR_LEVELS = (0.999, 0.99, 0.95)
+# scipy.special.ndtri(0.5 + level / 2.0) for each of _STAR_LEVELS, to the
+# last bit (SciPy 1.17.1): a 1-ulp change can move a boundary star code
+_STAR_Z = (3.2905267314919255, 2.5758293035489004, 1.959963984540054)
+
+
+def _intervals(fit: FitResult, z: float) -> list[tuple[float, float]]:
+    return [
+        (float(mu - z * s), float(mu + z * s)) for mu, s in zip(fit.mode, fit.sd)
+    ]
 
 
 def posterior_interval(
@@ -745,19 +757,19 @@ def posterior_interval(
     """Central Gaussian posterior intervals from the Laplace covariance."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
-    z = float(scipy.special.ndtri(0.5 + level / 2.0))
-    sd = fit.sd
-    return [
-        (float(mu - z * s), float(mu + z * s)) for mu, s in zip(fit.mode, sd)
-    ]
+    import scipy.special
+
+    return _intervals(fit, float(scipy.special.ndtri(0.5 + level / 2.0)))
 
 
 def star_codes(fit: FitResult) -> list[str]:
     """'*', '**', '***' when the 95/99/99.9% interval excludes 0.
 
-    An interval endpoint exactly at 0 counts as not excluding.
+    The intervals are those of ``posterior_interval`` at ``_STAR_LEVELS``,
+    from the quantiles in ``_STAR_Z``. An interval endpoint exactly at 0
+    counts as not excluding.
     """
-    intervals = [posterior_interval(fit, level) for level in _STAR_LEVELS]
+    intervals = [_intervals(fit, z) for z in _STAR_Z]
     codes = []
     for idx in range(fit.spec.k):
         code = ""

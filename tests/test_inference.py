@@ -610,6 +610,60 @@ def test_posterior_interval_z_is_the_normal_quantile_exactly():
         assert (-lo, hi) == (z, z), level
 
 
+def test_star_z_is_ndtri_to_the_last_bit():
+    from scipy.special import ndtri
+
+    assert len(inference._STAR_Z) == len(inference._STAR_LEVELS)
+    for level, z in zip(inference._STAR_LEVELS, inference._STAR_Z):
+        assert z == float(ndtri(0.5 + level / 2.0)), level
+
+
+def codes_from_posterior_intervals(fit):
+    """star_codes' rule applied to posterior_interval at each star level."""
+    by_level = [posterior_interval(fit, level) for level in inference._STAR_LEVELS]
+    codes = []
+    for idx in range(fit.spec.k):
+        excluding = [
+            stars
+            for stars, intervals in zip(("***", "**", "*"), by_level)
+            if intervals[idx][0] > 0.0 or intervals[idx][1] < 0.0
+        ]
+        codes.append(excluding[0] if excluding else "")
+    return codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.data())
+def test_star_codes_match_posterior_intervals(case):
+    k = case.draw(st.integers(1, len(ALL_TERMS)), label="k")
+    sds = case.draw(
+        st.lists(st.floats(1e-6, 1e3), min_size=k, max_size=k), label="sds"
+    )
+    fit = point_mass_fit({term: 0.0 for term in ALL_TERMS[:k]}, m=100)
+    fit.covariance = np.diag(np.square(sds))
+    # some modes sit exactly at ±z*sd, where an interval endpoint is 0
+    boundaries = [[sign * z * s for z in inference._STAR_Z for sign in (-1, 1)]
+                  for s in fit.sd]
+    fit.mode = np.array([
+        case.draw(st.floats(-1e4, 1e4) | st.sampled_from(b), label="mode")
+        for b in boundaries
+    ])
+    assert star_codes(fit) == codes_from_posterior_intervals(fit)
+
+
+def test_star_codes_endpoint_at_zero_gives_no_star():
+    fit = point_mass_fit({Term.ICR: 0.0, Term.PSABBA: 0.0, Term.RRECSND: 0.0}, m=100)
+    fit.covariance = np.diag([0.3, 1.7, 2.9]) ** 2
+    z999, z99, z95 = inference._STAR_Z
+    # each mode puts one level's lower (or upper) endpoint at exactly 0
+    fit.mode = np.array([z999, -z99, z95]) * fit.sd
+    lows = [lo for lo, _ in posterior_interval(fit, 0.999)]
+    highs = [hi for _, hi in posterior_interval(fit, 0.99)]
+    assert lows[0] == 0.0 and highs[1] == 0.0
+    assert star_codes(fit) == ["**", "*", ""]
+    assert star_codes(fit) == codes_from_posterior_intervals(fit)
+
+
 def test_star_codes_per_term():
     # sd 1: the 99.9/99/95% half-widths are 3.29, 2.58 and 1.96
     modes = {Term.PSABBA: 3.5, Term.ICR: 2.8, Term.RRECSND: -2.0, Term.PSABAY: 1.0}
@@ -632,10 +686,24 @@ def test_fit_result_json_roundtrip(tmp_path, small_fixture):
 
 
 def test_prior_validation():
-    with pytest.raises(ValueError):
-        PriorSpec(scale=0.0)
-    with pytest.raises(ValueError):
-        PriorSpec(df=-1.0)
+    # NaN and the infinities fail too: log_density would return nan or -inf
+    bad = {
+        "scale": (0.0, -1.0, math.nan, math.inf),
+        "df": (0.0, -1.0, math.nan, math.inf),
+        "location": (math.nan, math.inf, -math.inf),
+    }
+    for field, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=f"prior {field}"):
+                PriorSpec(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_fit_map_rejects_tol_that_is_not_positive_and_finite(small_fixture, tol):
+    actors, seq = small_fixture
+    spec = ModelSpec(terms=(Term.PSABBA,), network_id="net")
+    with pytest.raises(ValueError, match="tol"):
+        fit_map(spec, EventDesign(actors, seq, spec.terms), tol=tol)
 
 
 def test_prior_log_density_matches_scipy():
