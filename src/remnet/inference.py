@@ -12,12 +12,15 @@ per-event statistics of one network in O(m*n + nnz) memory: NTDegRec as a
 receiver share per event, ICR as a static actor vector and the other
 twelve terms as their nonzero entries. One kernel, ``_evaluate``, gives
 the log-likelihood, gradient and Hessian in one pass over a spec's
-``_Factors``, which ``fit_map`` collects once per fit. Over the dyads where
-none of the spec's sparse terms is nonzero, a score is a sender part plus a
-receiver part, so the normaliser and the moments factorise,
-sum_{i != j} e^(r_i + c_j) = (sum_i e^(r_i))(sum_j e^(c_j)) - sum_i
-e^(r_i + c_i), and each touched dyad adds one correction (Vu, Asuncion,
-Hunter & Smyth, NeurIPS 2011; Perry & Wolfe, JRSS-B 2013). A pass costs
+``_Factors``, which ``fit_map`` collects once per fit with one mask of the
+spec's keys and gathers from the design's per-key event, sender and
+receiver maps. Over the dyads where none of the spec's sparse terms is
+nonzero, a score is a sender part plus a receiver part, so the normaliser
+and the moments factorise, sum_{i != j} e^(r_i + c_j) = (sum_i e^(r_i))
+(sum_j e^(c_j)) - sum_i e^(r_i + c_i), and each touched dyad adds one
+correction (Vu, Asuncion, Hunter & Smyth, NeurIPS 2011; Perry & Wolfe,
+JRSS-B 2013). A spec with neither NTDegRec nor ICR scores those dyads 0,
+so their mass is their count times e^(-M_t) in closed form. A pass costs
 O(m*(n + nnz)*k^2), not O(m*n^2*k^2). ``EventDesign.blocks`` rebuilds the
 dense statistics a block of events at a time for adequacy.
 
@@ -77,6 +80,11 @@ class ModelSpec:
         return [t.value for t in self.terms]
 
 
+# the prior df from which ``PriorSpec.log_density`` takes its lgamma
+# difference from the asymptotic series
+_SERIES_DF = 1e3
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Independent t-prior applied to every coefficient."""
@@ -95,15 +103,26 @@ class PriorSpec:
             raise ValueError("prior df must be positive and finite")
 
     def log_density(self, theta: np.ndarray) -> float:
-        """Sum of the t log-densities of the coefficients, in closed form."""
+        """Sum of the t log-densities of the coefficients, in closed form.
+
+        From ``_SERIES_DF`` on, lgamma((nu+1)/2) - lgamma(nu/2), which
+        cancels to no precision and overflows at huge nu, is taken from its
+        asymptotic series 0.5 ln(nu/2) - 1/(4 nu) + 1/(24 nu^3), whose next
+        term is below 1e-16 there; the normalising constant then tends to
+        the Gaussian's, -0.5 ln(2 pi) - ln(scale).
+        """
         nu = self.df
         z = (np.asarray(theta, dtype=np.float64) - self.location) / self.scale
-        const = (
-            math.lgamma((nu + 1.0) / 2.0)
-            - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi)
-            - math.log(self.scale)
-        )
+        if nu < _SERIES_DF:
+            const = (
+                math.lgamma((nu + 1.0) / 2.0)
+                - math.lgamma(nu / 2.0)
+                - 0.5 * math.log(nu * math.pi)
+            )
+        else:
+            inv = 1.0 / nu
+            const = -0.5 * math.log(2.0 * math.pi) - inv / 4.0 + inv**3 / 24.0
+        const -= math.log(self.scale)
         return float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
@@ -115,7 +134,7 @@ class PriorSpec:
         return (
             -(self.df + 1.0)
             * (self.df - z * z)
-            / (self.scale**2 * (self.df + z * z) ** 2)
+            / (self.scale * self.scale * (self.df + z * z) ** 2)
         )
 
 
@@ -184,26 +203,39 @@ class DesignStore:
     ``share[t]`` is NTDegRec's receiver share at event t (None unless the
     design has NTDegRec): dyad (i, j) has ``share[t, j]``. ``icr`` is the
     0/1 actor vector: dyad (i, j) has ICR ``icr[i] + icr[j]``. The other
-    (sparse) terms are nonzero only on the dyads ``keys`` lists, in
-    increasing order of ``event * n_dyads + dyad``: the union of their
-    nonzero entries. ``entries[term]`` is a sparse term's (slots, values):
-    its nonzero statistics and their positions in ``keys``, in increasing
-    order.
+    (sparse) terms are nonzero only on the touched dyads, the union of
+    their nonzero entries, which the key maps list in (event, dyad) order:
+    key u is dyad (``sender[u]``, ``receiver[u]``) at event ``event[u]``,
+    each map in the narrowest unsigned type that holds its values (at most
+    8 bytes a key together). ``obs_slot[t]`` is the key of event t's
+    observed dyad, or -1 when that dyad is untouched. ``entries[term]`` is
+    a sparse term's (slots, values): its nonzero statistics and their keys,
+    in increasing order.
     """
 
     share: np.ndarray | None
     icr: np.ndarray
-    keys: np.ndarray
+    event: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
+    obs_slot: np.ndarray
     entries: dict[Term, tuple[np.ndarray, np.ndarray]]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the share, icr, keys, slots and values arrays."""
-        arrays = [self.icr, self.keys]
+        """Bytes of the share, icr, key map, slot and value arrays."""
+        arrays = [self.icr, self.event, self.sender, self.receiver, self.obs_slot]
         arrays += [a for pair in self.entries.values() for a in pair]
         if self.share is not None:
             arrays.append(self.share)
         return sum(a.nbytes for a in arrays)
+
+    def dyads(self, slots) -> np.ndarray:
+        """Canonical dyad index (``stats.dyad_index``) of the keys at
+        ``slots``, as intp."""
+        i = self.sender[slots].astype(np.intp)
+        j = self.receiver[slots].astype(np.intp)
+        return i * (self.icr.size - 1) + j - (j > i)
 
 
 class EventDesign:
@@ -212,12 +244,15 @@ class EventDesign:
     The statistics of ``terms`` (all 14 by default) are read from one
     ``HistoryState`` replay of the events into ``store``, a
     ``DesignStore``: NTDegRec as an (m, n) receiver share, ICR as the
-    static actor vector and each other term as its nonzero entries. Memory
-    is O(m*n + nnz), ``store.nbytes`` bytes; ``full_tensor`` is another
-    name for ``store``, the attribute perfbench's spans read. There are
-    two readers: ``blocks`` rebuilds the dense statistics a block of whole
-    events at a time (adequacy reads them), and ``factors`` gives a spec's
-    statistics in the factorised form of the likelihood kernel.
+    static actor vector and each other term as its nonzero entries, with
+    the event, sender and receiver of each key. Memory is O(m*n + nnz),
+    ``store.nbytes`` bytes; ``full_tensor`` is another name for ``store``,
+    the attribute perfbench's spans read. ``dyad_sender`` and
+    ``dyad_receiver`` are the sender and receiver of each canonical dyad.
+    There are two readers: ``blocks`` rebuilds the dense statistics a
+    block of whole events at a time (adequacy reads them), and ``factors``
+    gives a spec's statistics in the factorised form of the likelihood
+    kernel.
     """
 
     def __init__(
@@ -234,6 +269,8 @@ class EventDesign:
         self.n = n = actors.n
         self.m = m = seq.m
         self.n_dyads = D = n * (n - 1)
+        # each canonical dyad's sender and receiver
+        self.dyad_sender, self.dyad_receiver = dyad_from_index(np.arange(D), n)
         sparse = [t for t in self.terms if t not in _BASE_TERMS]
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
@@ -267,11 +304,32 @@ class EventDesign:
             for c, parts in enumerate(found):
                 lo, hi = bounds[c], bounds[c + 1]
                 parts.append((slot[lo:hi], value[lo:hi]))
+        stats = flat = nonzero = None  # free the block buffers for what follows
         entries = {
             t: tuple(np.concatenate(x) for x in zip(*parts))
             for t, parts in zip(sparse, found)
         }
-        self.store = DesignStore(share, icr, np.concatenate(keys), entries)
+        # the touched dyads' keys event * n_dyads + dyad, in increasing order,
+        # and where each event's observed dyad is among them
+        keys = np.concatenate(keys)
+        event, dyad = np.divmod(keys, D)
+        obs_slot = np.full(m, -1)
+        if n_keys:
+            obs_key = np.arange(m) * D + obs
+            at = np.searchsorted(keys[:-1], obs_key)
+            hit = keys[at] == obs_key
+            obs_slot[hit] = at[hit]
+        # narrow key maps: the smallest types that hold each map's values
+        actor_type = np.min_scalar_type(n - 1)
+        self.store = DesignStore(
+            share,
+            icr,
+            event.astype(np.min_scalar_type(m - 1)),
+            self.dyad_sender.astype(actor_type)[dyad],
+            self.dyad_receiver.astype(actor_type)[dyad],
+            obs_slot.astype(np.min_scalar_type(-max(n_keys, 1))),
+            entries,
+        )
         self.obs_idx = obs
 
     @property
@@ -298,11 +356,17 @@ class EventDesign:
         """
         terms = self._checked(terms)
         store, D = self.store, self.n_dyads
-        sender, receiver = dyad_from_index(np.arange(D), self.n)
+        sender, receiver = self.dyad_sender, self.dyad_receiver
         per_block = max(1, _BLOCK_ROWS // D)
-        for start in range(0, self.m, per_block):
+        starts = range(0, self.m, per_block)
+        # where each block's keys begin, searched at once: a search casts
+        # the narrow event map to the type of what it looks for
+        bounds = np.searchsorted(store.event, [*starts, self.m])
+        for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
             stop = min(start + per_block, self.m)
-            block_slots = np.searchsorted(store.keys, (start * D, stop * D))
+            # each of the block's keys as a position in its (b, n_dyads) rows
+            pos = (store.event[first:last].astype(np.intp) - start) * D
+            pos += store.dyads(slice(first, last))
             X = np.zeros((len(terms), stop - start, D))
             for c, term in enumerate(terms):
                 if term is Term.NTDEGREC:
@@ -311,8 +375,8 @@ class EventDesign:
                     X[c] = store.icr[sender] + store.icr[receiver]
                 else:
                     slots, values = store.entries[term]
-                    lo, hi = np.searchsorted(slots, block_slots)
-                    X[c].reshape(-1)[store.keys[slots[lo:hi]] - start * D] = values[lo:hi]
+                    lo, hi = np.searchsorted(slots, (first, last))
+                    X[c].reshape(-1)[pos[slots[lo:hi] - first]] = values[lo:hi]
             yield X, self.obs_idx[start:stop]
 
     def factors(self, terms: Sequence[Term]) -> "_Factors":
@@ -357,13 +421,16 @@ class _Factors:
     order, the ``partial`` (not full) events' first ``n_partial`` before
     the full events'; ``X`` holds every term's statistics there, shape
     (k, U). ``starts`` and ``events`` are where each event with a listed
-    dyad begins and which event it is.
+    dyad begins and which event it is. ``rank[c]`` is the kernel position
+    of spec term c. All of it is gathered from the store's key maps
+    through one mask of the spec's keys; only full events' keys are
+    turned into dyad indices.
 
     A partial event's untouched dyads have only base statistics, a sender
     part plus a receiver part: ``P[q, i] + Q[q, e, j]`` for dyad (i, j)
     of event ``partial[e]`` (NTDegRec: 0 + share; ICR: icr_i + icr_j).
-    ``x_obs`` holds the statistics of each event's observed dyad, shape
-    (k, m).
+    ``n_untouched[e]`` counts them. ``x_obs`` holds the statistics of each
+    event's observed dyad, shape (k, m).
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
@@ -371,6 +438,7 @@ class _Factors:
         base = [c for c, t in enumerate(terms) if t in _BASE_TERMS]
         sparse = [c for c, t in enumerate(terms) if t not in _BASE_TERMS]
         self.order = np.array(base + sparse, dtype=np.intp)
+        self.rank = np.argsort(self.order)
         self.n_base = nb = len(base)
         self.m, self.n = m, n
         self.P = np.zeros((nb, n))
@@ -382,49 +450,62 @@ class _Factors:
                 Q[q] = store.share
         entries = [store.entries[terms[c]] for c in sparse]
 
-        # the spec's touched dyads: the slots of ``store.keys`` where any of
-        # its sparse terms is nonzero
-        in_spec = np.zeros(store.keys.size, dtype=bool)
+        # the spec's touched dyads: the keys where any of its sparse terms
+        # is nonzero
+        in_spec = np.zeros(store.event.size, dtype=bool)
         for slots, _ in entries:
             in_spec[slots] = True
-        event, dyad = np.divmod(store.keys[in_spec], D)
-        touched = np.bincount(event, minlength=m)
+        spec_slots = np.flatnonzero(in_spec)
+        spec_event = store.event[spec_slots]
+        touched = np.bincount(spec_event, minlength=m)
         self.full = 2 * touched > D
-        listed = np.where(self.full, D, touched)
+        self.partial = np.flatnonzero(~self.full)
+        full_events = np.flatnonzero(self.full)
+        self.n_untouched = (D - touched[self.partial]).astype(np.float64)
+        # a partial event lists its touched keys, a full event every dyad;
         # the partial events' dyads first, the full events' last
-        event_order = np.concatenate([np.flatnonzero(~self.full), np.flatnonzero(self.full)])
-        first = np.empty(m, dtype=np.intp)
-        first[event_order] = np.cumsum(listed[event_order]) - listed[event_order]
-        self.n_partial = int(listed[~self.full].sum())
-        # each touched slot's column of X: a full event lists every dyad,
-        # any other event only its touched ones, in order
-        rank = np.arange(event.size) - (np.cumsum(touched) - touched)[event]
-        column = np.zeros(store.keys.size, dtype=np.intp)
-        column[in_spec] = first[event] + np.where(self.full[event], dyad, rank)
-        self.event = np.repeat(event_order, listed[event_order])
-        all_dyads = np.empty(self.event.size, dtype=np.intp)
-        all_dyads[column[in_spec]] = dyad
-        all_dyads[first[self.full][:, None] + np.arange(D)] = np.arange(D)
-        self.sender, self.receiver = dyad_from_index(all_dyads, n)
-        self.events = event_order[listed[event_order] > 0]
-        self.starts = first[self.events]
+        in_full = self.full[spec_event]
+        listed = spec_slots[~in_full]
+        self.n_partial = n_partial = listed.size
+        e_full = full_events.size
+        self.event, self.sender, self.receiver = np.empty(
+            (3, n_partial + e_full * D), dtype=np.intp
+        )
+        for row, key_map, in_full_event in (
+            (self.event, store.event, full_events[:, None]),
+            (self.sender, store.sender, design.dyad_sender),
+            (self.receiver, store.receiver, design.dyad_receiver),
+        ):
+            row[:n_partial] = key_map[listed]
+            row[n_partial:].reshape(e_full, D)[:] = in_full_event
+        event_order = np.concatenate([self.partial, full_events])
+        counts = np.where(self.full, D, touched)[event_order]
+        self.events = event_order[counts > 0]
+        self.starts = (np.cumsum(counts) - counts)[counts > 0]
 
+        # each spec key's column of X: a full event's keys at their dyads
+        column = np.empty(store.event.size, dtype=np.intp)
+        column[listed] = np.arange(n_partial)
+        if e_full:
+            full_slots = spec_slots[in_full]
+            full_rank = np.cumsum(self.full) - 1
+            column[full_slots] = (
+                n_partial + full_rank[store.event[full_slots]] * D + store.dyads(full_slots)
+            )
         self.X = np.zeros((len(terms), self.event.size))
         for q in range(nb):
             self.X[q] = self.P[q, self.sender] + Q[q, self.event, self.receiver]
         for q, (slots, values) in enumerate(entries, start=nb):
             self.X[q, column[slots]] = values
         obs_event = np.arange(m)
-        obs_sender, obs_receiver = dyad_from_index(design.obs_idx, n)
+        obs_sender = design.dyad_sender[design.obs_idx]
+        obs_receiver = design.dyad_receiver[design.obs_idx]
         self.x_obs = np.zeros((len(terms), m))
         for q in range(nb):
             self.x_obs[q] = self.P[q, obs_sender] + Q[q, obs_event, obs_receiver]
-        if store.keys.size:  # else every sparse statistic is 0
-            obs_key = obs_event * D + design.obs_idx
-            obs_slot = np.searchsorted(store.keys[:-1], obs_key)
-            hit = in_spec[obs_slot] & (store.keys[obs_slot] == obs_key)
-            self.x_obs[nb:, hit] = self.X[nb:, column[obs_slot[hit]]]
-        self.partial = event_order[: m - int(self.full.sum())]
+        hit = np.flatnonzero(store.obs_slot >= 0)
+        hit = hit[in_spec[store.obs_slot[hit]]]
+        self.x_obs[nb:, hit] = self.X[nb:, column[store.obs_slot[hit]]]
         self.Q = Q[:, self.partial]
         # the kernel's (k, U) temporary, reused by every pass
         self.work = np.empty_like(self.X)
@@ -504,61 +585,73 @@ def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.nda
     r_i + c_tj (from the top two of r and of c_t) and its largest listed
     score. Where the touched dyads hold over half an event's base mass,
     the sum over its untouched dyads is taken dyad by dyad, not as a
-    cancelling difference. Raises NumericalError for a non-finite theta
-    or score.
+    cancelling difference. A spec with no base term (r = c = 0) skips all
+    of that: each untouched dyad scores 0, so M_t is the larger of 0 and
+    the event's largest listed score, and the untouched mass is
+    ``n_untouched * e^(-M_t)`` (a partial event lists at most half its
+    dyads, so no difference cancels). Raises NumericalError for a
+    non-finite theta or score.
     """
     if not np.all(np.isfinite(theta)):
         raise NumericalError("non-finite theta")
     nb, m, n = f.n_base, f.m, f.n
     th = theta[f.order]
     pe, part = f.partial, slice(0, f.n_partial)
-    rows = np.arange(pe.size)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        base = th[:nb] @ f.X[:nb]
-        s = base + th[nb:] @ f.X[nb:]
+        s = th[nb:] @ f.X[nb:]
+        if nb:
+            base = th[:nb] @ f.X[:nb]
+            s += base
         M = np.full(m, -np.inf)
         if s.size:
             M[f.events] = np.maximum.reduceat(s, f.starts)
-        # off-diagonal maximum of r_i + c_tj: sender `top` = argmax c_t
-        # pairs with the runner-up receiver, every other sender with `top`
-        r = th[:nb] @ f.P
-        c = np.tensordot(th[:nb], f.Q, axes=1) if nb else np.zeros((pe.size, n))
-        top = np.argmax(c, axis=1)
-        c_max = c[rows, top]
-        c_second = np.partition(c, n - 2, axis=1)[:, n - 2]
-        r_other = np.where(top == np.argmax(r), np.partition(r, n - 2)[n - 2], r.max())
-        M[pe] = np.maximum(M[pe], np.maximum(r_other + c_max, r[top] + c_second))
+        if nb:
+            # off-diagonal maximum of r_i + c_tj: sender `top` = argmax c_t
+            # pairs with the runner-up receiver, every other sender with `top`
+            rows = np.arange(pe.size)
+            r = th[:nb] @ f.P
+            c = np.tensordot(th[:nb], f.Q, axes=1)
+            top = np.argmax(c, axis=1)
+            c_max = c[rows, top]
+            c_second = np.partition(c, n - 2, axis=1)[:, n - 2]
+            r_other = np.where(top == np.argmax(r), np.partition(r, n - 2)[n - 2], r.max())
+            M[pe] = np.maximum(M[pe], np.maximum(r_other + c_max, r[top] + c_second))
+        else:  # every untouched dyad scores 0
+            M[pe] = np.maximum(M[pe], 0.0)
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(s))):
         raise NumericalError("non-finite linear predictor")
 
-    # every off-diagonal dyad of a partial event at d = 0: sender i's
-    # weight times its receivers' sums, each shifted so that no factor
-    # exceeds 1
-    Mp = M[pe]
-    rho = r + (c_max - Mp)[:, None]
-    rho[rows, top] = r[top] + c_second - Mp
-    np.exp(rho, out=rho)
-    b = np.exp(c - c_max[:, None])
-    b_top = c - c_second[:, None]
-    b_top[rows, top] = -np.inf
-    np.exp(b_top, out=b_top)
-    G0 = _row_sums(b, b_top, top)
-    G1 = [_row_sums(b, b_top, top, f.Q[q]) for q in range(nb)]
-    S0 = np.sum(rho * G0, axis=1)
-    S1 = np.empty((nb, pe.size))
-    for q in range(nb):
-        S1[q] = np.sum(rho * (f.P[q] * G0 + G1[q]), axis=1)
-
-    # less the touched dyads at d = 0 (w0): the untouched sums
     M_listed = M[f.event]
-    w0 = np.exp(base[part] - M_listed[part])
-    Xb = f.X[:nb, part]
     U0, U1 = np.zeros(m), np.zeros((nb, m))
-    U0[pe] = S0 - _per_event(f, w0)[pe]
-    U1[:, pe] = S1 - _per_event(f, w0 * Xb)[:, pe]
-    direct = np.flatnonzero(U0[pe] < 0.5 * S0)
-    mass, first, U2_direct = _untouched_direct(f, r, c, Mp, direct)
-    U0[pe[direct]], U1[:, pe[direct]] = mass, first
+    if nb:
+        # every off-diagonal dyad of a partial event at d = 0: sender i's
+        # weight times its receivers' sums, each shifted so that no factor
+        # exceeds 1
+        Mp = M[pe]
+        rho = r + (c_max - Mp)[:, None]
+        rho[rows, top] = r[top] + c_second - Mp
+        np.exp(rho, out=rho)
+        b = np.exp(c - c_max[:, None])
+        b_top = c - c_second[:, None]
+        b_top[rows, top] = -np.inf
+        np.exp(b_top, out=b_top)
+        G0 = _row_sums(b, b_top, top)
+        G1 = [_row_sums(b, b_top, top, f.Q[q]) for q in range(nb)]
+        S0 = np.sum(rho * G0, axis=1)
+        S1 = np.empty((nb, pe.size))
+        for q in range(nb):
+            S1[q] = np.sum(rho * (f.P[q] * G0 + G1[q]), axis=1)
+
+        # less the touched dyads at d = 0 (w0): the untouched sums
+        w0 = np.exp(base[part] - M_listed[part])
+        Xb = f.X[:nb, part]
+        U0[pe] = S0 - _per_event(f, w0)[pe]
+        U1[:, pe] = S1 - _per_event(f, w0 * Xb)[:, pe]
+        direct = np.flatnonzero(U0[pe] < 0.5 * S0)
+        mass, first, U2_direct = _untouched_direct(f, r, c, Mp, direct)
+        U0[pe[direct]], U1[:, pe[direct]] = mass, first
+    else:  # each untouched dyad weighs e^(0 - M_t)
+        U0[pe] = f.n_untouched * np.exp(-M[pe])
 
     # plus the listed dyads at their scores
     w = np.exp(s - M_listed)
@@ -573,26 +666,24 @@ def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.nda
     H_k = E @ E.T - pX @ f.X.T
 
     # second moments of the base statistics over untouched dyads
-    weight = inv_Z.copy()
-    weight[f.full] = weight[pe[direct]] = 0.0
-    rho *= weight[pe, None]
-    w0 *= weight[f.event[part]]
-    for p in range(nb):
-        for q in range(p, nb):
-            G2 = _row_sums(b, b_top, top, f.Q[p] * f.Q[q])
-            S2 = np.sum(
-                rho
-                * (f.P[p] * f.P[q] * G0 + f.P[p] * G1[q] + f.P[q] * G1[p] + G2)
-            )
-            U2 = S2 - (w0 * Xb[p]) @ Xb[q] + U2_direct[p, q] @ inv_Z[pe[direct]]
-            H_k[p, q] -= U2
-            if q != p:
-                H_k[q, p] -= U2
+    if nb:
+        weight = inv_Z.copy()
+        weight[f.full] = weight[pe[direct]] = 0.0
+        rho *= weight[pe, None]
+        w0 *= weight[f.event[part]]
+        for p in range(nb):
+            for q in range(p, nb):
+                G2 = _row_sums(b, b_top, top, f.Q[p] * f.Q[q])
+                S2 = np.sum(
+                    rho
+                    * (f.P[p] * f.P[q] * G0 + f.P[p] * G1[q] + f.P[q] * G1[p] + G2)
+                )
+                U2 = S2 - (w0 * Xb[p]) @ Xb[q] + U2_direct[p, q] @ inv_Z[pe[direct]]
+                H_k[p, q] -= U2
+                if q != p:
+                    H_k[q, p] -= U2
 
-    g, H = np.empty_like(g_k), np.empty_like(H_k)
-    g[f.order] = g_k
-    H[np.ix_(f.order, f.order)] = H_k
-    return ll, g, H
+    return ll, g_k[f.rank], H_k[f.rank][:, f.rank]
 
 
 def log_likelihood(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> float:

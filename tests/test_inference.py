@@ -206,14 +206,19 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
             assert X.flags.c_contiguous
             assert np.array_equal(X, want) and np.array_equal(obs, want_obs)
     # the store is O(m*n + nnz): an (m, n) share, the icr vector, an
-    # 8-byte slot and an 8-byte value per nonzero sparse statistic, and an
-    # 8-byte key per dyad where any of them is nonzero
+    # 8-byte slot and an 8-byte value per nonzero sparse statistic, a
+    # 1-byte event, sender and receiver per key (a dyad where any of them is
+    # nonzero: m = 70 and n = 32 each fit a byte) and each event's 2-byte
+    # observed key (-1 to keys - 1: both designs have 129 to 32768 keys)
     for design in (small, full):
         stats = np.concatenate([X for X, _ in design.blocks(design.terms)], axis=1)
         sparse = [c for c, t in enumerate(design.terms) if t not in (Term.NTDEGREC, Term.ICR)]
         nnz = np.count_nonzero(stats[sparse])
         keys = np.count_nonzero(np.any(stats[sparse] != 0, axis=0))
-        assert design.store.nbytes == 8 * (seq.m * actors.n + actors.n + keys) + 16 * nnz
+        assert 128 < keys <= 32768
+        assert design.store.nbytes == (
+            8 * (seq.m * actors.n + actors.n) + 3 * keys + 2 * seq.m + 16 * nnz
+        )
         assert design.full_tensor is design.store
         assert design.store.nbytes < stats.nbytes / 5
 
@@ -242,6 +247,38 @@ def test_blocks_match_fill_design_and_naive_oracle(case):
         ).T
         assert X[:, t].tobytes() == filled.tobytes() == naive.tobytes(), t
         state.update(*event)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.data())
+def test_factors_list_touched_dyads_with_their_block_statistics(case):
+    n = case.draw(st.integers(2, 8), label="n")
+    m = case.draw(st.integers(1, 25), label="m")
+    rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+    actors, seq = random_sequence(n, m, rng, icr_indices=tuple(range(0, n, 2)))
+    terms = case.draw(st.permutations(ALL_TERMS), label="order")
+    terms = terms[: case.draw(st.integers(1, 14), label="k")]
+    per_block = case.draw(st.integers(1, m), label="events per block")
+    with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
+        design = EventDesign(actors, seq, terms)
+        X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
+        f = design.factors(terms)
+    D = design.n_dyads
+    # each listed dyad holds its block row, the terms in kernel order
+    dyad = f.sender * (n - 1) + f.receiver - (f.receiver > f.sender)
+    assert f.X.tobytes() == X[f.order][:, f.event, dyad].tobytes()
+    assert f.x_obs.tobytes() == X[f.order][:, np.arange(m), design.obs_idx].tobytes()
+    # a partial event lists its touched dyads, a full one all, in dyad order
+    sparse = [c for c, t in enumerate(terms) if t not in (Term.NTDEGREC, Term.ICR)]
+    touched = np.any(X[sparse] != 0.0, axis=0)
+    assert np.array_equal(f.full, 2 * touched.sum(axis=1) > D)
+    for t in range(m):
+        want = np.arange(D) if f.full[t] else np.flatnonzero(touched[t])
+        assert np.array_equal(dyad[f.event == t], want)
+    # the partial events' dyads first, each event's together
+    assert not f.full[f.event[: f.n_partial]].any() and f.full[f.event[f.n_partial :]].all()
+    assert np.array_equal(f.event[f.starts], f.events)
+    assert np.array_equal(np.flatnonzero(np.diff(f.event) != 0) + 1, f.starts[1:])
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -349,14 +386,44 @@ def test_kernel_event_without_touched_dyad(small_fixture):
         assert_kernel_matches_oracle(design, terms, theta)
 
 
-def test_kernel_spec_without_base_terms(small_fixture):
+@pytest.mark.parametrize(
+    "case",
+    ["first_event_unlisted", "two_actors", "full_events", "zero_floor", "listed_maximum"],
+)
+def test_kernel_spec_without_base_terms(small_fixture, case):
+    # r = c = 0: every untouched dyad scores 0, and a partial event's
+    # untouched mass is its untouched count times e^(-M_t)
     actors, seq = small_fixture
     terms = (Term.OSPSND, Term.PSABBA, Term.RSNDSND)
+    thetas = [[0.4, 2.0, -1.0], [-2.5, -3.0, 2.0]]
+    rng = np.random.default_rng(31)
+    if case == "two_actors":
+        actors, seq = random_sequence(2, 15, rng)
+        terms, thetas = (Term.PSABBA, Term.RRECSND, Term.FRPSNDSND), [[1.5, -0.5, 2.0]]
+    elif case == "full_events":
+        actors, seq = random_sequence(4, 40, rng)
+        terms = (Term.RRECSND, Term.RSNDSND, Term.OTPSND, Term.ISPSND)
+        thetas = [[0.8, -1.2, 0.5, 1.1]]
+    elif case == "zero_floor":
+        thetas = [[-0.4, -2.0, -1.0]]
+    elif case == "listed_maximum":
+        thetas = [[0.4, 2.0, 1.0]]
     design = EventDesign(actors, seq, terms)
     factors = design.factors(terms)
-    # r = c = 0: every untouched dyad scores 0
     assert factors.n_base == 0 and factors.P.shape == (0, actors.n)
-    for theta in ([0.4, 2.0, -1.0], [-2.5, -3.0, 2.0]):
+    s = np.asarray(thetas[0])[factors.order] @ factors.X  # the listed scores
+    if case == "first_event_unlisted":
+        # no history before the first event: it lists no dyad
+        assert 0 not in factors.events and 0 in factors.partial
+    elif case == "two_actors":
+        assert design.n_dyads == 2 and factors.full.any() and factors.partial.size
+    elif case == "full_events":
+        assert factors.full.any() and np.any(factors.n_untouched < design.n_dyads)
+    elif case == "zero_floor":  # each partial event's M_t is its untouched 0
+        assert factors.n_partial and np.all(s[: factors.n_partial] < 0.0)
+    else:  # a partial event's largest listed score sets its M_t
+        assert np.any(s[: factors.n_partial] > 0.0)
+    for theta in thetas:
         assert_kernel_matches_oracle(design, terms, theta)
 
 
@@ -718,6 +785,18 @@ def test_prior_log_density_matches_scipy():
         want = student_t.logpdf(theta, prior.df, prior.location, prior.scale)
         assert prior.log_density(theta[:1]) == pytest.approx(want[0], rel=1e-13)
         assert prior.log_density(theta) == pytest.approx(want.sum(), rel=1e-13)
+
+
+def test_prior_log_density_at_large_df():
+    # lgamma((df + 1) / 2) - lgamma(df / 2) cancels to no precision at huge
+    # df and overflows at 1e308; the series takes over at 1e3
+    for df in (999.0, 1e3, 2e3):
+        want = student_t.logpdf([1.0, 37.0], df, 0.0, 10.0).sum()
+        assert PriorSpec(df=df).log_density([1.0, 37.0]) == pytest.approx(want, rel=1e-12)
+    gaussian = -0.5 * math.log(2.0 * math.pi) - math.log(10.0) - 0.5 * 0.1**2
+    assert gaussian == pytest.approx(-3.2265236, abs=1e-7)
+    for df in (1e20, 1e308):
+        assert PriorSpec(df=df).log_density(1.0) == pytest.approx(gaussian, rel=1e-12)
 
 
 def test_prior_derivatives_match_fd():
