@@ -14,15 +14,17 @@ twelve terms as their nonzero entries. One kernel, ``_evaluate``, gives
 the log-likelihood, gradient and Hessian in one pass over a spec's
 ``_Factors``, which ``fit_map`` collects once per fit with one mask of the
 spec's keys and gathers from the design's per-key event, sender and
-receiver maps. Over the dyads where none of the spec's sparse terms is
-nonzero, a score is a sender part plus a receiver part, so the normaliser
-and the moments factorise, sum_{i != j} e^(r_i + c_j) = (sum_i e^(r_i))
-(sum_j e^(c_j)) - sum_i e^(r_i + c_i), and each touched dyad adds one
-correction (Vu, Asuncion, Hunter & Smyth, NeurIPS 2011; Perry & Wolfe,
-JRSS-B 2013). A spec with neither NTDegRec nor ICR scores those dyads 0,
-so their mass is their count times e^(-M_t) in closed form. A pass costs
-O(m*(n + nnz)*k^2), not O(m*n^2*k^2). ``EventDesign.blocks`` rebuilds the
-dense statistics a block of events at a time for adequacy.
+receiver maps. ``_Factors`` lists each event's touched dyads (where one of
+the spec's sparse terms is nonzero) as rows of weight 1. The untouched
+dyads have base statistics alone, which depend on a dyad (i, j) only
+through its cell: the sender's icr_i (with ICR) and the receiver j (with
+NTDegRec) or its icr_j (with ICR alone). So an event has at most 2n cells,
+and each nonempty one is a single row weighted by its dyad count (the
+normaliser over counted classes: Perry & Wolfe, JRSS-B 2013). The kernel
+is then the dense kernel's arithmetic over those weighted rows, with no
+difference formed but H's. A pass costs O((m*n + nnz)*k^2), not
+O(m*n^2*k^2). ``EventDesign.blocks`` rebuilds the dense statistics a block
+of events at a time for adequacy.
 
 Only ``posterior_interval`` uses SciPy: it imports ``scipy.special`` when
 called, for the normal quantile ``ndtri`` at any level. ``star_codes``
@@ -125,16 +127,20 @@ class PriorSpec:
         const -= math.log(self.scale)
         return float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)))
 
+    # grad and hess_diag are written in u = z^2 / nu, so that no
+    # intermediate grows with nu: both stay finite at any finite df
     def grad(self, theta: np.ndarray) -> np.ndarray:
         z = (theta - self.location) / self.scale
-        return -(self.df + 1.0) * z / ((self.df + z * z) * self.scale)
+        u = z * z / self.df
+        return -(1.0 + 1.0 / self.df) * z / ((1.0 + u) * self.scale)
 
     def hess_diag(self, theta: np.ndarray) -> np.ndarray:
         z = (theta - self.location) / self.scale
+        u = z * z / self.df
         return (
-            -(self.df + 1.0)
-            * (self.df - z * z)
-            / (self.scale * self.scale * (self.df + z * z) ** 2)
+            -(1.0 + 1.0 / self.df)
+            * (1.0 - u)
+            / (self.scale * self.scale * (1.0 + u) ** 2)
         )
 
 
@@ -251,8 +257,8 @@ class EventDesign:
     ``dyad_receiver`` are the sender and receiver of each canonical dyad.
     There are two readers: ``blocks`` rebuilds the dense statistics a
     block of whole events at a time (adequacy reads them), and ``factors``
-    gives a spec's statistics in the factorised form of the likelihood
-    kernel.
+    gives a spec's statistics as the likelihood kernel's weighted rows:
+    each touched dyad, and one counted row per cell of untouched dyads.
     """
 
     def __init__(
@@ -380,8 +386,11 @@ class EventDesign:
             yield X, self.obs_idx[start:stop]
 
     def factors(self, terms: Sequence[Term]) -> "_Factors":
-        """The statistics of ``terms`` in the form ``_evaluate`` reads.
-        Raises ValueError naming any term the design was built without."""
+        """The statistics of ``terms`` as the weighted rows ``_evaluate``
+        reads: per event, its touched dyads, then one row per nonempty cell
+        of its untouched dyads, weighted by the cell's dyad count (see
+        ``_Factors``). Raises ValueError naming any term the design was
+        built without."""
         return _Factors(self, self._checked(terms))
 
 
@@ -403,287 +412,146 @@ def _term_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 # dyad rows per block: a block of ``EventDesign.blocks``, or of the
-# kernel's direct sums, stays cache-sized
+# kernel's Hessian sum, stays cache-sized
 _BLOCK_ROWS = 1 << 16
 
 
 class _Factors:
-    """A spec's statistics in the form ``_evaluate`` reads, collected once
-    per fit.
+    """A spec's statistics as the weighted rows ``_evaluate`` reads,
+    collected once per fit.
 
-    The kernel orders the terms base first: ``order[q]`` is the spec
-    position of kernel term q, and the first ``n_base`` are the spec's
-    NTDegRec and ICR. The other (sparse) terms are nonzero only on the
-    touched dyads, the union of their entries. The kernel scores the
-    listed dyads one by one: each event's touched dyads, or all of its
-    dyads when more than half are touched (a ``full`` event). ``event``,
-    ``sender`` and ``receiver`` list them, each event's together in dyad
-    order, the ``partial`` (not full) events' first ``n_partial`` before
-    the full events'; ``X`` holds every term's statistics there, shape
-    (k, U). ``starts`` and ``events`` are where each event with a listed
-    dyad begins and which event it is. ``rank[c]`` is the kernel position
-    of spec term c. All of it is gathered from the store's key maps
-    through one mask of the spec's keys; only full events' keys are
-    turned into dyad indices.
+    Each event lists two kinds of rows, together and in this order:
 
-    A partial event's untouched dyads have only base statistics, a sender
-    part plus a receiver part: ``P[q, i] + Q[q, e, j]`` for dyad (i, j)
-    of event ``partial[e]`` (NTDegRec: 0 + share; ICR: icr_i + icr_j).
-    ``n_untouched[e]`` counts them. ``x_obs`` holds the statistics of each
-    event's observed dyad, shape (k, m).
+    - its touched dyads, the dyads where any of the spec's sparse terms
+      is nonzero, in dyad order, each of weight 1;
+    - one class row per nonempty cell of its untouched dyads, in cell
+      order, weighted by the cell's size.
+
+    An untouched dyad (i, j) has only base statistics, and they depend on
+    i and j through its cell alone: the sender class is ``icr_i`` when the
+    spec has ICR (else 0), the receiver class ``j`` when it has NTDegRec,
+    else ``icr_j`` when it has ICR (else 0). So every dyad of a cell shares
+    one row of statistics: its base statistics and 0 for each sparse term.
+    An event has at most 2n cells, whose sizes are each cell's dyad count
+    less the event's touched dyads in it.
+
+    ``X`` holds every row's statistics in spec order, shape (k, rows);
+    ``count`` each row's weight and ``event`` its event, each in the
+    narrowest unsigned type that holds its values; ``starts`` where each
+    event's rows begin (every event has a row). ``x_obs`` holds each
+    event's observed-dyad row, shape (k, m). All of it is gathered from
+    the store's key maps through one mask of the spec's keys.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
-        store, n, m, D = design.store, design.n, design.m, design.n_dyads
-        base = [c for c, t in enumerate(terms) if t in _BASE_TERMS]
-        sparse = [c for c, t in enumerate(terms) if t not in _BASE_TERMS]
-        self.order = np.array(base + sparse, dtype=np.intp)
-        self.rank = np.argsort(self.order)
-        self.n_base = nb = len(base)
-        self.m, self.n = m, n
-        self.P = np.zeros((nb, n))
-        Q = np.empty((nb, m, n))
-        for q, c in enumerate(base):
-            if terms[c] is Term.ICR:
-                self.P[q] = Q[q] = store.icr
-            else:
-                Q[q] = store.share
-        entries = [store.entries[terms[c]] for c in sparse]
+        store, n, m = design.store, design.n, design.m
+        has_share, has_icr = Term.NTDEGREC in terms, Term.ICR in terms
+        entries = [
+            (c, store.entries[t]) for c, t in enumerate(terms) if t not in _BASE_TERMS
+        ]
+
+        # each actor's sender class (0 or 1) and receiver class (0 to n - 1),
+        # and each dyad's cell
+        icr = store.icr.astype(np.intp)
+        zero = np.zeros(n, dtype=np.intp)
+        sender_class = icr if has_icr else zero
+        receiver_class = np.arange(n) if has_share else icr if has_icr else zero
+
+        def cells(senders, receivers):
+            return sender_class[senders] * n + receiver_class[receivers]
 
         # the spec's touched dyads: the keys where any of its sparse terms
         # is nonzero
         in_spec = np.zeros(store.event.size, dtype=bool)
-        for slots, _ in entries:
+        for _, (slots, _) in entries:
             in_spec[slots] = True
         spec_slots = np.flatnonzero(in_spec)
-        spec_event = store.event[spec_slots]
+        spec_event = store.event[spec_slots].astype(np.intp)
+        spec_sender, spec_receiver = store.sender[spec_slots], store.receiver[spec_slots]
         touched = np.bincount(spec_event, minlength=m)
-        self.full = 2 * touched > D
-        self.partial = np.flatnonzero(~self.full)
-        full_events = np.flatnonzero(self.full)
-        self.n_untouched = (D - touched[self.partial]).astype(np.float64)
-        # a partial event lists its touched keys, a full event every dyad;
-        # the partial events' dyads first, the full events' last
-        in_full = self.full[spec_event]
-        listed = spec_slots[~in_full]
-        self.n_partial = n_partial = listed.size
-        e_full = full_events.size
-        self.event, self.sender, self.receiver = np.empty(
-            (3, n_partial + e_full * D), dtype=np.intp
-        )
-        for row, key_map, in_full_event in (
-            (self.event, store.event, full_events[:, None]),
-            (self.sender, store.sender, design.dyad_sender),
-            (self.receiver, store.receiver, design.dyad_receiver),
-        ):
-            row[:n_partial] = key_map[listed]
-            row[n_partial:].reshape(e_full, D)[:] = in_full_event
-        event_order = np.concatenate([self.partial, full_events])
-        counts = np.where(self.full, D, touched)[event_order]
-        self.events = event_order[counts > 0]
-        self.starts = (np.cumsum(counts) - counts)[counts > 0]
+        # each event's untouched dyads per cell, and the nonempty cells
+        size = np.bincount(cells(design.dyad_sender, design.dyad_receiver), minlength=2 * n)
+        spec_key = spec_event * (2 * n) + cells(spec_sender, spec_receiver)
+        untouched = size - np.bincount(spec_key, minlength=m * 2 * n).reshape(m, 2 * n)
+        nonempty = np.flatnonzero(untouched)
+        class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
+        classes = np.bincount(class_event, minlength=m)
 
-        # each spec key's column of X: a full event's keys at their dyads
-        column = np.empty(store.event.size, dtype=np.intp)
-        column[listed] = np.arange(n_partial)
-        if e_full:
-            full_slots = spec_slots[in_full]
-            full_rank = np.cumsum(self.full) - 1
-            column[full_slots] = (
-                n_partial + full_rank[store.event[full_slots]] * D + store.dyads(full_slots)
-            )
+        # an event's touched rows, then its class rows: a touched key's row
+        # is its place among the touched keys plus the earlier events' class
+        # rows, a class row's its place among the class rows plus the touched
+        # keys of its event and the earlier ones
+        rows = touched + classes
+        self.starts = np.cumsum(rows) - rows
+        touched_row = np.arange(spec_slots.size) + (np.cumsum(classes) - classes)[spec_event]
+        class_row = np.arange(nonempty.size) + np.cumsum(touched)[class_event]
+        self.event = np.repeat(np.arange(m, dtype=np.min_scalar_type(m - 1)), rows)
+        self.count = np.ones(self.event.size, dtype=np.min_scalar_type(size.max()))
+        self.count[class_row] = untouched.reshape(-1)[nonempty]
+
         self.X = np.zeros((len(terms), self.event.size))
-        for q in range(nb):
-            self.X[q] = self.P[q, self.sender] + Q[q, self.event, self.receiver]
-        for q, (slots, values) in enumerate(entries, start=nb):
-            self.X[q, column[slots]] = values
-        obs_event = np.arange(m)
-        obs_sender = design.dyad_sender[design.obs_idx]
-        obs_receiver = design.dyad_receiver[design.obs_idx]
-        self.x_obs = np.zeros((len(terms), m))
-        for q in range(nb):
-            self.x_obs[q] = self.P[q, obs_sender] + Q[q, obs_event, obs_receiver]
-        hit = np.flatnonzero(store.obs_slot >= 0)
-        hit = hit[in_spec[store.obs_slot[hit]]]
-        self.x_obs[nb:, hit] = self.X[nb:, column[store.obs_slot[hit]]]
-        self.Q = Q[:, self.partial]
-        # the kernel's (k, U) temporary, reused by every pass
-        self.work = np.empty_like(self.X)
+        for c, term in enumerate(terms):
+            if term is Term.NTDEGREC:
+                self.X[c, touched_row] = store.share[spec_event, spec_receiver]
+                self.X[c, class_row] = store.share[class_event, class_receiver]
+            elif term is Term.ICR:
+                self.X[c, touched_row] = store.icr[spec_sender] + store.icr[spec_receiver]
+                # the cell's sender class plus its receiver's icr
+                self.X[c, class_row] = class_sender + (
+                    store.icr[class_receiver] if has_share else class_receiver
+                )
+        column = np.empty(store.event.size, dtype=np.intp)
+        column[spec_slots] = touched_row
+        for c, (slots, values) in entries:
+            self.X[c, column[slots]] = values
 
-
-def _per_event(f, x):
-    """Sums of ``x`` (..., u) over each event's listed dyads among the
-    first u, shape (..., m)."""
-    sums = np.zeros(x.shape[:-1] + (f.m,))
-    count = np.searchsorted(f.starts, x.shape[-1])
-    if count:
-        sums[..., f.events[:count]] = np.add.reduceat(x, f.starts[:count], axis=-1)
-    return sums
-
-
-def _row_sums(b, b_top, top, F=None):
-    """Per event t and sender i, the sum over receivers j != i of
-    ``b[t, j] * F[t, j]`` (F = 1 when None); the sender ``top[t]`` gets the
-    sum of ``b_top[t, j] * F[t, j]`` instead, whose entry ``top[t]`` is 0."""
-    bF = b if F is None else b * F
-    sums = bF.sum(axis=1, keepdims=True) - bF
-    sums[np.arange(len(top)), top] = (b_top if F is None else b_top * F).sum(axis=1)
-    return sums
-
-
-def _untouched_direct(f, r, c, M, events):
-    """Sums over the untouched off-diagonal dyads of ``events`` (indices
-    into ``f.partial``; ``c`` and ``M`` are theirs too), dyad by dyad:
-    weight e^(r_i + c_tj - M_t), its base-statistic moments and second
-    moments, shapes (e,), (nb, e), (nb, nb, e)."""
-    n, nb, e = f.n, f.n_base, len(events)
-    mass, first, second = np.empty(e), np.empty((nb, e)), np.empty((nb, nb, e))
-    if not e:
-        return mass, first, second
-    local = np.full(f.m, -1)
-    local[f.partial[events]] = np.arange(e)
-    hit = local[f.event[: f.n_partial]]
-    mine = hit >= 0
-    hit_event = hit[mine]
-    hit_cell = f.sender[: f.n_partial][mine] * n + f.receiver[: f.n_partial][mine]
-    per_block = max(1, _BLOCK_ROWS // (n * n))
-    for start in range(0, e, per_block):
-        part = slice(start, min(start + per_block, e))
-        ev = events[part]
-        W = r[None, :, None] + c[ev][:, None, :] - M[ev][:, None, None]
-        flat = W.reshape(len(ev), n * n)
-        flat[:, :: n + 1] = -np.inf
-        here = (hit_event >= part.start) & (hit_event < part.stop)
-        flat[hit_event[here] - part.start, hit_cell[here]] = -np.inf
-        np.exp(W, out=W)
-        out_w, in_w = W.sum(axis=2), W.sum(axis=1)
-        Q = f.Q[:, ev]
-        mass[part] = out_w.sum(axis=1)
-        first[:, part] = f.P @ out_w.T + np.einsum("tj,qtj->qt", in_w, Q)
-        cross = np.einsum("pi,tij,qtj->pqt", f.P, W, Q)
-        second[:, :, part] = (
-            np.einsum("ti,pi,qi->pqt", out_w, f.P, f.P)
-            + np.einsum("tj,ptj,qtj->pqt", in_w, Q, Q)
-            + cross
-            + cross.transpose(1, 0, 2)
-        )
-    return mass, first, second
+        # each event's observed row: its touched row, or its cell's class row
+        obs_slot = store.obs_slot.astype(np.intp)
+        hit = obs_slot >= 0
+        hit[hit] = in_spec[obs_slot[hit]]
+        obs_row = np.empty(m, dtype=np.intp)
+        obs_row[hit] = column[obs_slot[hit]]
+        miss = np.flatnonzero(~hit)
+        obs = design.obs_idx[miss]
+        obs_key = miss * (2 * n) + cells(design.dyad_sender[obs], design.dyad_receiver[obs])
+        obs_row[miss] = class_row[np.searchsorted(nonempty, obs_key)]
+        self.x_obs = self.X[:, obs_row]
 
 
 def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian of ``theta`` in one pass over
     ``f``, the spec's ``_Factors``.
 
-    Event t's score of dyad (i, j) is r_i + c_tj plus, on a touched dyad,
-    the sparse terms' part d. Its normaliser, and the sums of p * x and
-    p * x x' that g and H need, are a sum over every off-diagonal dyad
-    with d = 0, which factorises into per-sender sums over receivers, plus
-    one correction e^(r_i + c_tj + d) x - e^(r_i + c_tj) x0 per touched
-    dyad (x0: x without its sparse part). A full event is summed over its
-    listed dyads alone. Each event is shifted by M_t, an upper bound on
-    its scores: the larger of the exact off-diagonal maximum of
-    r_i + c_tj (from the top two of r and of c_t) and its largest listed
-    score. Where the touched dyads hold over half an event's base mass,
-    the sum over its untouched dyads is taken dyad by dyad, not as a
-    cancelling difference. A spec with no base term (r = c = 0) skips all
-    of that: each untouched dyad scores 0, so M_t is the larger of 0 and
-    the event's largest listed score, and the untouched mass is
-    ``n_untouched * e^(-M_t)`` (a partial event lists at most half its
-    dyads, so no difference cancels). Raises NumericalError for a
-    non-finite theta or score.
+    It is the dense kernel's arithmetic over weighted rows: each row r of
+    event t scores s_r = theta' x_r and weighs w_r = count_r e^(s_r - M_t),
+    M_t the exact maximum of the event's row scores, so Z_t = sum_r w_r and
+    p_r = w_r / Z_t. The event's expected statistics E_t = sum_r p_r x_r
+    give g = sum_t (x_obs,t - E_t), and H = sum_t E_t E_t' - sum_r p_r x_r
+    x_r', the latter summed a block of ``_BLOCK_ROWS`` rows at a time.
+    Raises NumericalError for a non-finite theta or score.
     """
     if not np.all(np.isfinite(theta)):
         raise NumericalError("non-finite theta")
-    nb, m, n = f.n_base, f.m, f.n
-    th = theta[f.order]
-    pe, part = f.partial, slice(0, f.n_partial)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        s = th[nb:] @ f.X[nb:]
-        if nb:
-            base = th[:nb] @ f.X[:nb]
-            s += base
-        M = np.full(m, -np.inf)
-        if s.size:
-            M[f.events] = np.maximum.reduceat(s, f.starts)
-        if nb:
-            # off-diagonal maximum of r_i + c_tj: sender `top` = argmax c_t
-            # pairs with the runner-up receiver, every other sender with `top`
-            rows = np.arange(pe.size)
-            r = th[:nb] @ f.P
-            c = np.tensordot(th[:nb], f.Q, axes=1)
-            top = np.argmax(c, axis=1)
-            c_max = c[rows, top]
-            c_second = np.partition(c, n - 2, axis=1)[:, n - 2]
-            r_other = np.where(top == np.argmax(r), np.partition(r, n - 2)[n - 2], r.max())
-            M[pe] = np.maximum(M[pe], np.maximum(r_other + c_max, r[top] + c_second))
-        else:  # every untouched dyad scores 0
-            M[pe] = np.maximum(M[pe], 0.0)
+        s = theta @ f.X
+        M = np.maximum.reduceat(s, f.starts)
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(s))):
         raise NumericalError("non-finite linear predictor")
-
-    M_listed = M[f.event]
-    U0, U1 = np.zeros(m), np.zeros((nb, m))
-    if nb:
-        # every off-diagonal dyad of a partial event at d = 0: sender i's
-        # weight times its receivers' sums, each shifted so that no factor
-        # exceeds 1
-        Mp = M[pe]
-        rho = r + (c_max - Mp)[:, None]
-        rho[rows, top] = r[top] + c_second - Mp
-        np.exp(rho, out=rho)
-        b = np.exp(c - c_max[:, None])
-        b_top = c - c_second[:, None]
-        b_top[rows, top] = -np.inf
-        np.exp(b_top, out=b_top)
-        G0 = _row_sums(b, b_top, top)
-        G1 = [_row_sums(b, b_top, top, f.Q[q]) for q in range(nb)]
-        S0 = np.sum(rho * G0, axis=1)
-        S1 = np.empty((nb, pe.size))
-        for q in range(nb):
-            S1[q] = np.sum(rho * (f.P[q] * G0 + G1[q]), axis=1)
-
-        # less the touched dyads at d = 0 (w0): the untouched sums
-        w0 = np.exp(base[part] - M_listed[part])
-        Xb = f.X[:nb, part]
-        U0[pe] = S0 - _per_event(f, w0)[pe]
-        U1[:, pe] = S1 - _per_event(f, w0 * Xb)[:, pe]
-        direct = np.flatnonzero(U0[pe] < 0.5 * S0)
-        mass, first, U2_direct = _untouched_direct(f, r, c, Mp, direct)
-        U0[pe[direct]], U1[:, pe[direct]] = mass, first
-    else:  # each untouched dyad weighs e^(0 - M_t)
-        U0[pe] = f.n_untouched * np.exp(-M[pe])
-
-    # plus the listed dyads at their scores
-    w = np.exp(s - M_listed)
-    Z = U0 + _per_event(f, w)
-    inv_Z = 1.0 / Z
-    w *= inv_Z[f.event]
-    pX = np.multiply(w, f.X, out=f.work)
-    E = _per_event(f, pX)
-    E[:nb] += U1 * inv_Z
-    ll = float(np.sum(th @ f.x_obs - M - np.log(Z)))
-    g_k = f.x_obs.sum(axis=1) - E.sum(axis=1)
-    H_k = E @ E.T - pX @ f.X.T
-
-    # second moments of the base statistics over untouched dyads
-    if nb:
-        weight = inv_Z.copy()
-        weight[f.full] = weight[pe[direct]] = 0.0
-        rho *= weight[pe, None]
-        w0 *= weight[f.event[part]]
-        for p in range(nb):
-            for q in range(p, nb):
-                G2 = _row_sums(b, b_top, top, f.Q[p] * f.Q[q])
-                S2 = np.sum(
-                    rho
-                    * (f.P[p] * f.P[q] * G0 + f.P[p] * G1[q] + f.P[q] * G1[p] + G2)
-                )
-                U2 = S2 - (w0 * Xb[p]) @ Xb[q] + U2_direct[p, q] @ inv_Z[pe[direct]]
-                H_k[p, q] -= U2
-                if q != p:
-                    H_k[q, p] -= U2
-
-    return ll, g_k[f.rank], H_k[f.rank][:, f.rank]
+    s -= M[f.event]
+    p = np.exp(s, out=s)
+    p *= f.count
+    Z = np.add.reduceat(p, f.starts)
+    p /= Z[f.event]
+    ll = float(np.sum(theta @ f.x_obs - M - np.log(Z)))
+    E = np.empty((len(theta), f.starts.size))
+    for c, x in enumerate(f.X):
+        E[c] = np.add.reduceat(p * x, f.starts)
+    g = f.x_obs.sum(axis=1) - E.sum(axis=1)
+    H = E @ E.T
+    for start in range(0, p.size, _BLOCK_ROWS):
+        X = f.X[:, start : start + _BLOCK_ROWS]
+        H -= (X * p[start : start + _BLOCK_ROWS]) @ X.T
+    return ll, g, H
 
 
 def log_likelihood(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> float:

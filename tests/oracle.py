@@ -6,7 +6,7 @@ statistics one event at a time, independent of ``remnet.inference``.
 ``sorted_adequacy_ranks`` ranks each event's dyads by a stable sort, the
 reference for the vectorised ranks of ``remnet.analysis.adequacy``.
 ``dense_evaluate`` is the dense likelihood kernel over the rows of
-``EventDesign.blocks``, the reference for the factorised kernel of
+``EventDesign.blocks``, the reference for the weighted-row kernel of
 ``remnet.inference``.
 """
 

@@ -267,18 +267,16 @@ def test_bad_config_value_is_config_error(data_dir, tmp_path, command, payload, 
     assert run([command, "--config", cfg, *base, *out, *flags]) == EXIT_CONFIG
 
 
-# at df 1e308 grad and hess_diag overflow to NaN with RuntimeWarnings, and
-# the fit exits 4
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("payload", [{"prior_df": 1e308}, {"prior_scale": 1e300}])
 def test_huge_prior_parameter_exits_cleanly(data_dir, tmp_path, capsys, payload):
-    # math.lgamma(df / 2) and scale ** 2 raise OverflowError at these values
+    # math.lgamma(df / 2), scale ** 2 and (df + z^2) ** 2 overflow at these
+    # values; the prior is then a Gaussian or flat, and the fit goes through
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
     base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
     terms = ["--terms", "PSAB-BA", "ICR"]
     code = run(["fit", "--config", cfg, *base, "--out", tmp_path / "o", *terms])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert code == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
 
 

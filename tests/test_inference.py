@@ -27,7 +27,7 @@ from remnet.inference import (
     posterior_interval,
     star_codes,
 )
-from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design
+from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design, dyad_from_index
 
 from conftest import (
     design_scores,
@@ -255,7 +255,8 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
     n = case.draw(st.integers(2, 8), label="n")
     m = case.draw(st.integers(1, 25), label="m")
     rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
-    actors, seq = random_sequence(n, m, rng, icr_indices=tuple(range(0, n, 2)))
+    icr_indices = tuple(np.flatnonzero(rng.random(n) < 0.5))
+    actors, seq = random_sequence(n, m, rng, icr_indices=icr_indices)
     terms = case.draw(st.permutations(ALL_TERMS), label="order")
     terms = terms[: case.draw(st.integers(1, 14), label="k")]
     per_block = case.draw(st.integers(1, m), label="events per block")
@@ -264,21 +265,37 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
         X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
         f = design.factors(terms)
     D = design.n_dyads
-    # each listed dyad holds its block row, the terms in kernel order
-    dyad = f.sender * (n - 1) + f.receiver - (f.receiver > f.sender)
-    assert f.X.tobytes() == X[f.order][:, f.event, dyad].tobytes()
-    assert f.x_obs.tobytes() == X[f.order][:, np.arange(m), design.obs_idx].tobytes()
-    # a partial event lists its touched dyads, a full one all, in dyad order
+    # an untouched dyad's cell: (icr_i or 0, j or icr_j or 0), in that order
+    icr = actors.icr_array().astype(int)
+    sender, receiver = dyad_from_index(np.arange(D), n)
+    zero = np.zeros(D, dtype=int)
+    sender_key = icr[sender] if Term.ICR in terms else zero
+    receiver_key = (
+        receiver if Term.NTDEGREC in terms else icr[receiver] if Term.ICR in terms else zero
+    )
+    cell = sender_key * n + receiver_key
     sparse = [c for c, t in enumerate(terms) if t not in (Term.NTDEGREC, Term.ICR)]
     touched = np.any(X[sparse] != 0.0, axis=0)
-    assert np.array_equal(f.full, 2 * touched.sum(axis=1) > D)
+    assert np.array_equal(np.unique(f.event, return_index=True)[1], f.starts)
+    assert np.all(np.diff(f.event.astype(int)) >= 0) and f.event.size == f.count.size
     for t in range(m):
-        want = np.arange(D) if f.full[t] else np.flatnonzero(touched[t])
-        assert np.array_equal(dyad[f.event == t], want)
-    # the partial events' dyads first, each event's together
-    assert not f.full[f.event[: f.n_partial]].any() and f.full[f.event[f.n_partial :]].all()
-    assert np.array_equal(f.event[f.starts], f.events)
-    assert np.array_equal(np.flatnonzero(np.diff(f.event) != 0) + 1, f.starts[1:])
+        rows = np.flatnonzero(f.event == t)
+        # its touched dyads first, in dyad order, each its block row
+        mine = np.flatnonzero(touched[t])
+        assert f.X[:, rows[: mine.size]].tobytes() == X[:, t, mine].tobytes()
+        assert np.all(f.count[rows[: mine.size]] == 1)
+        # then one row per nonempty cell of the rest, in cell order, that
+        # counts the cell's dyads and holds each one's block row
+        rest = np.flatnonzero(~touched[t])
+        cells = np.unique(cell[rest])
+        assert rows.size == mine.size + cells.size
+        for row, c in zip(rows[mine.size :], cells):
+            members = rest[cell[rest] == c]
+            assert f.count[row] == members.size
+            shared = np.broadcast_to(f.X[:, row, None], (len(terms), members.size))
+            assert shared.tobytes() == X[:, t, members].tobytes()
+        assert mine.size + f.count[rows[mine.size :]].sum() == D
+    assert f.x_obs.tobytes() == X[:, np.arange(m), design.obs_idx].tobytes()
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -296,7 +313,7 @@ def test_design_without_spec_terms_is_rejected(small_fixture):
 
 
 def kernel_errors(design, terms, theta):
-    """Errors of the factorised kernel against the dense oracle, each over
+    """Errors of the row kernel against the dense oracle, each over
     the size of the numbers it is a difference of: ll over |ll| plus each
     event's largest |score|; g_c over sum_t |x_obs,c| plus sum_t E_t|x_c|;
     H over max |H| plus the largest sum_t E_t[x_c^2]. The second parts
@@ -380,8 +397,12 @@ def test_kernel_event_without_touched_dyad(small_fixture):
     terms = (Term.NTDEGREC, Term.RRECSND, Term.PSABXB, Term.ICR)
     design = EventDesign(actors, seq, terms)
     factors = design.factors(terms)
-    # no history before the first event: no sparse statistic is nonzero
-    assert factors.events[0] == 1 and len(factors.events) == seq.m - 1
+    # no history before the first event: no sparse statistic is nonzero, so
+    # it has class rows alone, at most 2n of them, and a later event has a
+    # touched row
+    first = factors.event == 0
+    assert first.sum() <= 2 * actors.n and factors.count[first].sum() == design.n_dyads
+    assert not factors.X[1:3, first].any() and factors.X[1:3, ~first].any()
     for theta in ([1.5, -2.0, 0.7, 0.9], [-3.0, 2.5, 3.0, -1.0]):
         assert_kernel_matches_oracle(design, terms, theta)
 
@@ -391,8 +412,8 @@ def test_kernel_event_without_touched_dyad(small_fixture):
     ["first_event_unlisted", "two_actors", "full_events", "zero_floor", "listed_maximum"],
 )
 def test_kernel_spec_without_base_terms(small_fixture, case):
-    # r = c = 0: every untouched dyad scores 0, and a partial event's
-    # untouched mass is its untouched count times e^(-M_t)
+    # with no base term every untouched dyad scores 0: an event has at
+    # most one class row, all zeros, that counts its untouched dyads
     actors, seq = small_fixture
     terms = (Term.OSPSND, Term.PSABBA, Term.RSNDSND)
     thetas = [[0.4, 2.0, -1.0], [-2.5, -3.0, 2.0]]
@@ -410,19 +431,25 @@ def test_kernel_spec_without_base_terms(small_fixture, case):
         thetas = [[0.4, 2.0, 1.0]]
     design = EventDesign(actors, seq, terms)
     factors = design.factors(terms)
-    assert factors.n_base == 0 and factors.P.shape == (0, actors.n)
-    s = np.asarray(thetas[0])[factors.order] @ factors.X  # the listed scores
+    D = design.n_dyads
+    is_class = ~factors.X.any(axis=0)
+    classes = np.bincount(factors.event[is_class], minlength=seq.m)
+    untouched = np.bincount(factors.event, factors.count * is_class, minlength=seq.m)
+    touched = np.bincount(factors.event, ~is_class, minlength=seq.m)
+    assert classes.max() == 1 and np.array_equal(untouched + touched, np.full(seq.m, D))
+    # each event's largest row score
+    M = np.maximum.reduceat(np.asarray(thetas[0]) @ factors.X, factors.starts)
     if case == "first_event_unlisted":
-        # no history before the first event: it lists no dyad
-        assert 0 not in factors.events and 0 in factors.partial
-    elif case == "two_actors":
-        assert design.n_dyads == 2 and factors.full.any() and factors.partial.size
-    elif case == "full_events":
-        assert factors.full.any() and np.any(factors.n_untouched < design.n_dyads)
-    elif case == "zero_floor":  # each partial event's M_t is its untouched 0
-        assert factors.n_partial and np.all(s[: factors.n_partial] < 0.0)
-    else:  # a partial event's largest listed score sets its M_t
-        assert np.any(s[: factors.n_partial] > 0.0)
+        # no history before the first event: its one row is its class row
+        assert factors.starts[1] == 1 and untouched[0] == D
+    elif case == "two_actors":  # some event has both dyads touched
+        assert D == 2 and np.any(classes == 0) and np.any(classes == 1)
+    elif case == "full_events":  # some event has most of its dyads touched
+        assert np.any(2 * touched > D) and np.any(classes[2 * touched > D] == 1)
+    elif case == "zero_floor":  # an event's class row's 0 is its maximum
+        assert np.any(classes == 1) and np.all(M[classes == 1] == 0.0)
+    else:  # a touched score above its class row's 0 is the maximum
+        assert np.any(M[classes == 1] > 0.0)
     for theta in thetas:
         assert_kernel_matches_oracle(design, terms, theta)
 
@@ -795,8 +822,14 @@ def test_prior_log_density_at_large_df():
         assert PriorSpec(df=df).log_density([1.0, 37.0]) == pytest.approx(want, rel=1e-12)
     gaussian = -0.5 * math.log(2.0 * math.pi) - math.log(10.0) - 0.5 * 0.1**2
     assert gaussian == pytest.approx(-3.2265236, abs=1e-7)
-    for df in (1e20, 1e308):
-        assert PriorSpec(df=df).log_density(1.0) == pytest.approx(gaussian, rel=1e-12)
+    # the density tends to the Gaussian, and so do its derivatives, whose
+    # forms in u = z^2 / df stay finite
+    theta = np.array([-30.0, -1.0, 0.0, 2.5, 40.0])
+    for df in (1e20, 1e300, 1e308):
+        prior = PriorSpec(df=df)
+        assert prior.log_density(1.0) == pytest.approx(gaussian, rel=1e-12)
+        assert np.allclose(prior.grad(theta), -theta / 100.0, rtol=1e-15, atol=0.0)
+        assert np.allclose(prior.hess_diag(theta), -1.0 / 100.0, rtol=1e-15, atol=0.0)
 
 
 def test_prior_derivatives_match_fd():
@@ -814,6 +847,18 @@ def test_prior_derivatives_match_fd():
         fd_h = (prior.grad(up)[k] - prior.grad(dn)[k]) / (2 * eps)
         assert g[k] == pytest.approx(fd_g, abs=1e-7)
         assert h[k] == pytest.approx(fd_h, abs=1e-6)
+
+
+def test_default_prior_derivatives_keep_their_bits():
+    # at df 4, a power of two, the forms in u = z^2 / df round as the
+    # forms in df + z^2 did
+    prior = PriorSpec()
+    theta = np.concatenate([np.linspace(-200.0, 200.0, 40001), [0.0, -0.0, 1e-300, 1e50]])
+    z = theta / 10.0
+    grad = -(4.0 + 1.0) * z / ((4.0 + z * z) * 10.0)
+    hess = -(4.0 + 1.0) * (4.0 - z * z) / (10.0 * 10.0 * (4.0 + z * z) ** 2)
+    assert prior.grad(theta).tobytes() == grad.tobytes()
+    assert prior.hess_diag(theta).tobytes() == hess.tobytes()
 
 
 def test_model_spec_rejects_duplicates():
