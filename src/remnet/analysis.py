@@ -2,9 +2,10 @@
 
 Theil index of per-actor communication volume, excess-concentration
 rescaling against the no-hub baseline, percent changes, next-event
-match/recall adequacy of a fit, ranked over the blocks of an
-``EventDesign``, and the significance tests used to compare knock-out
-conditions.
+match/recall adequacy of a fit, ranked over the scores of a
+``stats.RiskSetScorer`` replay of the observed history (the scores the
+knock-out sampler draws from), and the significance tests used to compare
+knock-out conditions.
 
 Only the significance tests use SciPy, and each imports the submodule it
 needs when called, so importing this module loads NumPy only.
@@ -21,9 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from remnet.data import ActorTable
-from remnet.inference import EventDesign, FitResult, _term_scores
-from remnet.stats import dyad_from_index
+from remnet.data import ActorTable, EventSequence
+from remnet.inference import FitResult
+# not used here: perfbench/spans.py wraps remnet.analysis.EventDesign
+from remnet.inference import EventDesign  # noqa: F401
+from remnet.stats import RiskSetScorer
 
 # recall levels of ``adequacy``: percent of the risk set, best-ranked first
 RECALL_PCTS = (1, 5, 10)
@@ -154,48 +157,44 @@ class AdequacyReport:
     recall: dict[int, float]  # percent threshold -> coverage
 
 
-def _ranks(scores: np.ndarray, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per event, the top-ranked dyad and the observed dyad's 0-based rank.
+def adequacy(fit: FitResult, actors: ActorTable, seq: EventSequence) -> AdequacyReport:
+    """Next-event match and recall-coverage rates of ``fit`` on ``seq``.
 
-    Ranks are those of a stable descending sort of each row of ``scores``:
-    the top dyad is the first maximum, and the observed dyad is preceded by
-    every higher-scoring dyad and every equal-scoring dyad before it.
+    The observed events are replayed through a ``RiskSetScorer``, the
+    scores the knock-out sampler draws from. At each event every dyad is
+    ranked by its score given the true history, ties broken by canonical
+    dyad order (a stable descending sort): the top dyad is the first
+    maximum of the row-major (n, n) scores, and the observed dyad's 0-based
+    rank counts the higher scores and the equal scores before it. Recall
+    is reported at each of ``RECALL_PCTS``. Raises ValueError when the
+    actor table and the sequence name different networks.
     """
-    rows = np.arange(scores.shape[0])
-    observed = scores[rows, obs_idx][:, None]
-    earlier = np.arange(scores.shape[1]) < obs_idx[:, None]
-    positions = np.count_nonzero(scores > observed, axis=1) + np.count_nonzero(
-        (scores == observed) & earlier, axis=1
-    )
-    return np.argmax(scores, axis=1), positions
-
-
-def adequacy(fit: FitResult, design: EventDesign) -> AdequacyReport:
-    """Next-event match and recall-coverage rates of ``fit`` on ``design``,
-    which must hold the statistics of the fit's terms.
-
-    For each event, candidate dyads are ranked by model rate given the
-    true history; ties break by canonical dyad order (stable sort). Recall
-    is reported at each of ``RECALL_PCTS``. Scores and ranks are computed
-    one of the design's ``blocks`` at a time, so no score or comparison
-    temporary is larger than one block.
-    """
-    n, obs = design.n, design.obs_idx
-    blocks = design.blocks(fit.spec.terms)
-    ranks = [_ranks(_term_scores(fit.mode, X), obs_b) for X, obs_b in blocks]
-    top, positions = (np.concatenate(r) for r in zip(*ranks))
-    obs_i, obs_j = dyad_from_index(obs, n)
-    top_i, top_j = dyad_from_index(top, n)
-    either = int(np.count_nonzero((top_i == obs_i) | (top_j == obs_j)))
-    both = int(np.count_nonzero(top == obs))
+    if actors.network_id != seq.network_id:
+        raise ValueError("actor table and event sequence network_id differ")
+    n = actors.n
+    scorer = RiskSetScorer(fit.spec.terms, fit.mode, actors.icr_array())
+    positions = np.empty(seq.m, dtype=np.intp)
+    either = both = 0
+    for t, (a, b) in enumerate(seq.index_pairs(actors).tolist()):
+        scores = scorer.scores().reshape(-1)
+        obs = a * n + b
+        observed = scores[obs]
+        positions[t] = np.count_nonzero(scores > observed) + np.count_nonzero(
+            scores[:obs] == observed
+        )
+        top = int(scores.argmax())
+        either += top // n == a or top % n == b
+        both += top == obs
+        scorer.update(a, b)
+    n_dyads = n * (n - 1)
     recall = {
-        pct: float(np.mean(positions < math.ceil(pct / 100.0 * design.n_dyads)))
+        pct: float(np.mean(positions < math.ceil(pct / 100.0 * n_dyads)))
         for pct in RECALL_PCTS
     }
     return AdequacyReport(
-        network_id=design.seq.network_id,
-        either_match=either / design.m,
-        both_match=both / design.m,
+        network_id=seq.network_id,
+        either_match=either / seq.m,
+        both_match=both / seq.m,
         null_either=null_either_rate(n),
         null_both=null_both_rate(n),
         recall=recall,

@@ -310,7 +310,7 @@ def cmd_adequacy(cfg: RunConfig) -> int:
     def rows():  # drawn one network at a time: a failure keeps the rows before it
         for net_id, (actors, seq) in nets.items():
             fit = _require_fit(out, net_id)
-            report = adequacy(fit, EventDesign(actors, seq, fit.spec.terms))
+            report = adequacy(fit, actors, seq)
             values = [getattr(report, r) for r in rates]
             values += [report.recall[p] for p in RECALL_PCTS]
             print(

@@ -23,8 +23,8 @@ and each nonempty one is a single row weighted by its dyad count (the
 normaliser over counted classes: Perry & Wolfe, JRSS-B 2013). The kernel
 is then the dense kernel's arithmetic over those weighted rows, with no
 difference formed but H's. A pass costs O((m*n + nnz)*k^2), not
-O(m*n^2*k^2). ``EventDesign.blocks`` rebuilds the dense statistics a block
-of events at a time for adequacy.
+O(m*n^2*k^2). Adequacy reads no design: it ranks the scores of a
+``stats.RiskSetScorer``, the scorer the knock-out sampler draws from.
 
 Only ``posterior_interval`` uses SciPy: it imports ``scipy.special`` when
 called, for the normal quantile ``ndtri`` at any level. ``star_codes``
@@ -38,7 +38,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,6 +103,18 @@ class PriorSpec:
             raise ValueError("prior scale must be positive and finite")
         if not 0 < self.df < math.inf:
             raise ValueError("prior df must be positive and finite")
+        # a location or scale so extreme that the density or its derivatives
+        # overflow or divide by zero at theta = 0 cannot steer a fit
+        zero = np.zeros(1)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for part in (self.log_density, self.grad, self.hess_diag):
+                    part(zero)
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"prior (location {self.location!r}, scale {self.scale!r}, "
+                f"df {self.df!r}) is not finite at theta = 0: {exc}"
+            ) from None
 
     def log_density(self, theta: np.ndarray) -> float:
         """Sum of the t log-densities of the coefficients, in closed form.
@@ -236,13 +248,6 @@ class DesignStore:
             arrays.append(self.share)
         return sum(a.nbytes for a in arrays)
 
-    def dyads(self, slots) -> np.ndarray:
-        """Canonical dyad index (``stats.dyad_index``) of the keys at
-        ``slots``, as intp."""
-        i = self.sender[slots].astype(np.intp)
-        j = self.receiver[slots].astype(np.intp)
-        return i * (self.icr.size - 1) + j - (j > i)
-
 
 class EventDesign:
     """Per-event statistics of one network, for the terms a model uses.
@@ -255,10 +260,9 @@ class EventDesign:
     ``store.nbytes`` bytes; ``full_tensor`` is another name for ``store``,
     the attribute perfbench's spans read. ``dyad_sender`` and
     ``dyad_receiver`` are the sender and receiver of each canonical dyad.
-    There are two readers: ``blocks`` rebuilds the dense statistics a
-    block of whole events at a time (adequacy reads them), and ``factors``
-    gives a spec's statistics as the likelihood kernel's weighted rows:
-    each touched dyad, and one counted row per cell of untouched dyads.
+    Its one reader is ``factors``, which gives a spec's statistics as the
+    likelihood kernel's weighted rows: each touched dyad, and one counted
+    row per cell of untouched dyads.
     """
 
     def __init__(
@@ -352,39 +356,6 @@ class EventDesign:
             )
         return terms
 
-    def blocks(self, terms: Sequence[Term]) -> Iterator[tuple[np.ndarray, ...]]:
-        """Per block of b whole events, the C-contiguous (k, b, n_dyads)
-        statistics of ``terms``, rebuilt from ``store``, and the b observed
-        dyad indices; b is ``_BLOCK_ROWS // n_dyads`` (at least 1), less in
-        the last block. Row (c, t) holds the bits ``design_matrix`` gives
-        for term c at event t. Raises ValueError naming any term the design
-        was built without.
-        """
-        terms = self._checked(terms)
-        store, D = self.store, self.n_dyads
-        sender, receiver = self.dyad_sender, self.dyad_receiver
-        per_block = max(1, _BLOCK_ROWS // D)
-        starts = range(0, self.m, per_block)
-        # where each block's keys begin, searched at once: a search casts
-        # the narrow event map to the type of what it looks for
-        bounds = np.searchsorted(store.event, [*starts, self.m])
-        for start, first, last in zip(starts, bounds[:-1], bounds[1:]):
-            stop = min(start + per_block, self.m)
-            # each of the block's keys as a position in its (b, n_dyads) rows
-            pos = (store.event[first:last].astype(np.intp) - start) * D
-            pos += store.dyads(slice(first, last))
-            X = np.zeros((len(terms), stop - start, D))
-            for c, term in enumerate(terms):
-                if term is Term.NTDEGREC:
-                    X[c] = store.share[start:stop, receiver]
-                elif term is Term.ICR:
-                    X[c] = store.icr[sender] + store.icr[receiver]
-                else:
-                    slots, values = store.entries[term]
-                    lo, hi = np.searchsorted(slots, (first, last))
-                    X[c].reshape(-1)[pos[slots[lo:hi] - first]] = values[lo:hi]
-            yield X, self.obs_idx[start:stop]
-
     def factors(self, terms: Sequence[Term]) -> "_Factors":
         """The statistics of ``terms`` as the weighted rows ``_evaluate``
         reads: per event, its touched dyads, then one row per nonempty cell
@@ -401,18 +372,8 @@ def _as_theta(theta, k: int) -> np.ndarray:
     return theta
 
 
-def _term_scores(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """theta' X of a (k, b, n_dyads) block, shape (b, n_dyads), summed term
-    by term: a dyad's score does not depend on its block, and dyads with
-    equal statistics tie exactly."""
-    s = np.zeros(X.shape[1:])
-    for coef, stats in zip(theta, X):
-        s += coef * stats
-    return s
-
-
-# dyad rows per block: a block of ``EventDesign.blocks``, or of the
-# kernel's Hessian sum, stays cache-sized
+# dyad rows per block: a block of events of the ``EventDesign`` build, or
+# of the kernel's Hessian sum, stays cache-sized
 _BLOCK_ROWS = 1 << 16
 
 

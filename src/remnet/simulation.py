@@ -4,12 +4,12 @@ A trajectory draws one coefficient vector from the Laplace posterior,
 zeroes the knocked-out terms, then samples events sequentially: each step
 is a categorical draw over the risk set with probabilities proportional
 to exp(theta' u), computed max-shifted so any finite theta is safe. The
-sampler builds no design: it replays a ``HistoryState`` sized to the
-terms with a nonzero coefficient and keeps the (n, n) score of the terms
-the store holds as arrays (plus ICR) current, recomputing only the rows
-and columns an event changes; NTDegRec and the p-shifts are added per
-step. A step costs O(n^2) for the exp and O(n * s) for the store, s the
-number of array terms, with one uniform drawn per step.
+sampler builds no design: it draws from the log-scores of a
+``stats.RiskSetScorer``, the scorer adequacy ranks, which keeps the
+(n, n) score of the store's array terms (plus ICR) current, recomputing
+only the rows and columns an event changes; NTDegRec and the p-shifts are
+added per step. A step costs O(n^2) for the exp and O(n * s) for the
+store, s the number of array terms, with one uniform drawn per step.
 
 Seeds derive deterministically from a master seed via numpy SeedSequence;
 the theta draw is keyed by replicate index only, so knock-out conditions
@@ -26,13 +26,7 @@ import numpy as np
 
 from remnet.data import ActorTable
 from remnet.inference import FitResult, ModelSpec
-from remnet.stats import (
-    HistoryState,
-    PSHIFT_TERMS,
-    Term,
-    _PSHIFT_ROLES,
-    canonical_terms,
-)
+from remnet.stats import PSHIFT_TERMS, RiskSetScorer, Term
 
 _CONDITION_ZEROES = {
     "full": frozenset(),
@@ -126,64 +120,26 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Sample m events from the model with the condition's terms zeroed.
 
-    The terms with a nonzero coefficient are replayed in a ``HistoryState``
-    sized to them. ``s_rest``, the (n, n) score of ICR and the store's
-    array terms, is recomputed from the store in the rows (and, on a new
-    tie with a triadic term, the columns) of each event. Each step adds
-    NTDegRec's receiver share and the p-shift rows and columns to it,
-    masks the diagonal and draws with one uniform (``_draw``).
+    Each step takes the log-scores of a ``RiskSetScorer`` (its diagonal
+    is -inf), shifts them by their maximum, exponentiates them in place
+    and draws with one uniform (``_draw``); the scorer then records the
+    event.
     """
     if m < 1:
         raise ValueError("trajectory length must be >= 1")
     theta_eff = _zeroed(theta, spec, condition)
     if not np.all(np.isfinite(theta_eff)):
         raise ValueError("non-finite coefficients")
-    coef = {t: float(c) for t, c in zip(spec.terms, theta_eff) if c != 0.0}
-    n = actors.n
-    state = HistoryState(n, canonical_terms(coef))
-    icr = actors.icr_array()
-    base = coef.get(Term.ICR, 0.0) * (icr[:, None] + icr[None, :])
-    theta_arr = np.array([coef[t] for t in state.array_terms])[:, None]
-    theta_deg = coef.get(Term.NTDEGREC, 0.0)
-    # (coefficient, (sender role, receiver role)) of each p-shift in use
-    pshifts = [(coef[t], r) for t, r in zip(PSHIFT_TERMS, _PSHIFT_ROLES) if t in coef]
-    s_rest = base.copy()
-    w = np.empty((n, n))
-    diagonal = w.reshape(-1)[:: n + 1]
-    other = np.ones(n)  # 0 at the last event's actors
+    scorer = RiskSetScorer(spec.terms, theta_eff, actors.icr_array())
     rng = np.random.default_rng(seed)
     events = []
     for _ in range(m):
-        if theta_deg:
-            np.add(s_rest, theta_deg * state.share, out=w)
-        else:
-            w[:] = s_rest
-        if pshifts and state.last_event is not None:
-            # a p-shift is a row (receiver role 2), a column (sender role
-            # 2) or one dyad; role 2 is every actor outside the last event
-            actor = state.last_event
-            other[list(actor)] = 0.0
-            for coef_p, (sender, receiver) in pshifts:
-                if receiver == 2:
-                    w[actor[sender]] += coef_p * other
-                elif sender == 2:
-                    w[:, actor[receiver]] += coef_p * other
-                else:
-                    w[actor[sender], actor[receiver]] += coef_p
-            other[list(actor)] = 1.0
-        diagonal[:] = -np.inf
+        w = scorer.scores()
         w -= w.max()
         np.exp(w, out=w)
         i, j = _draw(w, rng.random())
         events.append((actors.actor_ids[i], actors.actor_ids[j]))
-        state.update(i, j)
-        if state.array_terms:
-            new_tie = state.tie is not None and state.dyad_count[i, j] == 1
-            for x in (i, j):
-                s_rest[x] = (theta_arr * state.stat[:, x]).sum(axis=0) + base[x]
-                if new_tie:
-                    col = (theta_arr * state.stat[:, :, x]).sum(axis=0)
-                    s_rest[:, x] = col + base[:, x]
+        scorer.update(i, j)
     seed_int = int(seed) if isinstance(seed, numbers.Integral) else -1
     return Trajectory(
         network_id=actors.network_id,

@@ -9,8 +9,10 @@ over the whole risk set into a caller's array and builds only the
 p-shifts and ICR at read time; ``design_matrix`` is that read into a
 fresh (terms, dyads) matrix, and ``stat_vector`` is one column of it.
 ``inference.EventDesign`` keeps the same reads in structured form (the
-NTDegRec share, the ICR vector and each other term's nonzero entries),
-and ``simulation.simulate_trajectory`` scores from the store directly.
+NTDegRec share, the ICR vector and each other term's nonzero entries).
+``RiskSetScorer`` keeps theta' u over the risk set current from a store,
+row by row: ``simulation.simulate_trajectory`` draws each event from it and
+``analysis.adequacy`` ranks the observed event in it.
 This is the only implementation of the statistics. The tests check it
 bitwise against a naive oracle that recomputes each statistic from the
 raw event prefix.
@@ -236,6 +238,74 @@ class HistoryState:
             recency.remove(alter)
         recency.insert(0, alter)
         row[recency] = self._inv_rank[: len(recency)]
+
+
+class RiskSetScorer:
+    """Log-scores theta' u of every dyad of the risk set, kept current event
+    by event from a ``HistoryState``: what the sampler draws from and what
+    adequacy ranks.
+
+    The terms of ``terms`` with a nonzero coefficient in ``theta`` are
+    replayed in a ``HistoryState`` sized to them; ``icr`` is the
+    0/1 actor vector. ``s_rest``, the (n, n) score of ICR and the store's
+    array terms, is recomputed from the store in the rows (and, on a new
+    tie with a triadic term, the columns) of each event. ``scores`` adds
+    NTDegRec's receiver share and the p-shift rows, columns and dyads to it.
+    """
+
+    def __init__(self, terms: Sequence[Term], theta: np.ndarray, icr: np.ndarray):
+        coef = {t: float(c) for t, c in zip(terms, theta) if c != 0.0}
+        n = len(icr)
+        self._state = state = HistoryState(n, canonical_terms(coef))
+        self._base = coef.get(Term.ICR, 0.0) * (icr[:, None] + icr[None, :])
+        self._theta_arr = np.array([coef[t] for t in state.array_terms])[:, None]
+        self._theta_deg = coef.get(Term.NTDEGREC, 0.0)
+        # (coefficient, (sender role, receiver role)) of each p-shift in use
+        self._pshifts = [
+            (coef[t], r) for t, r in zip(PSHIFT_TERMS, _PSHIFT_ROLES) if t in coef
+        ]
+        self._s_rest = self._base.copy()
+        self._w = np.empty((n, n))
+        self._diagonal = self._w.reshape(-1)[:: n + 1]
+        self._other = np.ones(n)  # 0 at the last event's actors
+
+    def scores(self) -> np.ndarray:
+        """The (n, n) log-scores at the current state, entry (i, j) dyad
+        (i, j), with a -inf diagonal. The array is the scorer's own buffer:
+        the caller may overwrite it, and the next call does."""
+        w, state = self._w, self._state
+        if self._theta_deg:
+            np.add(self._s_rest, self._theta_deg * state.share, out=w)
+        else:
+            w[:] = self._s_rest
+        if self._pshifts and state.last_event is not None:
+            # a p-shift is a row (receiver role 2), a column (sender role
+            # 2) or one dyad; role 2 is every actor outside the last event
+            actor, other = state.last_event, self._other
+            other[list(actor)] = 0.0
+            for coef_p, (sender, receiver) in self._pshifts:
+                if receiver == 2:
+                    w[actor[sender]] += coef_p * other
+                elif sender == 2:
+                    w[:, actor[receiver]] += coef_p * other
+                else:
+                    w[actor[sender], actor[receiver]] += coef_p
+            other[list(actor)] = 1.0
+        self._diagonal[:] = -np.inf
+        return w
+
+    def update(self, i: int, j: int) -> None:
+        """Record event i -> j and refresh ``s_rest`` where it changed."""
+        state = self._state
+        state.update(i, j)
+        if state.array_terms:
+            s_rest, base, theta_arr = self._s_rest, self._base, self._theta_arr
+            new_tie = state.tie is not None and state.dyad_count[i, j] == 1
+            for x in (i, j):
+                s_rest[x] = (theta_arr * state.stat[:, x]).sum(axis=0) + base[x]
+                if new_tie:
+                    col = (theta_arr * state.stat[:, :, x]).sum(axis=0)
+                    s_rest[:, x] = col + base[:, x]
 
 
 def replay(events: Sequence[tuple[int, int]], n: int) -> HistoryState:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from remnet.data import ActorTable, EventSequence
-from remnet.inference import FitResult, ModelSpec, _term_scores, aicc
+from remnet.inference import FitResult, ModelSpec, aicc
 from remnet.simulation import KnockoutCondition, simulate_trajectory
 from remnet.stats import Term
 
@@ -52,13 +52,6 @@ def simulate_sequence(theta_by_term, actors, m, seed):
         theta, spec, actors, m, KnockoutCondition.named("full"), seed
     )
     return EventSequence(actors.network_id, traj.events)
-
-
-def design_scores(design, theta, terms):
-    """Linear predictors of every event of ``design``, shape (m, n_dyads),
-    scored block by block as the kernel and adequacy read the design."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return np.concatenate([_term_scores(theta, X) for X, _ in design.blocks(terms)])
 
 
 def point_mass_fit(theta_by_term, m, network_id="net"):

@@ -3,11 +3,13 @@
 Independent of ``remnet.stats.design_matrix``; the tests require the two
 to agree bitwise. ``naive_log_likelihood`` builds the likelihood from these
 statistics one event at a time, independent of ``remnet.inference``.
+``dense_design`` is the dense reference the other oracles read: every
+event's statistics from ``design_matrix`` over a ``HistoryState`` replay,
+and ``dense_scores`` scores them term by term.
 ``sorted_adequacy_ranks`` ranks each event's dyads by a stable sort, the
-reference for the vectorised ranks of ``remnet.analysis.adequacy``.
-``dense_evaluate`` is the dense likelihood kernel over the rows of
-``EventDesign.blocks``, the reference for the weighted-row kernel of
-``remnet.inference``.
+reference for the ranks of ``remnet.analysis.adequacy``.
+``dense_evaluate`` is the dense likelihood kernel over those statistics,
+the reference for the weighted-row kernel of ``remnet.inference``.
 """
 
 from typing import Sequence
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from remnet.inference import NumericalError
-from remnet.stats import PSHIFT_TERMS, Term
+from remnet.stats import PSHIFT_TERMS, HistoryState, Term, design_matrix, dyad_index
 
 
 def naive_stat(
@@ -125,6 +127,29 @@ def naive_log_likelihood(
     return float(total)
 
 
+def dense_design(actors, seq, terms):
+    """Every event's statistics of ``terms``, shape (k, m, n(n-1)), each
+    event's the ``design_matrix`` read of a ``HistoryState`` replay of the
+    events before it, and each event's observed dyad index. Test oracle."""
+    n = actors.n
+    pairs = seq.index_pairs(actors).tolist()
+    state, icr = HistoryState(n), actors.icr_array()
+    X = np.empty((len(terms), len(pairs), n * (n - 1)))
+    for t, (a, b) in enumerate(pairs):
+        X[:, t] = design_matrix(state, icr, terms)
+        state.update(a, b)
+    return X, np.array([dyad_index(a, b, n) for a, b in pairs])
+
+
+def dense_scores(theta, X):
+    """theta' X of (k, m, n(n-1)) statistics, summed term by term, so dyads
+    with equal statistics tie exactly. Test oracle."""
+    s = np.zeros(X.shape[1:])
+    for coef, stats in zip(np.asarray(theta, dtype=np.float64), X):
+        s += coef * stats
+    return s
+
+
 def sorted_adequacy_ranks(scores: np.ndarray, obs_idx: np.ndarray, n: int):
     """Adequacy ranks by a stable descending sort of each event. Test oracle.
 
@@ -156,34 +181,31 @@ def sorted_adequacy_ranks(scores: np.ndarray, obs_idx: np.ndarray, n: int):
     return tops, positions, either, both
 
 
-def dense_evaluate(theta, blocks) -> tuple[float, np.ndarray, np.ndarray]:
+def dense_evaluate(theta, X, obs) -> tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood, gradient and Hessian of ``theta`` in one pass over
-    ``blocks``, the (statistics, observed dyads) pairs of
-    ``EventDesign.blocks``. Test oracle.
+    the (k, m, n_dyads) statistics ``X`` and observed dyads ``obs`` of
+    ``dense_design``. Test oracle.
 
     Every dyad of every event is scored; each event's scores are shifted
-    by their maximum, exponentiated and normalised, and a block adds its
-    terms to ll, g and H = E'E - X'(p * X), where E holds each event's
-    expected statistics.
+    by their maximum, exponentiated and normalised, and ll, g and
+    H = E'E - X'(p * X) are summed over the events, where E holds each
+    event's expected statistics.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    k = len(theta)
-    ll, g, H = 0.0, np.zeros(k), np.zeros((k, k))
-    for Xb, obs in blocks:
-        _, b, D = Xb.shape
-        Xb = Xb.reshape(k, b * D)
-        s = (theta @ Xb).reshape(b, D)
-        if not np.all(np.isfinite(s)):
-            raise NumericalError("non-finite linear predictor")
-        observed = np.arange(b) * D + obs
-        s -= s.max(axis=1, keepdims=True)
-        observed_score = s.reshape(-1)[observed]
-        np.exp(s, out=s)
-        total = s.sum(axis=1, keepdims=True)
-        s /= total
-        ll += float(np.sum(observed_score - np.log(total[:, 0])))
-        pX = Xb * s.reshape(-1)
-        expected = pX.reshape(k, b, D).sum(axis=2)
-        g += Xb[:, observed].sum(axis=1) - expected.sum(axis=1)
-        H += expected @ expected.T - pX @ Xb.T
+    k, m, D = X.shape
+    X = X.reshape(k, m * D)
+    s = (theta @ X).reshape(m, D)
+    if not np.all(np.isfinite(s)):
+        raise NumericalError("non-finite linear predictor")
+    observed = np.arange(m) * D + obs
+    s -= s.max(axis=1, keepdims=True)
+    observed_score = s.reshape(-1)[observed]
+    np.exp(s, out=s)
+    total = s.sum(axis=1, keepdims=True)
+    s /= total
+    ll = float(np.sum(observed_score - np.log(total[:, 0])))
+    pX = X * s.reshape(-1)
+    expected = pX.reshape(k, m, D).sum(axis=2)
+    g = X[:, observed].sum(axis=1) - expected.sum(axis=1)
+    H = expected @ expected.T - pX @ X.T
     return ll, g, H

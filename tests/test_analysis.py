@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from remnet.analysis import (
     ConcentrationReport,
-    _ranks,
     adequacy,
     concentration_report,
     excess_concentration,
@@ -20,20 +19,19 @@ from remnet.analysis import (
     theil_index,
     welch_t_test,
 )
-from remnet import inference
-from remnet.data import write_json
+from remnet.data import ActorTable, write_json
 from remnet.inference import EventDesign, ModelSpec, fit_map
 from remnet.simulation import run_knockout_experiment
-from remnet.stats import Term
+from remnet.stats import ALL_TERMS, PSHIFT_TERMS, RiskSetScorer, Term
 
 from conftest import (
-    design_scores,
     make_actors,
     point_mass_fit,
     random_sequence,
+    sequence_from_pairs,
     simulate_sequence,
 )
-from oracle import sorted_adequacy_ranks
+from oracle import dense_design, dense_scores, sorted_adequacy_ranks
 
 
 # --- Theil index ------------------------------------------------------------
@@ -306,11 +304,9 @@ def test_adequacy_saturated_model_maxes_out():
     # a fully repetitive sequence perfectly predictable
     actors = make_actors(4)
     events = [(0, 1), (1, 0)] * 30
-    from conftest import sequence_from_pairs
-
     seq = sequence_from_pairs(actors, events[1:])  # start after the seed event
     fit = point_mass_fit({Term.PSABBA: 50.0}, m=len(events) - 1)
-    report = adequacy(fit, EventDesign(actors, seq, fit.spec.terms))
+    report = adequacy(fit, actors, seq)
     # every event after the first reverses its predecessor
     assert report.both_match > 0.9
     assert report.either_match >= report.both_match
@@ -320,9 +316,8 @@ def test_adequacy_saturated_model_maxes_out():
 def test_adequacy_null_model_matches_null_rate():
     rng = np.random.default_rng(8)
     actors, seq = random_sequence(6, 2000, rng)
-    design = EventDesign(actors, seq, ())
-    fit = fit_map(ModelSpec(terms=(), network_id="net"), design)
-    report = adequacy(fit, design)
+    fit = fit_map(ModelSpec(terms=(), network_id="net"), EventDesign(actors, seq, ()))
+    report = adequacy(fit, actors, seq)
     # ties all break to the first dyad; on uniform data the top-choice match
     # rate estimates the analytic null rate
     se = math.sqrt(report.null_either * (1 - report.null_either) / seq.m)
@@ -334,78 +329,82 @@ def test_adequacy_recall_monotone_random_model(small_fixture):
     actors, seq = small_fixture
     design = EventDesign(actors, seq, (Term.PSABBA, Term.RRECSND))
     fit = fit_map(ModelSpec(terms=design.terms, network_id="net"), design)
-    report = adequacy(fit, design)
+    report = adequacy(fit, actors, seq)
     assert 0.0 <= report.both_match <= report.either_match <= 1.0
     assert report.recall[1] <= report.recall[5] <= report.recall[10]
 
 
 ADEQUACY_SPEC = ModelSpec((Term.PSABBA, Term.RRECSND, Term.ICR), network_id="net")
+# every term at once, at coefficients of both signs
+ALL_TERM_THETA = dict(zip(ALL_TERMS, np.random.default_rng(5).uniform(-1.5, 1.5, 14)))
 
 
-def adequacy_case(theta_kind):
-    """(actors, seq, design, fit) of a 120-event, 7-actor network."""
+def adequacy_case(kind):
+    """(actors, seq, fit) of an adequacy case: a 120-event, 7-actor network
+    under ``ADEQUACY_SPEC`` at its fitted mode, at zero, or at a theta that
+    ties dyads; a 14-term fit on it, or one p-shift alone; every term on a
+    network of 2 or 3 actors; or a sequence of one event, which has no
+    previous event."""
     actors = make_actors(7, icr_indices=(0, 3))
     seq = simulate_sequence(
         {Term.PSABBA: 2.0, Term.RRECSND: 1.0, Term.ICR: 0.5}, actors, 120, seed=11
     )
-    design = EventDesign(actors, seq, ADEQUACY_SPEC.terms)
-    if theta_kind == "fitted":
-        fit = fit_map(ADEQUACY_SPEC, design=design)
-    else:
+    if kind == "fitted":
+        fit = fit_map(ADEQUACY_SPEC, design=EventDesign(actors, seq, ADEQUACY_SPEC.terms))
+    elif kind in ("zero", "ties"):
         # zero ties every dyad; (1, 0, 1) scores every dyad in {0, 1, 2, 3}
-        theta = (0.0, 0.0, 0.0) if theta_kind == "zero" else (1.0, 0.0, 1.0)
+        theta = (0.0, 0.0, 0.0) if kind == "zero" else (1.0, 0.0, 1.0)
         fit = point_mass_fit(dict(zip(ADEQUACY_SPEC.terms, theta)), m=seq.m)
-    return actors, seq, design, fit
+    elif kind == "all_terms":
+        fit = point_mass_fit(ALL_TERM_THETA, m=seq.m)
+    elif kind in ("n2", "n3", "first_event"):
+        n, m = {"n2": (2, 40), "n3": (3, 60), "first_event": (7, 1)}[kind]
+        actors = make_actors(n, icr_indices=(1,))
+        seq = simulate_sequence(ALL_TERM_THETA, actors, m, seed=n)
+        fit = point_mass_fit(ALL_TERM_THETA, m=120)  # m sets only its AICc
+    else:  # a p-shift alone: its dyads tie at one score, the rest at 0
+        fit = point_mass_fit({Term(kind): 1.5}, m=seq.m)
+    return actors, seq, fit
 
 
-def assert_report_matches_sorting_oracle(report, design, fit, n):
-    scores = design_scores(design, fit.mode, fit.spec.terms)
-    _, positions, either, both = sorted_adequacy_ranks(scores, design.obs_idx, n)
-    assert report.either_match == either / design.m
-    assert report.both_match == both / design.m
-    for pct, coverage in report.recall.items():
-        cutoff = math.ceil(pct / 100.0 * design.n_dyads)
-        assert coverage == float(np.mean(positions < cutoff))
-
-
-@pytest.mark.parametrize("theta_kind", ["fitted", "zero", "ties"])
+@pytest.mark.parametrize(
+    "theta_kind",
+    ["fitted", "zero", "ties", "all_terms", *(t.value for t in PSHIFT_TERMS)]
+    + ["n2", "n3", "first_event"],
+)
 def test_adequacy_ranks_match_sorting_oracle(theta_kind):
-    actors, seq, design, fit = adequacy_case(theta_kind)
-    scores = design_scores(design, fit.mode, ADEQUACY_SPEC.terms)
-    obs = design.obs_idx
+    actors, seq, fit = adequacy_case(theta_kind)
+    X, obs = dense_design(actors, seq, fit.spec.terms)
+    scores = dense_scores(fit.mode, X)
     if theta_kind == "ties":
         # the observed dyad shares its score with others at some events
         tied = scores == scores[np.arange(seq.m), obs][:, None]
         assert np.any(tied.sum(axis=1) > 1)
-    tops, positions, _, _ = sorted_adequacy_ranks(scores, obs, actors.n)
-    got_tops, got_positions = _ranks(scores, obs)
-    np.testing.assert_array_equal(got_tops, tops)
-    np.testing.assert_array_equal(got_positions, positions)
-    report = adequacy(fit, design)
-    assert_report_matches_sorting_oracle(report, design, fit, actors.n)
+    # the scorer adequacy ranks (and the sampler draws from) holds the dense
+    # scores at every event, with a -inf diagonal
+    n = actors.n
+    scorer = RiskSetScorer(fit.spec.terms, fit.mode, actors.icr_array())
+    off_diagonal = ~np.eye(n, dtype=bool).reshape(-1)
+    for t, (a, b) in enumerate(seq.index_pairs(actors).tolist()):
+        got = scorer.scores().reshape(-1)
+        assert np.all(got[~off_diagonal] == -np.inf)
+        scale = 1e-12 * max(1.0, np.abs(scores[t]).max())
+        assert np.max(np.abs(got[off_diagonal] - scores[t])) <= scale, t
+        scorer.update(a, b)
+    report = adequacy(fit, actors, seq)
+    _, positions, either, both = sorted_adequacy_ranks(scores, obs, n)
+    assert report.either_match == either / seq.m
+    assert report.both_match == both / seq.m
+    for pct, coverage in report.recall.items():
+        cutoff = math.ceil(pct / 100.0 * n * (n - 1))
+        assert coverage == float(np.mean(positions < cutoff))
 
 
-@pytest.mark.parametrize("events_per_block", [1, 3, 7])
-@pytest.mark.parametrize("theta_kind", ["fitted", "ties"])
-def test_streamed_adequacy_matches_single_block(
-    monkeypatch, theta_kind, events_per_block
-):
-    actors, seq, design, fit = adequacy_case(theta_kind)
-    # all 120 events in one block by default; 7 per block leaves a last block of 1
-    assert inference._BLOCK_ROWS // design.n_dyads >= seq.m
-    whole = adequacy(fit, design)
-    monkeypatch.setattr(inference, "_BLOCK_ROWS", events_per_block * design.n_dyads)
-    streamed = adequacy(fit, design)
-    assert streamed == whole
-    assert_report_matches_sorting_oracle(streamed, design, fit, actors.n)
-
-
-def test_adequacy_on_design_without_the_fit_terms():
-    actors, seq = random_sequence(5, 20, np.random.default_rng(3))
-    design = EventDesign(actors, seq, (Term.ICR,))
-    fit = point_mass_fit({Term.PSABBA: 1.0, Term.ICR: 0.5}, m=seq.m)
-    with pytest.raises(ValueError, match="no statistics for PSAB-BA;"):
-        adequacy(fit, design)
+def test_adequacy_rejects_mismatched_network_ids():
+    actors, seq = random_sequence(4, 10, np.random.default_rng(3))
+    other = ActorTable("other", actors.actor_ids, actors.icr)
+    with pytest.raises(ValueError, match="network_id differ"):
+        adequacy(point_mass_fit({Term.ICR: 0.5}, m=seq.m), other, seq)
 
 
 # --- concentration report ---------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,33 @@ def test_huge_prior_parameter_exits_cleanly(data_dir, tmp_path, capsys, payload)
     code = run(["fit", "--config", cfg, *base, "--out", tmp_path / "o", *terms])
     assert code == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, want",
+    [
+        ({"prior_scale": 1e-300}, EXIT_CONFIG),
+        ({"prior_scale": 1e-160}, EXIT_CONFIG),
+        ({"prior_location": 1e300}, EXIT_CONFIG),
+        ({"prior_location": 1e150}, EXIT_CONFIG),
+        ({"prior_df": 1e-300}, EXIT_OK),
+        ({"prior_scale": 1e-10}, EXIT_OK),
+    ],
+)
+def test_extreme_prior_parameter_exit_codes(data_dir, tmp_path, capsys, payload, want):
+    # a prior whose density or derivatives overflow or divide by zero at
+    # theta = 0 is a config error: a fit under it stalls or fails with
+    # warnings; a tiny df or a small scale is a valid prior and fits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    terms = ["--terms", "PSAB-BA", "ICR"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["fit", "--config", cfg, *base, "--out", tmp_path / "o", *terms])
+    assert code == want
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_out_that_is_a_file_is_config_error(data_dir, tmp_path):

@@ -30,14 +30,19 @@ from remnet.inference import (
 from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design, dyad_from_index
 
 from conftest import (
-    design_scores,
     make_actors,
     point_mass_fit,
     random_sequence,
     sequence_from_pairs,
     simulate_sequence,
 )
-from oracle import dense_evaluate, naive_log_likelihood, naive_stat_vector
+from oracle import (
+    dense_design,
+    dense_evaluate,
+    dense_scores,
+    naive_log_likelihood,
+    naive_stat_vector,
+)
 
 
 def all_term_spec(network_id="net"):
@@ -76,7 +81,7 @@ def test_step_probabilities_sum_to_one(small_fixture):
     actors, seq = small_fixture
     design = EventDesign(actors, seq)
     theta = np.random.default_rng(1).normal(0, 2, 14)
-    scores = design_scores(design, theta, ALL_TERMS)
+    scores = dense_scores(theta, dense_design(actors, seq, ALL_TERMS)[0])
     log_p = scores - logsumexp(scores, axis=1, keepdims=True)
     total = np.exp(log_p).sum(axis=1)
     assert np.all(np.abs(total - 1.0) < 1e-12)
@@ -110,10 +115,11 @@ def test_loglik_matches_naive_oracle(small_fixture):
     thetas = [rng.normal(0, 1, 14) for _ in range(3)]
     # scaled so the largest score is 1000: plain exp of it overflows
     big = rng.normal(0, 1, 14)
-    scores = design_scores(design, big, ALL_TERMS)
+    X, _ = dense_design(actors, seq, ALL_TERMS)
+    scores = dense_scores(big, X)
     big *= 1000.0 / scores.flat[np.abs(scores).argmax()]
     with np.errstate(over="ignore"):
-        assert not np.all(np.isfinite(np.exp(design_scores(design, big, ALL_TERMS))))
+        assert not np.all(np.isfinite(np.exp(dense_scores(big, X))))
     for theta in thetas + [big]:
         got = log_likelihood(theta, spec, design=design)
         want = naive_log_likelihood(
@@ -174,15 +180,14 @@ def test_streamed_kernel_matches_single_block(
     assert seq.m % 3 == 2
     rng = np.random.default_rng(6)
     thetas = [rng.normal(0, 1, 14) for _ in range(3)]
-    whole = [dense_evaluate(theta, design.blocks(spec.terms)) for theta in thetas]
+    X, obs = dense_design(actors, seq, spec.terms)
+    whole = [dense_evaluate(theta, X, obs) for theta in thetas]
     monkeypatch.setattr(
         inference, "_BLOCK_ROWS", 1 if events_per_block == 1 else 3 * design.n_dyads + 1
     )
     for theta, want in zip(thetas, whole):
-        streamed = dense_evaluate(theta, design.blocks(spec.terms))
         got = _fgh(theta, spec, design)
-        for part, streamed_part, want_part in zip(got, streamed, want):
-            _assert_close(streamed_part, want_part)
+        for part, want_part in zip(got, want):
             _assert_close(part, want_part)
         naive = naive_log_likelihood(
             events, actors.icr_array(), actors.n, ALL_TERMS, theta
@@ -196,22 +201,18 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
     full = EventDesign(actors, seq)
     small = EventDesign(actors, seq, terms)
     assert np.array_equal(small.obs_idx, full.obs_idx)
-    # 70 events of 992 dyads make two blocks: 66 events, then 4
-    own = list(small.blocks(terms))
-    assert [X.shape for X, _ in own] == [(4, 66, 992), (4, 4, 992)]
-    assert np.array_equal(np.concatenate([obs for _, obs in own]), small.obs_idx)
-    # the spec's design and the full one hold the same values, in any order
+    # the spec's design and the full one give the same rows, in any order
     for some in (terms, terms[::-1], terms[1:3]):
-        for (X, obs), (want, want_obs) in zip(small.blocks(some), full.blocks(some)):
-            assert X.flags.c_contiguous
-            assert np.array_equal(X, want) and np.array_equal(obs, want_obs)
+        got, want = small.factors(some), full.factors(some)
+        for name in ("X", "count", "event", "starts", "x_obs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     # the store is O(m*n + nnz): an (m, n) share, the icr vector, an
     # 8-byte slot and an 8-byte value per nonzero sparse statistic, a
     # 1-byte event, sender and receiver per key (a dyad where any of them is
     # nonzero: m = 70 and n = 32 each fit a byte) and each event's 2-byte
     # observed key (-1 to keys - 1: both designs have 129 to 32768 keys)
     for design in (small, full):
-        stats = np.concatenate([X for X, _ in design.blocks(design.terms)], axis=1)
+        stats, _ = dense_design(actors, seq, design.terms)
         sparse = [c for c, t in enumerate(design.terms) if t not in (Term.NTDEGREC, Term.ICR)]
         nnz = np.count_nonzero(stats[sparse])
         keys = np.count_nonzero(np.any(stats[sparse] != 0, axis=0))
@@ -230,11 +231,8 @@ def test_blocks_match_fill_design_and_naive_oracle(case):
     m = case.draw(st.integers(1, 20), label="m")
     rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
     actors, seq = random_sequence(n, m, rng, icr_indices=tuple(range(0, n, 3)))
-    # the build and the read both go a block of events at a time
-    per_block = case.draw(st.integers(1, m), label="events per block")
-    with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
-        design = EventDesign(actors, seq)
-        X = np.concatenate([X for X, _ in design.blocks(ALL_TERMS)], axis=1)
+    # the dense reference every kernel and adequacy test reads
+    X, _ = dense_design(actors, seq, ALL_TERMS)
     icr = actors.icr_array()
     events = [(int(i), int(j)) for i, j in seq.index_pairs(actors)]
     dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -262,8 +260,8 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
     per_block = case.draw(st.integers(1, m), label="events per block")
     with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
         design = EventDesign(actors, seq, terms)
-        X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
         f = design.factors(terms)
+    X, _ = dense_design(actors, seq, terms)
     D = design.n_dyads
     # an untouched dyad's cell: (icr_i or 0, j or icr_j or 0), in that order
     icr = actors.icr_array().astype(int)
@@ -304,8 +302,6 @@ def test_design_without_spec_terms_is_rejected(small_fixture):
     spec = ModelSpec(terms=(Term.PSABBA, Term.ICR, Term.RRECSND), network_id="net")
     match = r"no statistics for PSAB-BA, RRecSnd; it was built for \[ICR, NTDegRec\]"
     with pytest.raises(ValueError, match=match):
-        next(design.blocks(spec.terms))
-    with pytest.raises(ValueError, match=match):
         fit_map(spec, design=design)
     for view in (log_likelihood, gradient, hessian):
         with pytest.raises(ValueError, match=match):
@@ -321,8 +317,8 @@ def kernel_errors(design, terms, theta):
     variance are differences of numbers that size."""
     theta = np.asarray(theta, dtype=np.float64)
     got = inference._evaluate(theta, design.factors(terms))
-    want = dense_evaluate(theta, design.blocks(terms))
-    X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
+    X, obs = dense_design(design.actors, design.seq, terms)
+    want = dense_evaluate(theta, X, obs)
     s = np.tensordot(theta, X, axes=1)
     p = np.exp(s - s.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
@@ -345,8 +341,8 @@ def assert_kernel_matches_oracle(design, terms, theta, rel=1e-12):
     dense oracle."""
     theta = np.asarray(theta, dtype=np.float64)
     got = inference._evaluate(theta, design.factors(terms))
-    ll, g, H = dense_evaluate(theta, design.blocks(terms))
-    X = np.concatenate([X for X, _ in design.blocks(terms)], axis=1)
+    X, obs = dense_design(design.actors, design.seq, terms)
+    ll, g, H = dense_evaluate(theta, X, obs)
     x_obs = X[:, np.arange(design.m), design.obs_idx]
     g_scale = np.maximum(np.abs(x_obs).sum(axis=1), np.abs(x_obs.sum(axis=1) - g))
     assert all(np.all(np.isfinite(part)) for part in got)
@@ -473,7 +469,7 @@ def test_kernel_stress_touched_base_maximum():
     cycle = [(0, j) for j in range(1, 6)] + [(j, 0) for j in range(1, 6)]
     seq = sequence_from_pairs(actors, 3 * cycle)
     design = EventDesign(actors, seq, STRESS_TERMS)
-    X = np.concatenate([X for X, _ in design.blocks(STRESS_TERMS)], axis=1)
+    X, _ = dense_design(actors, seq, STRESS_TERMS)
     touched = X[1] != 0
     for theta in ([40.0, -40.0, 40.0], [40.0, -40.0, 20.0], [-40.0, 40.0, 40.0]):
         base = theta[0] * X[0] + theta[2] * X[2]

@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from remnet.cli import _write_trajectories
-from remnet.inference import EventDesign, ModelSpec
+from remnet.inference import ModelSpec
 from remnet.simulation import (
     DEFAULT_CONDITIONS,
     KnockoutCondition,
@@ -17,7 +17,7 @@ from remnet.simulation import (
 from remnet.stats import ALL_TERMS, PSHIFT_TERMS, Term, dyad_index
 
 from conftest import make_actors, point_mass_fit, random_events, sequence_from_pairs
-from oracle import naive_stat_vector
+from oracle import dense_design, naive_stat_vector
 
 FULL = KnockoutCondition.named("full")
 
@@ -284,9 +284,8 @@ def test_trajectory_and_design_bits_are_pinned():
         "25e2e069c69cb246e28de27272667fc661279e7b6a9eb33df1324b2f31a9bc44"
     )
     pairs = random_events(12, 200, np.random.default_rng(11))
-    design = EventDesign(actors, sequence_from_pairs(actors, pairs))
-    blocks = [X for X, _ in design.blocks(ALL_TERMS)]
-    tensor = np.concatenate(blocks, axis=1).reshape(14, 200 * 132)
+    X, _ = dense_design(actors, sequence_from_pairs(actors, pairs), ALL_TERMS)
+    tensor = X.reshape(14, 200 * 132)
     assert hashlib.sha256(tensor.tobytes()).hexdigest() == (
         "e9ae9ad5aaf4ec7d170f25efb893a2d4a6376b528803f4a87dc19edc73a5be3a"
     )
