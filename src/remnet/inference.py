@@ -20,7 +20,9 @@ dyads have base statistics alone, which depend on a dyad (i, j) only
 through its cell: the sender's icr_i (with ICR) and the receiver j (with
 NTDegRec) or its icr_j (with ICR alone). So an event has at most 2n cells,
 and each nonempty one is a single row weighted by its dyad count (the
-normaliser over counted classes: Perry & Wolfe, JRSS-B 2013). The kernel
+normaliser over counted classes: Perry & Wolfe, JRSS-B 2013), sized from
+the actors' class counts; each event's observed statistics are read from
+the design, not searched for among the rows. The kernel
 is then the dense kernel's arithmetic over those weighted rows, with no
 difference formed but H's. A pass costs O((m*n + nnz)*k^2), not
 O(m*n^2*k^2). Adequacy reads no design: it ranks the scores of a
@@ -103,14 +105,15 @@ class PriorSpec:
             raise ValueError("prior scale must be positive and finite")
         if not 0 < self.df < math.inf:
             raise ValueError("prior df must be positive and finite")
-        # a location or scale so extreme that the density or its derivatives
-        # overflow or divide by zero at theta = 0 cannot steer a fit
+        # a prior whose density or derivatives overflow, divide by zero or
+        # leave math's domain (lgamma of a subnormal df) at theta = 0 cannot
+        # steer a fit
         zero = np.zeros(1)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 for part in (self.log_density, self.grad, self.hess_diag):
                     part(zero)
-        except FloatingPointError as exc:
+        except (FloatingPointError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"prior (location {self.location!r}, scale {self.scale!r}, "
                 f"df {self.df!r}) is not finite at theta = 0: {exc}"
@@ -225,10 +228,10 @@ class DesignStore:
     their nonzero entries, which the key maps list in (event, dyad) order:
     key u is dyad (``sender[u]``, ``receiver[u]``) at event ``event[u]``,
     each map in the narrowest unsigned type that holds its values (at most
-    8 bytes a key together). ``obs_slot[t]`` is the key of event t's
-    observed dyad, or -1 when that dyad is untouched. ``entries[term]`` is
-    a sparse term's (slots, values): its nonzero statistics and their keys,
-    in increasing order.
+    8 bytes a key together). ``entries[term]`` is a sparse term's (slots,
+    values): its nonzero statistics and their keys, in increasing order.
+    ``observed[term]`` is a sparse term's value at each event's observed
+    dyad, zero or not.
     """
 
     share: np.ndarray | None
@@ -236,14 +239,15 @@ class DesignStore:
     event: np.ndarray
     sender: np.ndarray
     receiver: np.ndarray
-    obs_slot: np.ndarray
     entries: dict[Term, tuple[np.ndarray, np.ndarray]]
+    observed: dict[Term, np.ndarray]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the share, icr, key map, slot and value arrays."""
-        arrays = [self.icr, self.event, self.sender, self.receiver, self.obs_slot]
+        """Bytes of the share, icr, key map, slot, value and observed arrays."""
+        arrays = [self.icr, self.event, self.sender, self.receiver]
         arrays += [a for pair in self.entries.values() for a in pair]
+        arrays += self.observed.values()
         if self.share is not None:
             arrays.append(self.share)
         return sum(a.nbytes for a in arrays)
@@ -256,13 +260,13 @@ class EventDesign:
     ``HistoryState`` replay of the events into ``store``, a
     ``DesignStore``: NTDegRec as an (m, n) receiver share, ICR as the
     static actor vector and each other term as its nonzero entries, with
-    the event, sender and receiver of each key. Memory is O(m*n + nnz),
-    ``store.nbytes`` bytes; ``full_tensor`` is another name for ``store``,
-    the attribute perfbench's spans read. ``dyad_sender`` and
-    ``dyad_receiver`` are the sender and receiver of each canonical dyad.
-    Its one reader is ``factors``, which gives a spec's statistics as the
-    likelihood kernel's weighted rows: each touched dyad, and one counted
-    row per cell of untouched dyads.
+    the event, sender and receiver of each key, and its value at each
+    event's observed dyad, whose canonical index is ``obs_idx``. Memory is
+    O(m*n + nnz), ``store.nbytes`` bytes; ``full_tensor`` is another name
+    for ``store``, the attribute perfbench's spans read. Its one reader is
+    ``factors``, which gives a spec's statistics as the likelihood
+    kernel's weighted rows: each touched dyad, and one counted row per cell
+    of untouched dyads.
     """
 
     def __init__(
@@ -279,13 +283,13 @@ class EventDesign:
         self.n = n = actors.n
         self.m = m = seq.m
         self.n_dyads = D = n * (n - 1)
-        # each canonical dyad's sender and receiver
-        self.dyad_sender, self.dyad_receiver = dyad_from_index(np.arange(D), n)
         sparse = [t for t in self.terms if t not in _BASE_TERMS]
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
         share = np.empty((m, n)) if Term.NTDEGREC in self.terms else None
         per_block = max(1, _BLOCK_ROWS // D)
+        # before the block buffer, so that no long-lived array pins its hole
+        observed = np.empty((len(sparse), m))
         stats = np.empty((len(sparse), per_block, n - 1, n))
         keys, n_keys = [np.empty(0, np.intp)], 0
         found = [[(np.empty(0, np.intp), np.empty(0))] for _ in sparse]
@@ -303,6 +307,7 @@ class EventDesign:
             # the block's nonzero entries, term by term in (event, dyad) order
             size = (stop - start) * D
             flat = stats.reshape(len(sparse), per_block * D)[:, :size]
+            observed[:, start:stop] = flat[:, np.arange(stop - start) * D + obs[start:stop]]
             nonzero = flat != 0.0
             touched = np.flatnonzero(nonzero.any(axis=0))
             keys.append(start * D + touched)
@@ -319,26 +324,22 @@ class EventDesign:
             t: tuple(np.concatenate(x) for x in zip(*parts))
             for t, parts in zip(sparse, found)
         }
-        # the touched dyads' keys event * n_dyads + dyad, in increasing order,
-        # and where each event's observed dyad is among them
+        # the touched dyads' keys event * n_dyads + dyad, in increasing order, as
+        # maps in their smallest types (a per-dyad table spares key-sized temporaries)
         keys = np.concatenate(keys)
         event, dyad = np.divmod(keys, D)
-        obs_slot = np.full(m, -1)
-        if n_keys:
-            obs_key = np.arange(m) * D + obs
-            at = np.searchsorted(keys[:-1], obs_key)
-            hit = keys[at] == obs_key
-            obs_slot[hit] = at[hit]
-        # narrow key maps: the smallest types that hold each map's values
         actor_type = np.min_scalar_type(n - 1)
+        sender, receiver = (
+            a.astype(actor_type)[dyad] for a in dyad_from_index(np.arange(D), n)
+        )
         self.store = DesignStore(
             share,
             icr,
             event.astype(np.min_scalar_type(m - 1)),
-            self.dyad_sender.astype(actor_type)[dyad],
-            self.dyad_receiver.astype(actor_type)[dyad],
-            obs_slot.astype(np.min_scalar_type(-max(n_keys, 1))),
+            sender,
+            receiver,
             entries,
+            dict(zip(sparse, observed)),
         )
         self.obs_idx = obs
 
@@ -394,14 +395,15 @@ class _Factors:
     else ``icr_j`` when it has ICR (else 0). So every dyad of a cell shares
     one row of statistics: its base statistics and 0 for each sparse term.
     An event has at most 2n cells, whose sizes are each cell's dyad count
-    less the event's touched dyads in it.
+    (from the actors' class counts) less the event's touched dyads in it.
 
     ``X`` holds every row's statistics in spec order, shape (k, rows);
     ``count`` each row's weight and ``event`` its event, each in the
     narrowest unsigned type that holds its values; ``starts`` where each
-    event's rows begin (every event has a row). ``x_obs`` holds each
-    event's observed-dyad row, shape (k, m). All of it is gathered from
-    the store's key maps through one mask of the spec's keys.
+    event's rows begin (every event has a row). All of it is gathered from
+    the store's key maps through one mask of the spec's keys. ``x_obs``
+    holds each event's observed statistics, shape (k, m) with an event's k
+    values adjacent, read from the store and ``obs_idx``.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
@@ -411,15 +413,12 @@ class _Factors:
             (c, store.entries[t]) for c, t in enumerate(terms) if t not in _BASE_TERMS
         ]
 
-        # each actor's sender class (0 or 1) and receiver class (0 to n - 1),
-        # and each dyad's cell
+        # each actor's sender class (0 or 1) and receiver class (0 to n - 1):
+        # dyad (i, j) is in cell sender_class[i] * n + receiver_class[j]
         icr = store.icr.astype(np.intp)
         zero = np.zeros(n, dtype=np.intp)
         sender_class = icr if has_icr else zero
         receiver_class = np.arange(n) if has_share else icr if has_icr else zero
-
-        def cells(senders, receivers):
-            return sender_class[senders] * n + receiver_class[receivers]
 
         # the spec's touched dyads: the keys where any of its sparse terms
         # is nonzero
@@ -430,9 +429,14 @@ class _Factors:
         spec_event = store.event[spec_slots].astype(np.intp)
         spec_sender, spec_receiver = store.sender[spec_slots], store.receiver[spec_slots]
         touched = np.bincount(spec_event, minlength=m)
-        # each event's untouched dyads per cell, and the nonempty cells
-        size = np.bincount(cells(design.dyad_sender, design.dyad_receiver), minlength=2 * n)
-        spec_key = spec_event * (2 * n) + cells(spec_sender, spec_receiver)
+        # each cell's dyads, its sender class's actors times its receiver
+        # class's less the pairs (i, i); each event's untouched dyads per
+        # cell, and the nonempty cells
+        size = np.outer(
+            np.bincount(sender_class, minlength=2), np.bincount(receiver_class, minlength=n)
+        ).reshape(-1) - np.bincount(sender_class * n + receiver_class, minlength=2 * n)
+        spec_key = spec_event * (2 * n) + sender_class[spec_sender] * n
+        spec_key += receiver_class[spec_receiver]
         untouched = size - np.bincount(spec_key, minlength=m * 2 * n).reshape(m, 2 * n)
         nonempty = np.flatnonzero(untouched)
         class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
@@ -451,32 +455,27 @@ class _Factors:
         self.count[class_row] = untouched.reshape(-1)[nonempty]
 
         self.X = np.zeros((len(terms), self.event.size))
+        # each event's k observed statistics adjacent: the kernel's sums round by it
+        self.x_obs = np.empty((m, len(terms))).T
+        obs_sender, obs_receiver = dyad_from_index(design.obs_idx, n)
         for c, term in enumerate(terms):
             if term is Term.NTDEGREC:
                 self.X[c, touched_row] = store.share[spec_event, spec_receiver]
                 self.X[c, class_row] = store.share[class_event, class_receiver]
+                self.x_obs[c] = store.share[np.arange(m), obs_receiver]
             elif term is Term.ICR:
                 self.X[c, touched_row] = store.icr[spec_sender] + store.icr[spec_receiver]
                 # the cell's sender class plus its receiver's icr
                 self.X[c, class_row] = class_sender + (
                     store.icr[class_receiver] if has_share else class_receiver
                 )
+                self.x_obs[c] = store.icr[obs_sender] + store.icr[obs_receiver]
+            else:
+                self.x_obs[c] = store.observed[term]
         column = np.empty(store.event.size, dtype=np.intp)
         column[spec_slots] = touched_row
         for c, (slots, values) in entries:
             self.X[c, column[slots]] = values
-
-        # each event's observed row: its touched row, or its cell's class row
-        obs_slot = store.obs_slot.astype(np.intp)
-        hit = obs_slot >= 0
-        hit[hit] = in_spec[obs_slot[hit]]
-        obs_row = np.empty(m, dtype=np.intp)
-        obs_row[hit] = column[obs_slot[hit]]
-        miss = np.flatnonzero(~hit)
-        obs = design.obs_idx[miss]
-        obs_key = miss * (2 * n) + cells(design.dyad_sender[obs], design.dyad_receiver[obs])
-        obs_row[miss] = class_row[np.searchsorted(nonempty, obs_key)]
-        self.x_obs = self.X[:, obs_row]
 
 
 def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -290,12 +292,14 @@ def test_huge_prior_parameter_exits_cleanly(data_dir, tmp_path, capsys, payload)
         ({"prior_location": 1e150}, EXIT_CONFIG),
         ({"prior_df": 1e-300}, EXIT_OK),
         ({"prior_scale": 1e-10}, EXIT_OK),
+        ({"prior_df": 5e-324}, EXIT_CONFIG),
     ],
 )
 def test_extreme_prior_parameter_exit_codes(data_dir, tmp_path, capsys, payload, want):
-    # a prior whose density or derivatives overflow or divide by zero at
-    # theta = 0 is a config error: a fit under it stalls or fails with
-    # warnings; a tiny df or a small scale is a valid prior and fits
+    # a prior whose density or derivatives overflow, divide by zero or leave
+    # math's domain at theta = 0 is a config error that names the prior: a
+    # fit under it stalls or fails with warnings; a tiny df or a small scale
+    # is a valid prior and fits
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
     base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
@@ -304,7 +308,48 @@ def test_extreme_prior_parameter_exit_codes(data_dir, tmp_path, capsys, payload,
         warnings.simplefilter("always")
         code = run(["fit", "--config", cfg, *base, "--out", tmp_path / "o", *terms])
     assert code == want
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if want == EXIT_CONFIG:
+        assert "config error: prior (location" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# one numeric config key at a log-uniform extreme of either sign
+EXTREME_FLOATS = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from((1.0, -1.0)),
+    st.floats(math.log10(5e-324), math.log10(1.7e308)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    setting=st.tuples(
+        st.sampled_from(("prior_location", "prior_scale", "prior_df", "tol")),
+        EXTREME_FLOATS,
+    )
+    | st.tuples(st.just("seed"), st.integers(0, 2**70)),
+)
+def test_config_extremes_fit_or_exit_cleanly(data_dir, setting):
+    """A fit with any numeric key at an extreme exits with a known code.
+
+    ``replicates`` and ``max_iter`` are left out: they set the amount of
+    work, not whether a config is valid.
+    """
+    key, value = setting
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+        terms = ["--terms", "PSAB-BA", "ICR"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(["fit", "--config", cfg, *base, "--out", Path(tmp) / "o", *terms])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL), code
+    assert "Traceback" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -209,8 +209,8 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
     # the store is O(m*n + nnz): an (m, n) share, the icr vector, an
     # 8-byte slot and an 8-byte value per nonzero sparse statistic, a
     # 1-byte event, sender and receiver per key (a dyad where any of them is
-    # nonzero: m = 70 and n = 32 each fit a byte) and each event's 2-byte
-    # observed key (-1 to keys - 1: both designs have 129 to 32768 keys)
+    # nonzero: m = 70 and n = 32 each fit a byte) and each sparse term's
+    # 8-byte value at each event's observed dyad
     for design in (small, full):
         stats, _ = dense_design(actors, seq, design.terms)
         sparse = [c for c, t in enumerate(design.terms) if t not in (Term.NTDEGREC, Term.ICR)]
@@ -218,7 +218,7 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
         keys = np.count_nonzero(np.any(stats[sparse] != 0, axis=0))
         assert 128 < keys <= 32768
         assert design.store.nbytes == (
-            8 * (seq.m * actors.n + actors.n) + 3 * keys + 2 * seq.m + 16 * nnz
+            8 * (seq.m * actors.n + actors.n) + 3 * keys + 16 * nnz + 8 * len(sparse) * seq.m
         )
         assert design.full_tensor is design.store
         assert design.store.nbytes < stats.nbytes / 5
@@ -294,6 +294,9 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
             assert shared.tobytes() == X[:, t, members].tobytes()
         assert mine.size + f.count[rows[mine.size :]].sum() == D
     assert f.x_obs.tobytes() == X[:, np.arange(m), design.obs_idx].tobytes()
+    # each event's k observed values adjacent: the kernel's theta @ x_obs and
+    # x_obs.sum(axis=1) round by this layout, and so do the saved modes
+    assert f.x_obs.strides == (8, 8 * len(terms))
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -786,6 +789,9 @@ def test_prior_validation():
         for value in values:
             with pytest.raises(ValueError, match=f"prior {field}"):
                 PriorSpec(**{field: value})
+    # a subnormal df halves to 0 in lgamma, outside math's domain
+    with pytest.raises(ValueError, match=r"prior \(location .* not finite at theta = 0"):
+        PriorSpec(df=5e-324)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
@@ -826,6 +832,19 @@ def test_prior_log_density_at_large_df():
         assert prior.log_density(1.0) == pytest.approx(gaussian, rel=1e-12)
         assert np.allclose(prior.grad(theta), -theta / 100.0, rtol=1e-15, atol=0.0)
         assert np.allclose(prior.hess_diag(theta), -1.0 / 100.0, rtol=1e-15, atol=0.0)
+
+
+def test_prior_log_density_tends_to_the_gaussian():
+    # the t log-density less the N(0, scale^2) one is about
+    # (z^4 - 2 z^2 - 1) / (4 nu), within (1 + z^4) / nu, at every df from
+    # the series' start on, not only at the ends checked above
+    for nu in np.logspace(3, 300, 1189):
+        prior = PriorSpec(df=float(nu))
+        for theta in (0.0, 1.0, 10.0, 30.0):
+            z = theta / 10.0
+            gaussian = -0.5 * math.log(2.0 * math.pi) - math.log(10.0) - 0.5 * z * z
+            bound = (1.0 + z**4) / nu + 4 * math.ulp(gaussian)
+            assert abs(prior.log_density(theta) - gaussian) <= bound, (nu, theta)
 
 
 def test_prior_derivatives_match_fd():
