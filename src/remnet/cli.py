@@ -332,6 +332,8 @@ def _simulate_networks(cfg: RunConfig, command: str):
     """
     if cfg.seed is None:
         raise ConfigError(f"--seed is mandatory for {command}")
+    if not cfg.conditions:
+        raise ConfigError(f"{command} needs at least one knock-out condition")
     nets = _load_all(cfg)
     out = _prepare_out(cfg, command)
     conditions = tuple(KnockoutCondition.named(c) for c in cfg.conditions)

@@ -172,12 +172,14 @@ def _parse_actor_rows(rows, path) -> dict[str, tuple[list, list, bool | None]]:
 
 
 def _parse_order(order_raw, path, lineno) -> int:
-    try:
-        return int(order_raw)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(
-            f"{path}:{lineno}: order must be an integer, got {order_raw!r}"
-        ) from None
+    """An event's order: an int, or text that spells one. A JSON float or
+    bool is neither, though ``int()`` would truncate 1.5 and take true."""
+    if not isinstance(order_raw, (bool, float)):
+        try:
+            return int(order_raw)
+        except (TypeError, ValueError):
+            pass
+    raise DataError(f"{path}:{lineno}: order must be an integer, got {order_raw!r}")
 
 
 def _parse_event_rows(rows, path) -> dict[str, list]:

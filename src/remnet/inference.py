@@ -4,29 +4,32 @@ Each observed event is a multinomial draw over the risk set (all ordered
 actor pairs) with probabilities proportional to exp(theta' u), statistics
 evaluated on the history strictly before the event. Priors are independent
 Student-t densities per coefficient (location 0, scale 10, df 4 by
-default). The posterior covariance is the inverse negative Hessian of the
-log-posterior at the mode.
+default), whose log density, gradient and Hessian diagonal
+``PriorSpec.evaluate`` gives in one call. The posterior covariance is the
+inverse negative Hessian of the log-posterior at the mode.
 
 Every model-layer function reads its data from an ``EventDesign``, the
-per-event statistics of one network in O(m*n + nnz) memory: NTDegRec as a
-receiver share per event, ICR as a static actor vector and the other
-twelve terms as their nonzero entries. One kernel, ``_evaluate``, gives
-the log-likelihood, gradient and Hessian in one pass over a spec's
-``_Factors``, which ``fit_map`` collects once per fit with one mask of the
-spec's keys and gathers from the design's per-key event, sender and
-receiver maps. ``_Factors`` lists each event's touched dyads (where one of
-the spec's sparse terms is nonzero) as rows of weight 1. The untouched
-dyads have base statistics alone, which depend on a dyad (i, j) only
-through its cell: the sender's icr_i (with ICR) and the receiver j (with
-NTDegRec) or its icr_j (with ICR alone). So an event has at most 2n cells,
-and each nonempty one is a single row weighted by its dyad count (the
-normaliser over counted classes: Perry & Wolfe, JRSS-B 2013), sized from
-the actors' class counts; each event's observed statistics are read from
-the design, not searched for among the rows. The kernel
-is then the dense kernel's arithmetic over those weighted rows, with no
-difference formed but H's. A pass costs O((m*n + nnz)*k^2), not
-O(m*n^2*k^2). Adequacy reads no design: it ranks the scores of a
-``stats.RiskSetScorer``, the scorer the knock-out sampler draws from.
+per-event statistics of one network in O(m*n + nnz) memory, held as the
+design's own arrays: NTDegRec as a receiver share per event, ICR as a
+static actor vector and the other twelve terms as their nonzero entries.
+One kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian
+in one pass over a spec's ``_Factors``, which ``fit_map`` collects once
+per fit with one mask of the spec's keys and gathers from the design's
+per-key maps ``key_event``, ``key_sender`` and ``key_receiver``; each
+theta of a fit then costs one kernel pass and one prior call.
+``_Factors`` lists each event's touched dyads (where one of the spec's
+sparse terms is nonzero) as rows of weight 1. The untouched dyads have
+base statistics alone, which depend on a dyad (i, j) only through its
+cell: the sender's icr_i (with ICR) and the receiver j (with NTDegRec) or
+its icr_j (with ICR alone). So an event has at most 2n cells, and each
+nonempty one is a single row weighted by its dyad count (the normaliser
+over counted classes: Perry & Wolfe, JRSS-B 2013), sized from the actors'
+class counts; each event's observed statistics are read from the design,
+not searched for among the rows. The kernel is then the dense kernel's
+arithmetic over those weighted rows, with no difference formed but H's.
+A pass costs O((m*n + nnz)*k^2), not O(m*n^2*k^2). Adequacy reads no
+design: it ranks the scores of a ``stats.RiskSetScorer``, the scorer the
+knock-out sampler draws from.
 
 Only ``posterior_interval`` uses SciPy: it imports ``scipy.special`` when
 called, for the normal quantile ``ndtri`` at any level. ``star_codes``
@@ -84,7 +87,7 @@ class ModelSpec:
         return [t.value for t in self.terms]
 
 
-# the prior df from which ``PriorSpec.log_density`` takes its lgamma
+# the prior df from which ``PriorSpec.evaluate`` takes its lgamma
 # difference from the asymptotic series
 _SERIES_DF = 1e3
 
@@ -108,28 +111,29 @@ class PriorSpec:
         # a prior whose density or derivatives overflow, divide by zero or
         # leave math's domain (lgamma of a subnormal df) at theta = 0 cannot
         # steer a fit
-        zero = np.zeros(1)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                for part in (self.log_density, self.grad, self.hess_diag):
-                    part(zero)
+                self.evaluate(np.zeros(1))
         except (FloatingPointError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"prior (location {self.location!r}, scale {self.scale!r}, "
                 f"df {self.df!r}) is not finite at theta = 0: {exc}"
             ) from None
 
-    def log_density(self, theta: np.ndarray) -> float:
-        """Sum of the t log-densities of the coefficients, in closed form.
+    def evaluate(self, theta) -> tuple[float, np.ndarray, np.ndarray]:
+        """The sum of the t log-densities of the coefficients, its gradient
+        and its Hessian's diagonal, in closed form.
 
         From ``_SERIES_DF`` on, lgamma((nu+1)/2) - lgamma(nu/2), which
         cancels to no precision and overflows at huge nu, is taken from its
         asymptotic series 0.5 ln(nu/2) - 1/(4 nu) + 1/(24 nu^3), whose next
         term is below 1e-16 there; the normalising constant then tends to
-        the Gaussian's, -0.5 ln(2 pi) - ln(scale).
+        the Gaussian's, -0.5 ln(2 pi) - ln(scale). The derivatives are
+        written in u = z^2 / nu, so that no intermediate grows with nu:
+        both stay finite at any finite df.
         """
-        nu = self.df
-        z = (np.asarray(theta, dtype=np.float64) - self.location) / self.scale
+        nu, scale = self.df, self.scale
+        z = (np.asarray(theta, dtype=np.float64) - self.location) / scale
         if nu < _SERIES_DF:
             const = (
                 math.lgamma((nu + 1.0) / 2.0)
@@ -139,24 +143,12 @@ class PriorSpec:
         else:
             inv = 1.0 / nu
             const = -0.5 * math.log(2.0 * math.pi) - inv / 4.0 + inv**3 / 24.0
-        const -= math.log(self.scale)
-        return float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(z * z / nu)))
-
-    # grad and hess_diag are written in u = z^2 / nu, so that no
-    # intermediate grows with nu: both stay finite at any finite df
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        z = (theta - self.location) / self.scale
-        u = z * z / self.df
-        return -(1.0 + 1.0 / self.df) * z / ((1.0 + u) * self.scale)
-
-    def hess_diag(self, theta: np.ndarray) -> np.ndarray:
-        z = (theta - self.location) / self.scale
-        u = z * z / self.df
-        return (
-            -(1.0 + 1.0 / self.df)
-            * (1.0 - u)
-            / (self.scale * self.scale * (1.0 + u) ** 2)
-        )
+        const -= math.log(scale)
+        u = z * z / nu
+        log_density = float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(u)))
+        grad = -(1.0 + 1.0 / nu) * z / ((1.0 + u) * scale)
+        hess_diag = -(1.0 + 1.0 / nu) * (1.0 - u) / (scale * scale * (1.0 + u) ** 2)
+        return log_density, grad, hess_diag
 
 
 @dataclass
@@ -217,56 +209,27 @@ class FitResult:
 _BASE_TERMS = (Term.NTDEGREC, Term.ICR)
 
 
-@dataclass(frozen=True)
-class DesignStore:
-    """The statistics of an ``EventDesign``, each term in its natural form.
+class EventDesign:
+    """Per-event statistics of one network, for the terms a model uses.
 
+    The statistics of ``terms`` (all 14 by default) are read from one
+    ``HistoryState`` replay of the events, each term in its natural form.
     ``share[t]`` is NTDegRec's receiver share at event t (None unless the
     design has NTDegRec): dyad (i, j) has ``share[t, j]``. ``icr`` is the
     0/1 actor vector: dyad (i, j) has ICR ``icr[i] + icr[j]``. The other
     (sparse) terms are nonzero only on the touched dyads, the union of
     their nonzero entries, which the key maps list in (event, dyad) order:
-    key u is dyad (``sender[u]``, ``receiver[u]``) at event ``event[u]``,
-    each map in the narrowest unsigned type that holds its values (at most
-    8 bytes a key together). ``entries[term]`` is a sparse term's (slots,
-    values): its nonzero statistics and their keys, in increasing order.
-    ``observed[term]`` is a sparse term's value at each event's observed
-    dyad, zero or not.
-    """
-
-    share: np.ndarray | None
-    icr: np.ndarray
-    event: np.ndarray
-    sender: np.ndarray
-    receiver: np.ndarray
-    entries: dict[Term, tuple[np.ndarray, np.ndarray]]
-    observed: dict[Term, np.ndarray]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the share, icr, key map, slot, value and observed arrays."""
-        arrays = [self.icr, self.event, self.sender, self.receiver]
-        arrays += [a for pair in self.entries.values() for a in pair]
-        arrays += self.observed.values()
-        if self.share is not None:
-            arrays.append(self.share)
-        return sum(a.nbytes for a in arrays)
-
-
-class EventDesign:
-    """Per-event statistics of one network, for the terms a model uses.
-
-    The statistics of ``terms`` (all 14 by default) are read from one
-    ``HistoryState`` replay of the events into ``store``, a
-    ``DesignStore``: NTDegRec as an (m, n) receiver share, ICR as the
-    static actor vector and each other term as its nonzero entries, with
-    the event, sender and receiver of each key, and its value at each
-    event's observed dyad, whose canonical index is ``obs_idx``. Memory is
-    O(m*n + nnz), ``store.nbytes`` bytes; ``full_tensor`` is another name
-    for ``store``, the attribute perfbench's spans read. Its one reader is
-    ``factors``, which gives a spec's statistics as the likelihood
-    kernel's weighted rows: each touched dyad, and one counted row per cell
-    of untouched dyads.
+    key u is dyad (``key_sender[u]``, ``key_receiver[u]``) at event
+    ``key_event[u]``, each map in the narrowest unsigned type that holds
+    its values (at most 8 bytes a key together). ``entries[term]`` is a
+    sparse term's (slots, values): its nonzero statistics and their keys,
+    in increasing order. ``observed[term]`` is a sparse term's value at
+    each event's observed dyad, zero or not; that dyad's canonical index
+    is ``obs_idx[t]``. Memory is O(m*n + nnz), ``nbytes`` bytes;
+    ``full_tensor`` is another name for the design, the attribute
+    perfbench's spans read. Its one reader is ``factors``, which gives a
+    spec's statistics as the likelihood kernel's weighted rows: each
+    touched dyad, and one counted row per cell of untouched dyads.
     """
 
     def __init__(
@@ -329,23 +292,27 @@ class EventDesign:
         keys = np.concatenate(keys)
         event, dyad = np.divmod(keys, D)
         actor_type = np.min_scalar_type(n - 1)
-        sender, receiver = (
+        self.key_sender, self.key_receiver = (
             a.astype(actor_type)[dyad] for a in dyad_from_index(np.arange(D), n)
         )
-        self.store = DesignStore(
-            share,
-            icr,
-            event.astype(np.min_scalar_type(m - 1)),
-            sender,
-            receiver,
-            entries,
-            dict(zip(sparse, observed)),
-        )
+        self.key_event = event.astype(np.min_scalar_type(m - 1))
+        self.share, self.icr, self.entries = share, icr, entries
+        self.observed = dict(zip(sparse, observed))
         self.obs_idx = obs
 
     @property
-    def full_tensor(self) -> DesignStore:
-        return self.store
+    def nbytes(self) -> int:
+        """Bytes of the share, icr, key map, slot, value and observed arrays."""
+        arrays = [self.icr, self.key_event, self.key_sender, self.key_receiver]
+        arrays += [a for pair in self.entries.values() for a in pair]
+        arrays += self.observed.values()
+        if self.share is not None:
+            arrays.append(self.share)
+        return sum(a.nbytes for a in arrays)
+
+    @property
+    def full_tensor(self) -> "EventDesign":
+        return self
 
     def _checked(self, terms: Sequence[Term]) -> tuple[Term, ...]:
         terms = tuple(terms)
@@ -401,33 +368,32 @@ class _Factors:
     ``count`` each row's weight and ``event`` its event, each in the
     narrowest unsigned type that holds its values; ``starts`` where each
     event's rows begin (every event has a row). All of it is gathered from
-    the store's key maps through one mask of the spec's keys. ``x_obs``
+    the design's key maps through one mask of the spec's keys. ``x_obs``
     holds each event's observed statistics, shape (k, m) with an event's k
-    values adjacent, read from the store and ``obs_idx``.
+    values adjacent, read from the design and its ``obs_idx``.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
-        store, n, m = design.store, design.n, design.m
+        n, m = design.n, design.m
         has_share, has_icr = Term.NTDEGREC in terms, Term.ICR in terms
-        entries = [
-            (c, store.entries[t]) for c, t in enumerate(terms) if t not in _BASE_TERMS
-        ]
 
         # each actor's sender class (0 or 1) and receiver class (0 to n - 1):
         # dyad (i, j) is in cell sender_class[i] * n + receiver_class[j]
-        icr = store.icr.astype(np.intp)
+        icr = design.icr.astype(np.intp)
         zero = np.zeros(n, dtype=np.intp)
         sender_class = icr if has_icr else zero
         receiver_class = np.arange(n) if has_share else icr if has_icr else zero
 
         # the spec's touched dyads: the keys where any of its sparse terms
         # is nonzero
-        in_spec = np.zeros(store.event.size, dtype=bool)
-        for _, (slots, _) in entries:
-            in_spec[slots] = True
+        in_spec = np.zeros(design.key_event.size, dtype=bool)
+        for term in terms:
+            if term not in _BASE_TERMS:
+                in_spec[design.entries[term][0]] = True
         spec_slots = np.flatnonzero(in_spec)
-        spec_event = store.event[spec_slots].astype(np.intp)
-        spec_sender, spec_receiver = store.sender[spec_slots], store.receiver[spec_slots]
+        spec_event = design.key_event[spec_slots].astype(np.intp)
+        spec_sender = design.key_sender[spec_slots]
+        spec_receiver = design.key_receiver[spec_slots]
         touched = np.bincount(spec_event, minlength=m)
         # each cell's dyads, its sender class's actors times its receiver
         # class's less the pairs (i, i); each event's untouched dyads per
@@ -435,9 +401,12 @@ class _Factors:
         size = np.outer(
             np.bincount(sender_class, minlength=2), np.bincount(receiver_class, minlength=n)
         ).reshape(-1) - np.bincount(sender_class * n + receiver_class, minlength=2 * n)
-        spec_key = spec_event * (2 * n) + sender_class[spec_sender] * n
-        spec_key += receiver_class[spec_receiver]
-        untouched = size - np.bincount(spec_key, minlength=m * 2 * n).reshape(m, 2 * n)
+        # the spec keys' cells stay a temporary: a named array would live on
+        # into the fill below, where the collection's memory peaks
+        untouched = size - np.bincount(
+            spec_event * (2 * n) + sender_class[spec_sender] * n + receiver_class[spec_receiver],
+            minlength=m * 2 * n,
+        ).reshape(m, 2 * n)
         nonempty = np.flatnonzero(untouched)
         class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
         classes = np.bincount(class_event, minlength=m)
@@ -458,24 +427,25 @@ class _Factors:
         # each event's k observed statistics adjacent: the kernel's sums round by it
         self.x_obs = np.empty((m, len(terms))).T
         obs_sender, obs_receiver = dyad_from_index(design.obs_idx, n)
+        # each spec key's row, so that a sparse term's slots index X
+        column = np.empty(design.key_event.size, dtype=np.intp)
+        column[spec_slots] = touched_row
         for c, term in enumerate(terms):
             if term is Term.NTDEGREC:
-                self.X[c, touched_row] = store.share[spec_event, spec_receiver]
-                self.X[c, class_row] = store.share[class_event, class_receiver]
-                self.x_obs[c] = store.share[np.arange(m), obs_receiver]
+                self.X[c, touched_row] = design.share[spec_event, spec_receiver]
+                self.X[c, class_row] = design.share[class_event, class_receiver]
+                self.x_obs[c] = design.share[np.arange(m), obs_receiver]
             elif term is Term.ICR:
-                self.X[c, touched_row] = store.icr[spec_sender] + store.icr[spec_receiver]
+                self.X[c, touched_row] = design.icr[spec_sender] + design.icr[spec_receiver]
                 # the cell's sender class plus its receiver's icr
                 self.X[c, class_row] = class_sender + (
-                    store.icr[class_receiver] if has_share else class_receiver
+                    design.icr[class_receiver] if has_share else class_receiver
                 )
-                self.x_obs[c] = store.icr[obs_sender] + store.icr[obs_receiver]
+                self.x_obs[c] = design.icr[obs_sender] + design.icr[obs_receiver]
             else:
-                self.x_obs[c] = store.observed[term]
-        column = np.empty(store.event.size, dtype=np.intp)
-        column[spec_slots] = touched_row
-        for c, (slots, values) in entries:
-            self.X[c, column[slots]] = values
+                slots, values = design.entries[term]
+                self.X[c, column[slots]] = values
+                self.x_obs[c] = design.observed[term]
 
 
 def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:
@@ -597,12 +567,8 @@ def fit_map(
     def objective(theta):
         """(-log posterior, its gradient, its Hessian, log-likelihood)."""
         ll, g, H = _evaluate(theta, factors)
-        return (
-            -(ll + prior.log_density(theta)),
-            -(g + prior.grad(theta)),
-            -(H + np.diag(prior.hess_diag(theta))),
-            ll,
-        )
+        log_prior, prior_g, prior_h = prior.evaluate(theta)
+        return -(ll + log_prior), -(g + prior_g), -(H + np.diag(prior_h)), ll
 
     theta = np.zeros(k) if theta0 is None else _as_theta(theta0, k).copy()
     f, g, H, ll = objective(theta)

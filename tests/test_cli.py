@@ -259,6 +259,8 @@ def test_unknown_config_key(tmp_path):
         ("select", {"max_iter": -3}, []),
         ("knockout", {}, ["--seed", "1", "--conditions", "full", "full"]),
         ("knockout", {"conditions": ["full", "pa_removed", "full"]}, ["--seed", "1"]),
+        ("knockout", {"conditions": []}, ["--seed", "1"]),
+        ("simulate", {"conditions": []}, ["--seed", "1"]),
     ],
 )
 def test_bad_config_value_is_config_error(data_dir, tmp_path, command, payload, flags):

@@ -219,6 +219,14 @@ def test_json_events_sorted_by_order(tmp_path):
         (lambda nets: nets[0]["actors"][1].pop("icr"), "missing column 'icr'"),
         (lambda nets: nets[1]["events"][0].update(order="x"), "must be an integer"),
         (lambda nets: nets[1]["events"][0].update(order=3), "strictly increasing"),
+        (
+            lambda nets: nets[0]["events"][1].update(order=1.5),
+            r"events:1: order must be an integer, got 1\.5",
+        ),
+        (
+            lambda nets: nets[0]["events"][0].update(order=True),
+            r"events:0: order must be an integer, got True",
+        ),
         (lambda nets: nets[0].update(specialist="yes"), "specialist must be 0 or 1"),
         (lambda nets: nets[1].update(events=5), "must be a list of objects"),
         (lambda nets: nets[0].update(network_id=["q"]), "string network_id"),
@@ -253,6 +261,8 @@ def test_json_events_sorted_by_order(tmp_path):
         "icr_missing",
         "order_not_int",
         "order_duplicate",
+        "order_float",
+        "order_bool",
         "specialist_yes",
         "events_not_list",
         "network_id_list",

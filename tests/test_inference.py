@@ -206,7 +206,7 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
         got, want = small.factors(some), full.factors(some)
         for name in ("X", "count", "event", "starts", "x_obs"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    # the store is O(m*n + nnz): an (m, n) share, the icr vector, an
+    # the design is O(m*n + nnz): an (m, n) share, the icr vector, an
     # 8-byte slot and an 8-byte value per nonzero sparse statistic, a
     # 1-byte event, sender and receiver per key (a dyad where any of them is
     # nonzero: m = 70 and n = 32 each fit a byte) and each sparse term's
@@ -217,11 +217,10 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
         nnz = np.count_nonzero(stats[sparse])
         keys = np.count_nonzero(np.any(stats[sparse] != 0, axis=0))
         assert 128 < keys <= 32768
-        assert design.store.nbytes == (
+        assert design.nbytes == design.full_tensor.nbytes == (
             8 * (seq.m * actors.n + actors.n) + 3 * keys + 16 * nnz + 8 * len(sparse) * seq.m
         )
-        assert design.full_tensor is design.store
-        assert design.store.nbytes < stats.nbytes / 5
+        assert design.nbytes < stats.nbytes / 5
 
 
 @settings(max_examples=30, deadline=None)
@@ -571,7 +570,7 @@ def test_fit_is_local_maximum(small_fixture):
     fit = fit_map(spec, design=design, prior=prior)
 
     def log_post(theta):
-        return log_likelihood(theta, spec, design=design) + prior.log_density(theta)
+        return log_likelihood(theta, spec, design=design) + prior.evaluate(theta)[0]
 
     at_mode = log_post(fit.mode)
     for k in range(2):
@@ -609,7 +608,7 @@ def test_fit_from_non_concave_start_reaches_the_mode(start):
     spec, design = single_event_icr()
     from_zero = fit_map(spec, design=design)
     # the log prior is convex at the start, so Newton needs damping there
-    assert PriorSpec().hess_diag(np.array([start]))[0] > 0.0
+    assert PriorSpec().evaluate(np.array([start]))[2][0] > 0.0
     fit = fit_map(spec, design=design, theta0=np.array([start]))
     assert fit.converged
     assert fit.mode[0] == pytest.approx(from_zero.mode[0], abs=1e-3)
@@ -779,7 +778,7 @@ def test_fit_result_json_roundtrip(tmp_path, small_fixture):
 
 
 def test_prior_validation():
-    # NaN and the infinities fail too: log_density would return nan or -inf
+    # NaN and the infinities fail too: evaluate would return nan or -inf
     bad = {
         "scale": (0.0, -1.0, math.nan, math.inf),
         "df": (0.0, -1.0, math.nan, math.inf),
@@ -812,8 +811,8 @@ def test_prior_log_density_matches_scipy():
         )
         theta = rng.uniform(-100, 100, 3)
         want = student_t.logpdf(theta, prior.df, prior.location, prior.scale)
-        assert prior.log_density(theta[:1]) == pytest.approx(want[0], rel=1e-13)
-        assert prior.log_density(theta) == pytest.approx(want.sum(), rel=1e-13)
+        assert prior.evaluate(theta[:1])[0] == pytest.approx(want[0], rel=1e-13)
+        assert prior.evaluate(theta)[0] == pytest.approx(want.sum(), rel=1e-13)
 
 
 def test_prior_log_density_at_large_df():
@@ -821,7 +820,7 @@ def test_prior_log_density_at_large_df():
     # df and overflows at 1e308; the series takes over at 1e3
     for df in (999.0, 1e3, 2e3):
         want = student_t.logpdf([1.0, 37.0], df, 0.0, 10.0).sum()
-        assert PriorSpec(df=df).log_density([1.0, 37.0]) == pytest.approx(want, rel=1e-12)
+        assert PriorSpec(df=df).evaluate([1.0, 37.0])[0] == pytest.approx(want, rel=1e-12)
     gaussian = -0.5 * math.log(2.0 * math.pi) - math.log(10.0) - 0.5 * 0.1**2
     assert gaussian == pytest.approx(-3.2265236, abs=1e-7)
     # the density tends to the Gaussian, and so do its derivatives, whose
@@ -829,9 +828,10 @@ def test_prior_log_density_at_large_df():
     theta = np.array([-30.0, -1.0, 0.0, 2.5, 40.0])
     for df in (1e20, 1e300, 1e308):
         prior = PriorSpec(df=df)
-        assert prior.log_density(1.0) == pytest.approx(gaussian, rel=1e-12)
-        assert np.allclose(prior.grad(theta), -theta / 100.0, rtol=1e-15, atol=0.0)
-        assert np.allclose(prior.hess_diag(theta), -1.0 / 100.0, rtol=1e-15, atol=0.0)
+        assert prior.evaluate(1.0)[0] == pytest.approx(gaussian, rel=1e-12)
+        _, grad, hess_diag = prior.evaluate(theta)
+        assert np.allclose(grad, -theta / 100.0, rtol=1e-15, atol=0.0)
+        assert np.allclose(hess_diag, -1.0 / 100.0, rtol=1e-15, atol=0.0)
 
 
 def test_prior_log_density_tends_to_the_gaussian():
@@ -844,22 +844,22 @@ def test_prior_log_density_tends_to_the_gaussian():
             z = theta / 10.0
             gaussian = -0.5 * math.log(2.0 * math.pi) - math.log(10.0) - 0.5 * z * z
             bound = (1.0 + z**4) / nu + 4 * math.ulp(gaussian)
-            assert abs(prior.log_density(theta) - gaussian) <= bound, (nu, theta)
+            assert abs(prior.evaluate(theta)[0] - gaussian) <= bound, (nu, theta)
 
 
 def test_prior_derivatives_match_fd():
     prior = PriorSpec()
     theta = np.array([-3.0, 0.0, 1.7, 12.0])
     eps = 1e-6
-    g = prior.grad(theta)
-    h = prior.hess_diag(theta)
+    _, g, h = prior.evaluate(theta)
     for k, x in enumerate(theta):
         up = np.array(theta)
         dn = np.array(theta)
         up[k] += eps
         dn[k] -= eps
-        fd_g = (prior.log_density(up) - prior.log_density(dn)) / (2 * eps)
-        fd_h = (prior.grad(up)[k] - prior.grad(dn)[k]) / (2 * eps)
+        (f_up, g_up, _), (f_dn, g_dn, _) = prior.evaluate(up), prior.evaluate(dn)
+        fd_g = (f_up - f_dn) / (2 * eps)
+        fd_h = (g_up[k] - g_dn[k]) / (2 * eps)
         assert g[k] == pytest.approx(fd_g, abs=1e-7)
         assert h[k] == pytest.approx(fd_h, abs=1e-6)
 
@@ -872,8 +872,9 @@ def test_default_prior_derivatives_keep_their_bits():
     z = theta / 10.0
     grad = -(4.0 + 1.0) * z / ((4.0 + z * z) * 10.0)
     hess = -(4.0 + 1.0) * (4.0 - z * z) / (10.0 * 10.0 * (4.0 + z * z) ** 2)
-    assert prior.grad(theta).tobytes() == grad.tobytes()
-    assert prior.hess_diag(theta).tobytes() == hess.tobytes()
+    _, got_grad, got_hess = prior.evaluate(theta)
+    assert got_grad.tobytes() == grad.tobytes()
+    assert got_hess.tobytes() == hess.tobytes()
 
 
 def test_model_spec_rejects_duplicates():
