@@ -13,9 +13,7 @@ from remnet.data import (
     DataError,
     EventSequence,
     NetworkMeta,
-    load_network,
     load_networks,
-    save_network,
     summarize,
 )
 from remnet.stats import (
@@ -23,7 +21,6 @@ from remnet.stats import (
     HistoryState,
     Term,
     design_matrix,
-    stat_vector,
 )
 from remnet.inference import (
     EventDesign,
@@ -52,7 +49,6 @@ from remnet.analysis import (
     ConcentrationReport,
     adequacy,
     excess_concentration,
-    kruskal_wallis,
     null_both_rate,
     null_either_rate,
     percent_change,

@@ -4,15 +4,14 @@ Theil index of per-actor communication volume, excess-concentration
 rescaling against the no-hub baseline, percent changes, next-event
 match/recall adequacy of a fit, ranked over the scores of a
 ``stats.RiskSetScorer`` replay of the observed history (the scores the
-knock-out sampler draws from), and the significance tests used to compare
-knock-out conditions.
+knock-out sampler draws from), and Welch's t test, which compares each
+knock-out condition with the full model.
 
-Only the significance tests use SciPy, and each imports the submodule it
-needs when called, so importing this module loads NumPy only.
-``welch_t_test`` computes Welch's t and its degrees of freedom itself and
-takes the p-value from ``scipy.special.stdtr``, so ``knockout`` loads
-``scipy.special`` only. ``kruskal_wallis`` calls ``scipy.stats.kruskal``;
-no command calls it.
+Only ``welch_t_test`` uses SciPy. It computes Welch's t and its degrees
+of freedom itself and imports ``scipy.special`` when called, for the
+p-value from ``scipy.special.stdtr``, so importing this module loads
+NumPy only and ``knockout`` loads ``scipy.special`` only. No module of
+the package imports ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -111,30 +110,6 @@ def welch_t_test(sample_a, sample_b) -> tuple[float, float]:
 
     p = 2 * scipy.special.stdtr(df, -np.abs(t))
     return float(t), float(p)
-
-
-def kruskal_wallis(groups) -> tuple[float, float]:
-    """Kruskal-Wallis H with midrank tie correction and chi-square p-value.
-
-    Raises ValueError when there are fewer than 3 groups, when a group is
-    empty, when a value is NaN or infinite, or when all pooled values are
-    identical: the tie-correction denominator 1 - sum(t^3 - t)/(N^3 - N)
-    is then zero and H is undefined.
-    """
-    groups = [np.asarray(g, dtype=np.float64) for g in groups]
-    if len(groups) < 3:
-        raise ValueError("need at least 3 groups")
-    if any(g.size == 0 for g in groups):
-        raise ValueError("groups must be nonempty")
-    if not all(np.isfinite(g).all() for g in groups):
-        raise ValueError("groups must be finite (no NaN or inf)")
-    first = groups[0].flat[0]
-    if all((g == first).all() for g in groups):
-        raise ValueError("all values are identical; H is undefined")
-    import scipy.stats
-
-    h, p = scipy.stats.kruskal(*groups)
-    return float(h), float(p)
 
 
 def null_either_rate(n: int) -> float:

@@ -302,41 +302,6 @@ def load_networks(
     return result
 
 
-def load_network(
-    events_path: str | Path, actors_path: str | Path | None = None
-) -> tuple[ActorTable, EventSequence]:
-    """Load exactly one network; error if the files hold several."""
-    nets = load_networks(events_path, actors_path)
-    if len(nets) != 1:
-        raise DataError(
-            f"expected exactly one network, found {sorted(nets)} in {events_path}"
-        )
-    return next(iter(nets.values()))
-
-
-def save_network(
-    actors: ActorTable,
-    seq: EventSequence,
-    events_path: str | Path,
-    actors_path: str | Path,
-) -> None:
-    """Write a network back to the canonical CSV pair (round-trip safe)."""
-    spec = {} if actors.specialist is None else {"specialist": int(actors.specialist)}
-    write_csv(
-        actors_path,
-        ["network_id", "actor_id", "icr", *spec],
-        (
-            [actors.network_id, aid, int(flag), *spec.values()]
-            for aid, flag in zip(actors.actor_ids, actors.icr)
-        ),
-    )
-    write_csv(
-        events_path,
-        ["network_id", "order", "sender", "receiver"],
-        ([seq.network_id, t, s, r] for t, (s, r) in enumerate(seq.events, start=1)),
-    )
-
-
 def write_csv(path: str | Path, header, rows) -> None:
     """Write ``header``, then ``rows`` as they are drawn, as UTF-8 CSV in the
     default dialect; rows drawn before a failure stay in the file."""

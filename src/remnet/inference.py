@@ -496,11 +496,6 @@ def hessian(theta: np.ndarray, spec: ModelSpec, design: EventDesign) -> np.ndarr
     return _evaluate(_as_theta(theta, spec.k), design.factors(spec.terms))[2]
 
 
-def null_log_likelihood(n: int, m: int) -> float:
-    """Closed form for the empty model: -m * log(n*(n-1))."""
-    return -m * math.log(n * (n - 1))
-
-
 def aicc_defined(k: int, m: int) -> bool:
     """Whether AICc exists for k terms and m events: it needs m > k + 1."""
     return m > k + 1

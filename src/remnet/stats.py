@@ -7,7 +7,8 @@ event as (n, n) arrays stacked by position, of which each event rewrites
 only the rows and columns it changes. ``_fill_design`` reads the store
 over the whole risk set into a caller's array and builds only the
 p-shifts and ICR at read time; ``design_matrix`` is that read into a
-fresh (terms, dyads) matrix, and ``stat_vector`` is one column of it.
+fresh (terms, dyads) matrix, whose column ``dyad_index(i, j, n)`` holds
+dyad (i, j)'s statistics.
 ``inference.EventDesign`` keeps the same reads in structured form (the
 NTDegRec share, the ICR vector and each other term's nonzero entries).
 ``RiskSetScorer`` keeps theta' u over the risk set current from a store,
@@ -28,6 +29,7 @@ Self-loop dyads are excluded from the risk set everywhere.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,7 +93,6 @@ _ROLES_AT = tuple(
 )
 
 _TERM_BY_NAME = {t.value: t for t in Term}
-_TERM_ORDER = {t: k for k, t in enumerate(ALL_TERMS)}
 
 
 def term_from_name(name: str) -> Term:
@@ -103,7 +104,7 @@ def term_from_name(name: str) -> Term:
 
 def canonical_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
     """Terms sorted into the canonical (enum declaration) order."""
-    return tuple(sorted(terms, key=_TERM_ORDER.__getitem__))
+    return tuple(sorted(terms, key=operator.attrgetter("position")))
 
 
 class HistoryState:
@@ -308,14 +309,6 @@ class RiskSetScorer:
                     s_rest[:, x] = col + base[:, x]
 
 
-def replay(events: Sequence[tuple[int, int]], n: int) -> HistoryState:
-    """State after applying every event of a prefix, from scratch."""
-    state = HistoryState(n)
-    for a, b in events:
-        state.update(a, b)
-    return state
-
-
 def dyad_index(i: int, j: int, n: int) -> int:
     """Canonical index of dyad (i, j) in the row-major, diagonal-free order."""
     if i == j:
@@ -380,21 +373,3 @@ def design_matrix(
     X = np.empty((len(terms), n * (n - 1)))
     _fill_design(state, icr, terms, X.reshape(len(terms), n - 1, n))
     return X
-
-
-def stat_vector(
-    state: HistoryState,
-    icr: np.ndarray,
-    i: int,
-    j: int,
-    terms: Sequence[Term],
-) -> np.ndarray:
-    """Statistic values for dyad (i, j), in the order of ``terms``.
-
-    The column of ``design_matrix`` for that dyad. Raises ValueError for a
-    self-loop or an actor outside ``[0, n)``.
-    """
-    n = state.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"unknown actor in dyad ({i}, {j})")
-    return design_matrix(state, icr, terms)[:, dyad_index(i, j, n)]

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from remnet.data import ActorTable, EventSequence
+from remnet.data import ActorTable, EventSequence, write_csv
 from remnet.inference import FitResult, ModelSpec, aicc
 from remnet.simulation import KnockoutCondition, simulate_trajectory
-from remnet.stats import Term
+from remnet.stats import HistoryState, Term
 
 
 def make_actors(n, icr_indices=(), network_id="net", specialist=None):
@@ -41,6 +41,32 @@ def random_sequence(n, m, rng, icr_indices=(), network_id="net"):
     actors = make_actors(n, icr_indices, network_id)
     seq = sequence_from_pairs(actors, random_events(n, m, rng))
     return actors, seq
+
+
+def save_network(actors, seq, events_path, actors_path):
+    """Write a network as the CSV pair the loader reads (round-trip safe)."""
+    spec = {} if actors.specialist is None else {"specialist": int(actors.specialist)}
+    write_csv(
+        actors_path,
+        ["network_id", "actor_id", "icr", *spec],
+        (
+            [actors.network_id, aid, int(flag), *spec.values()]
+            for aid, flag in zip(actors.actor_ids, actors.icr)
+        ),
+    )
+    write_csv(
+        events_path,
+        ["network_id", "order", "sender", "receiver"],
+        ([seq.network_id, t, s, r] for t, (s, r) in enumerate(seq.events, start=1)),
+    )
+
+
+def replay(events, n):
+    """State after applying every event of a prefix, from scratch."""
+    state = HistoryState(n)
+    for a, b in events:
+        state.update(a, b)
+    return state
 
 
 def simulate_sequence(theta_by_term, actors, m, seed):

@@ -12,7 +12,6 @@ from remnet.analysis import (
     adequacy,
     concentration_report,
     excess_concentration,
-    kruskal_wallis,
     null_both_rate,
     null_either_rate,
     percent_change,
@@ -146,75 +145,6 @@ def test_welch_degenerate():
         welch_t_test([1.0, 1.0], [2.0, 2.0])
 
 
-def test_kruskal_identical_groups():
-    h, p = kruskal_wallis([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    assert h == pytest.approx(0.0, abs=1e-12)
-
-
-def test_kruskal_separated_groups():
-    h, p = kruskal_wallis(
-        [[1, 2, 3, 4, 5], [10, 11, 12, 13, 14], [20, 21, 22, 23, 24]]
-    )
-    assert p < 0.01
-
-
-def test_kruskal_needs_three_groups():
-    with pytest.raises(ValueError):
-        kruskal_wallis([[1, 2], [3, 4]])
-
-
-def test_kruskal_all_identical_values():
-    with pytest.raises(ValueError):
-        kruskal_wallis([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0]])
-
-
-def test_kruskal_midranks_match_bruteforce():
-    # H computed from explicitly assigned midranks with tie correction,
-    # on a small tied data set
-    groups = [[1.0, 2.0, 2.0], [2.0, 3.0], [3.0, 3.0, 4.0, 1.0]]
-    pooled = sorted(x for g in groups for x in g)
-    ranks = {}
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j < len(pooled) and pooled[j] == pooled[i]:
-            j += 1
-        midrank = (i + 1 + j) / 2
-        ranks[pooled[i]] = midrank
-        i = j
-    N = len(pooled)
-    h = (12 / (N * (N + 1))) * sum(
-        len(g) * (np.mean([ranks[x] for x in g]) - (N + 1) / 2) ** 2 for g in groups
-    )
-    ties = {}
-    for x in pooled:
-        ties[x] = ties.get(x, 0) + 1
-    correction = 1 - sum(t**3 - t for t in ties.values()) / (N**3 - N)
-    expected = h / correction
-    got, _ = kruskal_wallis(groups)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_kruskal_all_identical_rejected_before_scipy():
-    # with warnings as errors, reaching scipy.stats.kruskal would surface
-    # its RuntimeWarning from the zero tie-correction division instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="identical"):
-            kruskal_wallis([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0]])
-
-
-def test_kruskal_near_degenerate_panel():
-    # every value but one tied: N = 6, the five 5s share midrank 3 and the
-    # 6 gets rank 6; group mean ranks 3, 3, 4.5 against (N+1)/2 = 3.5 give
-    # 12/(6*7) * (2*0.25 + 2*0.25 + 2*1) = 6/7, and the tie correction is
-    # 1 - (5**3 - 5)/(6**3 - 6) = 3/7, so H = 2 and p = chi2(2).sf(2) = e^-1
-    h, p = kruskal_wallis([[5.0, 5.0], [5.0, 5.0], [5.0, 6.0]])
-    assert h == pytest.approx(2.0, rel=1e-12)
-    assert 0.0 <= p <= 1.0
-    assert p == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
 def assert_matches_scipy_welch(a, b):
     """welch_t_test agrees with scipy.stats.ttest_ind(equal_var=False): t to
     1e-14 and p to 1e-12, relative."""
@@ -265,12 +195,6 @@ def test_welch_large_t_underflows_like_scipy(sizes):
     t, p = welch_t_test(a, b)
     assert abs(t) > 1e9 and p == 0.0
     assert_matches_scipy_welch(a, b)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_kruskal_rejects_nonfinite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        kruskal_wallis([[1.0, 2.0], [3.0, bad], [4.0, 5.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -25,13 +25,19 @@ from remnet.cli import (
     build_parser,
     main,
 )
-from remnet.data import ActorTable, save_network
+from remnet.data import ActorTable
 from remnet import selection
 from remnet.inference import ModelSpec, fit_map
 from remnet.simulation import DEFAULT_CONDITIONS, KnockoutCondition
 from remnet.stats import Term
 
-from conftest import corrupt_json, make_actors, sequence_from_pairs, simulate_sequence
+from conftest import (
+    corrupt_json,
+    make_actors,
+    save_network,
+    sequence_from_pairs,
+    simulate_sequence,
+)
 
 
 @pytest.fixture(scope="module")

@@ -11,9 +11,7 @@ from remnet.data import (
     ActorTable,
     DataError,
     EventSequence,
-    load_network,
     load_networks,
-    save_network,
     summarize,
 )
 
@@ -21,6 +19,7 @@ from conftest import (
     corrupt_json,
     make_actors,
     random_sequence,
+    save_network,
     sequence_from_pairs,
 )
 
@@ -46,7 +45,7 @@ def test_load_minimal_network(tmp_path):
         ["net,a,0", "net,b,1"],
         ["net,1,a,b"],
     )
-    actors, seq = load_network(events_path, actors_path)
+    ((actors, seq),) = load_networks(events_path, actors_path).values()
     assert actors.n == 2
     assert seq.m == 1
     assert seq.events == (("a", "b"),)
@@ -60,7 +59,7 @@ def test_load_fixture_counts(tmp_path):
     e = tmp_path / "e.csv"
     a = tmp_path / "a.csv"
     save_network(actors, seq, e, a)
-    actors2, seq2 = load_network(e, a)
+    ((actors2, seq2),) = load_networks(e, a).values()
     assert actors2.n == 27
     assert seq2.m == 77
 
@@ -70,7 +69,7 @@ def test_self_loop_rejected(tmp_path):
         tmp_path, ["net,a,0", "net,b,0"], ["net,1,a,a"]
     )
     with pytest.raises(DataError, match="self-loop"):
-        load_network(events_path, actors_path)
+        load_networks(events_path, actors_path)
 
 
 def test_unknown_actor_rejected(tmp_path):
@@ -78,7 +77,7 @@ def test_unknown_actor_rejected(tmp_path):
         tmp_path, ["net,a,0", "net,b,0"], ["net,1,a,zz"]
     )
     with pytest.raises(DataError, match="unknown actor"):
-        load_network(events_path, actors_path)
+        load_networks(events_path, actors_path)
 
 
 def test_duplicate_actor_reports_line(tmp_path):
@@ -86,7 +85,7 @@ def test_duplicate_actor_reports_line(tmp_path):
         tmp_path, ["net,a,0", "net,a,1"], ["net,1,a,b"]
     )
     with pytest.raises(DataError, match=r":3: duplicate actor_id"):
-        load_network(events_path, actors_path)
+        load_networks(events_path, actors_path)
 
 
 def test_malformed_icr_reports_line(tmp_path):
@@ -94,7 +93,7 @@ def test_malformed_icr_reports_line(tmp_path):
         tmp_path, ["net,a,0", "net,b,7"], ["net,1,a,b"]
     )
     with pytest.raises(DataError, match=r":3: icr must be 0 or 1"):
-        load_network(events_path, actors_path)
+        load_networks(events_path, actors_path)
 
 
 def test_order_must_increase(tmp_path):
@@ -102,7 +101,7 @@ def test_order_must_increase(tmp_path):
         tmp_path, ["net,a,0", "net,b,0"], ["net,2,a,b", "net,1,b,a"]
     )
     with pytest.raises(DataError, match="strictly increasing"):
-        load_network(events_path, actors_path)
+        load_networks(events_path, actors_path)
 
 
 @pytest.mark.parametrize("which", ["events", "actors"])
@@ -130,16 +129,17 @@ def test_non_ascii_ids_round_trip(tmp_path):
     events_path, actors_path = write_csv_pair(
         tmp_path, ["net,Zoë,0", "net,Łukasz,1"], ["net,1,Zoë,Łukasz"]
     )
-    actors, seq = load_network(events_path, actors_path)
+    ((actors, seq),) = load_networks(events_path, actors_path).values()
     assert actors.actor_ids == ("Zoë", "Łukasz")
     save_network(actors, seq, tmp_path / "e2.csv", tmp_path / "a2.csv")
-    assert load_network(tmp_path / "e2.csv", tmp_path / "a2.csv") == (actors, seq)
+    nets = load_networks(tmp_path / "e2.csv", tmp_path / "a2.csv")
+    assert nets == {"net": (actors, seq)}
 
 
 def test_at_least_two_actors(tmp_path):
     events_path, actors_path = write_csv_pair(tmp_path, ["net,a,0"], ["net,1,a,a"])
     with pytest.raises(DataError):
-        load_network(events_path, actors_path)
+        load_networks(events_path, actors_path)
 
 
 def test_roundtrip_identical(tmp_path):
@@ -147,7 +147,7 @@ def test_roundtrip_identical(tmp_path):
     actors, seq = random_sequence(6, 15, rng, icr_indices=(1, 4))
     e1, a1 = tmp_path / "e1.csv", tmp_path / "a1.csv"
     save_network(actors, seq, e1, a1)
-    actors2, seq2 = load_network(e1, a1)
+    ((actors2, seq2),) = load_networks(e1, a1).values()
     assert actors2 == actors
     assert seq2 == seq
     e2, a2 = tmp_path / "e2.csv", tmp_path / "a2.csv"
@@ -172,7 +172,7 @@ def test_json_input(tmp_path):
     }
     path = tmp_path / "net.json"
     path.write_text(json.dumps(obj))
-    actors, seq = load_network(path)
+    ((actors, seq),) = load_networks(path).values()
     assert actors.specialist is True
     assert seq.events == (("a", "b"), ("b", "c"))
 
@@ -384,8 +384,6 @@ def test_multiple_networks(tmp_path):
     )
     nets = load_networks(events_path, actors_path)
     assert set(nets) == {"n1", "n2"}
-    with pytest.raises(DataError, match="exactly one"):
-        load_network(events_path, actors_path)
 
 
 def test_summarize_pct_icr():

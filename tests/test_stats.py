@@ -11,11 +11,10 @@ from remnet.stats import (
     design_matrix,
     dyad_from_index,
     dyad_index,
-    replay,
-    stat_vector,
     term_from_name,
 )
 
+from conftest import replay
 from oracle import naive_stat_vector
 
 
@@ -104,9 +103,9 @@ def test_state_invariants_on_random_history():
 
 
 def stat(state, i, j, term, icr=None):
-    """One statistic for dyad (i, j): a one-term ``stat_vector`` call."""
+    """One statistic for dyad (i, j): its column of a one-term design matrix."""
     icr = np.zeros(state.n) if icr is None else icr
-    (value,) = stat_vector(state, icr, i, j, (term,))
+    (value,) = design_matrix(state, icr, (term,))[:, dyad_index(i, j, state.n)]
     return value
 
 
@@ -196,27 +195,14 @@ def test_icr_values():
 def test_stat_vector_single_term():
     state = replay([(0, 1)], 3)
     icr = np.zeros(3)
-    vec = stat_vector(state, icr, 1, 0, (Term.PSABBA,))
+    vec = design_matrix(state, icr, (Term.PSABBA,))[:, dyad_index(1, 0, 3)]
     assert vec.tolist() == [1.0]
 
 
 def test_stat_vector_empty_spec():
     state = replay([(0, 1)], 3)
-    assert stat_vector(state, np.zeros(3), 1, 0, ()).shape == (0,)
-
-
-def test_stat_vector_rejects_self_loop():
-    state = HistoryState(3)
-    with pytest.raises(ValueError):
-        stat_vector(state, np.zeros(3), 1, 1, ALL_TERMS)
-
-
-@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -1)])
-def test_stat_vector_rejects_unknown_actor(i, j):
-    # dyad_index(0, 3, 3) alone would silently name the row of dyad (1, 0)
-    state = replay([(0, 1)], 3)
-    with pytest.raises(ValueError, match="unknown actor"):
-        stat_vector(state, np.zeros(3), i, j, ALL_TERMS)
+    X = design_matrix(state, np.zeros(3), ())
+    assert X[:, dyad_index(1, 0, 3)].shape == (0,)
 
 
 def test_dyad_index_roundtrip():
@@ -249,23 +235,16 @@ def test_incremental_matches_naive_oracle(case):
         assert X.tobytes() == naive.tobytes(), (t, np.argwhere(X != naive)[:5])
         if t < len(events):
             state.update(*events[t])
-    for i, j in dyads:
-        fast = stat_vector(state, icr, i, j, ALL_TERMS)
-        assert np.array_equal(X[:, dyad_index(i, j, n)], fast)
 
 
 @settings(max_examples=60, deadline=None)
 @given(event_sequences(max_n=6, max_m=20))
 def test_at_most_one_pshift_active(case):
     n, events, icr = case
-    state = replay(events, n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vec = stat_vector(state, icr, i, j, PSHIFT_TERMS)
-            assert set(vec.tolist()) <= {0.0, 1.0}
-            assert vec.sum() <= 1.0
+    X = design_matrix(replay(events, n), icr, PSHIFT_TERMS)
+    # each column is one dyad's p-shift vector
+    assert set(X.ravel().tolist()) <= {0.0, 1.0}
+    assert (X.sum(axis=0) <= 1.0).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,14 +257,14 @@ def test_relabeling_equivariance(case, pyrandom):
     p_icr = np.empty(n)
     for k in range(n):
         p_icr[perm[k]] = icr[k]
-    state = replay(events, n)
-    p_state = replay(p_events, n)
+    X = design_matrix(replay(events, n), icr, ALL_TERMS)
+    p_X = design_matrix(replay(p_events, n), p_icr, ALL_TERMS)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            orig = stat_vector(state, icr, i, j, ALL_TERMS)
-            relab = stat_vector(p_state, p_icr, perm[i], perm[j], ALL_TERMS)
+            orig = X[:, dyad_index(i, j, n)]
+            relab = p_X[:, dyad_index(perm[i], perm[j], n)]
             assert np.array_equal(orig, relab)
 
 
@@ -293,16 +272,12 @@ def test_relabeling_equivariance(case, pyrandom):
 @given(event_sequences(max_n=6, max_m=30))
 def test_value_ranges(case):
     n, events, icr = case
-    state = replay(events, n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vec = dict(zip(ALL_TERMS, stat_vector(state, icr, i, j, ALL_TERMS)))
-            assert 0.0 <= vec[Term.NTDEGREC] <= 1.0
-            assert 0.0 <= vec[Term.FRPSNDSND] <= 1.0
-            assert 0.0 <= vec[Term.RRECSND] <= 1.0
-            assert 0.0 <= vec[Term.RSNDSND] <= 1.0
-            assert vec[Term.ICR] in (0.0, 1.0, 2.0)
-            for term in PSHIFT_TERMS:
-                assert vec[term] in (0.0, 1.0)
+    X = design_matrix(replay(events, n), icr, ALL_TERMS)
+    for vec in (dict(zip(ALL_TERMS, column)) for column in X.T):
+        assert 0.0 <= vec[Term.NTDEGREC] <= 1.0
+        assert 0.0 <= vec[Term.FRPSNDSND] <= 1.0
+        assert 0.0 <= vec[Term.RRECSND] <= 1.0
+        assert 0.0 <= vec[Term.RSNDSND] <= 1.0
+        assert vec[Term.ICR] in (0.0, 1.0, 2.0)
+        for term in PSHIFT_TERMS:
+            assert vec[term] in (0.0, 1.0)
