@@ -114,8 +114,10 @@ def _load_config(args) -> RunConfig:
         raise ConfigError("no events path given (flag --events or config key)")
     if cfg.selection not in ("hill", "exhaustive"):
         raise ConfigError(f"selection must be 'hill' or 'exhaustive', got {cfg.selection!r}")
-    if cfg.tol <= 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol!r}")
+    # tol bounds the gradient max-norm of a fit; from 1 on it can pass at
+    # theta = 0 and call the null model a converged fit
+    if not 0 < cfg.tol < 1:
+        raise ConfigError(f"tol must be in (0, 1), got {cfg.tol!r}")
     if cfg.max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {cfg.max_iter!r}")
     if cfg.replicates < 1:

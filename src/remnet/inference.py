@@ -11,25 +11,33 @@ inverse negative Hessian of the log-posterior at the mode.
 Every model-layer function reads its data from an ``EventDesign``, the
 per-event statistics of one network in O(m*n + nnz) memory, held as the
 design's own arrays: NTDegRec as a receiver share per event, ICR as a
-static actor vector and the other twelve terms as their nonzero entries.
-One kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian
-in one pass over a spec's ``_Factors``, which ``fit_map`` collects once
-per fit with one mask of the spec's keys and gathers from the design's
-per-key maps ``key_event``, ``key_sender`` and ``key_receiver``; each
-theta of a fit then costs one kernel pass and one prior call.
-``_Factors`` lists each event's touched dyads (where one of the spec's
-sparse terms is nonzero) as rows of weight 1. The untouched dyads have
-base statistics alone, which depend on a dyad (i, j) only through its
-cell: the sender's icr_i (with ICR) and the receiver j (with NTDegRec) or
-its icr_j (with ICR alone). So an event has at most 2n cells, and each
-nonempty one is a single row weighted by its dyad count (the normaliser
-over counted classes: Perry & Wolfe, JRSS-B 2013), sized from the actors'
-class counts; each event's observed statistics are read from the design,
-not searched for among the rows. The kernel is then the dense kernel's
-arithmetic over those weighted rows, with no difference formed but H's.
-A pass costs O((m*n + nnz)*k^2), not O(m*n^2*k^2). Adequacy reads no
-design: it ranks the scores of a ``stats.RiskSetScorer``, the scorer the
-knock-out sampler draws from.
+static actor vector and the other twelve terms as their nonzero entries,
+each value with an integer code (a sparse term's index into its sorted
+levels, NTDegRec's rank within its event). One kernel, ``_evaluate``,
+gives the log-likelihood, gradient and Hessian in one pass over a spec's
+``_Factors``, which ``fit_map`` collects once per fit with one mask of
+the spec's keys and gathers from the design's per-key maps
+``key_event``, ``key_sender`` and ``key_receiver``; each theta of a fit
+then costs one kernel pass and one prior call. An event's likelihood
+depends on its risk set only through the multiset of (statistics,
+count), so ``_Factors`` lists each distinct statistic vector of an event
+once, weighted by the number of its dyads that have it. It starts from
+the event's touched dyads (where one of the spec's sparse terms is
+nonzero) and its untouched dyads, which have base statistics alone and
+so depend on a dyad (i, j) only through its cell: the sender's icr_i
+(with ICR) and the receiver j (with NTDegRec) or its icr_j (with ICR
+alone). An event has at most 2n cells, each a row weighted by its dyad
+count (the normaliser over counted classes: Perry & Wolfe, JRSS-B 2013),
+sized from the actors' class counts. Rows of an event with equal
+statistics are then merged: each row gets a mixed-radix integer code of
+its event and its terms' codes, one argsort groups equal codes, and only
+the merged rows are filled. Each event's observed statistics are read
+from the design, not searched for among the rows. The kernel is the
+dense kernel's arithmetic over those weighted rows, with no difference
+formed but H's. A pass costs O(rows*k^2), rows at most m*n + nnz and
+usually far fewer, not O(m*n^2*k^2). Adequacy reads no design: it ranks
+the scores of a ``stats.RiskSetScorer``, the scorer the knock-out sampler
+draws from.
 
 Only ``posterior_interval`` uses SciPy: it imports ``scipy.special`` when
 called, for the normal quantile ``ndtri`` at any level. ``star_codes``
@@ -222,14 +230,19 @@ class EventDesign:
     key u is dyad (``key_sender[u]``, ``key_receiver[u]``) at event
     ``key_event[u]``, each map in the narrowest unsigned type that holds
     its values (at most 8 bytes a key together). ``entries[term]`` is a
-    sparse term's (slots, values): its nonzero statistics and their keys,
-    in increasing order. ``observed[term]`` is a sparse term's value at
-    each event's observed dyad, zero or not; that dyad's canonical index
-    is ``obs_idx[t]``. Memory is O(m*n + nnz), ``nbytes`` bytes;
-    ``full_tensor`` is another name for the design, the attribute
-    perfbench's spans read. Its one reader is ``factors``, which gives a
-    spec's statistics as the likelihood kernel's weighted rows: each
-    touched dyad, and one counted row per cell of untouched dyads.
+    sparse term's (slots, codes): the keys of its nonzero statistics, in
+    increasing order, and each one's code in the narrowest unsigned type
+    that holds it, an index into ``levels[term]``, which holds 0 and then
+    the term's distinct nonzero values in increasing order, so that a
+    value is ``levels[term][code]`` bit for bit. ``share_code[t, j]`` is
+    the rank of ``share[t, j]`` among the distinct shares of event t, and
+    ``share_ranks`` the most ranks an event has. ``observed[term]`` is a
+    sparse term's value at each event's observed dyad, zero or not; that
+    dyad's canonical index is ``obs_idx[t]``. Memory is O(m*n + nnz),
+    ``nbytes`` bytes; ``full_tensor`` is another name for the design, the
+    attribute perfbench's spans read. Its one reader is ``factors``, which
+    gives a spec's statistics as the likelihood kernel's weighted rows:
+    each event's distinct statistic vectors, each counted by its dyads.
     """
 
     def __init__(
@@ -283,10 +296,23 @@ class EventDesign:
                 lo, hi = bounds[c], bounds[c + 1]
                 parts.append((slot[lo:hi], value[lo:hi]))
         stats = flat = nonzero = None  # free the block buffers for what follows
-        entries = {
-            t: tuple(np.concatenate(x) for x in zip(*parts))
-            for t, parts in zip(sparse, found)
-        }
+        # each sparse term's values as codes into its levels: 0, then its
+        # distinct nonzero values. Values are sorted by their bits as int64,
+        # their numeric order for nonnegative statistics, so that this and
+        # the share ranks below use the int64 argsort of every collection,
+        # not a float sort of their own
+        entries, levels = {}, {}
+        for t, parts in zip(sparse, found):
+            slots, values = (np.concatenate(x) for x in zip(*parts))
+            parts.clear()
+            bits = values.view(np.int64)
+            ranked = bits[np.argsort(bits)]
+            distinct = np.concatenate((ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]))
+            levels[t] = np.concatenate(([0.0], distinct.view(np.float64)))
+            codes = np.searchsorted(distinct, bits)
+            codes += 1
+            entries[t] = (slots, codes.astype(np.min_scalar_type(distinct.size)))
+        values = bits = ranked = codes = None
         # the touched dyads' keys event * n_dyads + dyad, in increasing order, as
         # maps in their smallest types (a per-dyad table spares key-sized temporaries)
         keys = np.concatenate(keys)
@@ -296,18 +322,33 @@ class EventDesign:
             a.astype(actor_type)[dyad] for a in dyad_from_index(np.arange(D), n)
         )
         self.key_event = event.astype(np.min_scalar_type(m - 1))
-        self.share, self.icr, self.entries = share, icr, entries
+        keys = event = dyad = None
+        self.share_code, self.share_ranks = None, 0
+        if share is not None:
+            # each receiver's rank among the distinct shares of its event
+            order = np.argsort(share.view(np.int64), axis=1)
+            events = np.arange(m)[:, None]
+            ranked = share[events, order]
+            rank = np.zeros((m, n), dtype=np.intp)
+            rank[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+            rank = np.cumsum(rank, axis=1)
+            self.share_ranks = int(rank[:, -1].max()) + 1
+            self.share_code = np.empty((m, n), dtype=actor_type)
+            self.share_code[events, order] = rank
+        self.share, self.icr, self.entries, self.levels = share, icr, entries, levels
         self.observed = dict(zip(sparse, observed))
         self.obs_idx = obs
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the share, icr, key map, slot, value and observed arrays."""
+        """Bytes of the share, share code, icr, key map, slot, code, level and
+        observed arrays."""
         arrays = [self.icr, self.key_event, self.key_sender, self.key_receiver]
         arrays += [a for pair in self.entries.values() for a in pair]
+        arrays += self.levels.values()
         arrays += self.observed.values()
         if self.share is not None:
-            arrays.append(self.share)
+            arrays += [self.share, self.share_code]
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -326,10 +367,9 @@ class EventDesign:
 
     def factors(self, terms: Sequence[Term]) -> "_Factors":
         """The statistics of ``terms`` as the weighted rows ``_evaluate``
-        reads: per event, its touched dyads, then one row per nonempty cell
-        of its untouched dyads, weighted by the cell's dyad count (see
-        ``_Factors``). Raises ValueError naming any term the design was
-        built without."""
+        reads: per event, each distinct statistic vector of its dyads,
+        weighted by the number of dyads that have it (see ``_Factors``).
+        Raises ValueError naming any term the design was built without."""
         return _Factors(self, self._checked(terms))
 
 
@@ -343,34 +383,45 @@ def _as_theta(theta, k: int) -> np.ndarray:
 # dyad rows per block: a block of events of the ``EventDesign`` build, or
 # of the kernel's Hessian sum, stays cache-sized
 _BLOCK_ROWS = 1 << 16
+# the bound on ``_Factors``' row codes: a code whose next digit would reach
+# it is first replaced by its rank among the codes
+_CODE_LIMIT = 1 << 63
 
 
 class _Factors:
     """A spec's statistics as the weighted rows ``_evaluate`` reads,
-    collected once per fit.
+    collected once per fit: each event's distinct statistic vectors, each
+    once, weighted by the number of the event's dyads that have it.
 
-    Each event lists two kinds of rows, together and in this order:
-
-    - its touched dyads, the dyads where any of the spec's sparse terms
-      is nonzero, in dyad order, each of weight 1;
-    - one class row per nonempty cell of its untouched dyads, in cell
-      order, weighted by the cell's size.
-
-    An untouched dyad (i, j) has only base statistics, and they depend on
+    The dyads of an event come in two kinds. Its touched dyads, where any
+    of the spec's sparse terms is nonzero, are listed one by one. An
+    untouched dyad (i, j) has only base statistics, and they depend on
     i and j through its cell alone: the sender class is ``icr_i`` when the
     spec has ICR (else 0), the receiver class ``j`` when it has NTDegRec,
     else ``icr_j`` when it has ICR (else 0). So every dyad of a cell shares
-    one row of statistics: its base statistics and 0 for each sparse term.
-    An event has at most 2n cells, whose sizes are each cell's dyad count
-    (from the actors' class counts) less the event's touched dyads in it.
+    one row of statistics (its base statistics and 0 for each sparse term),
+    listed once and counted by the cell's untouched dyads, which the
+    actors' class counts give. An event has at most 2n cells.
 
-    ``X`` holds every row's statistics in spec order, shape (k, rows);
-    ``count`` each row's weight and ``event`` its event, each in the
-    narrowest unsigned type that holds its values; ``starts`` where each
-    event's rows begin (every event has a row). All of it is gathered from
-    the design's key maps through one mask of the spec's keys. ``x_obs``
-    holds each event's observed statistics, shape (k, m) with an event's k
-    values adjacent, read from the design and its ``obs_idx``.
+    Rows of one event with equal statistics are then merged into one, whose
+    count is the sum of theirs (two such rows get equal probabilities, so
+    the likelihood sees only the sum). Equal statistics are found from
+    integer codes, not floats: each term's value has a code in the design
+    (a sparse term's index into its levels, NTDegRec's rank within its
+    event, ICR's value), and a row's code is its event and its terms' codes
+    in mixed radix, event first. Where the next digit would take the code
+    to ``_CODE_LIMIT``, the codes are first replaced by their ranks, which
+    keeps their order. One argsort of the codes groups the rows, and only
+    the merged rows are filled, each from the codes of one row of its
+    group, so a value is its level bit for bit.
+
+    ``X`` holds every merged row's statistics in spec order, shape
+    (k, rows), an event's rows in increasing code; ``count`` each row's
+    weight and ``event`` its event, each in the narrowest unsigned type
+    that holds its values; ``starts`` where each event's rows begin (every
+    event has a row). ``x_obs`` holds each event's observed statistics,
+    shape (k, m) with an event's k values adjacent, read from the design
+    and its ``obs_idx``.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
@@ -391,10 +442,9 @@ class _Factors:
             if term not in _BASE_TERMS:
                 in_spec[design.entries[term][0]] = True
         spec_slots = np.flatnonzero(in_spec)
-        spec_event = design.key_event[spec_slots].astype(np.intp)
+        spec_event = design.key_event[spec_slots]
         spec_sender = design.key_sender[spec_slots]
         spec_receiver = design.key_receiver[spec_slots]
-        touched = np.bincount(spec_event, minlength=m)
         # each cell's dyads, its sender class's actors times its receiver
         # class's less the pairs (i, i); each event's untouched dyads per
         # cell, and the nonempty cells
@@ -402,49 +452,92 @@ class _Factors:
             np.bincount(sender_class, minlength=2), np.bincount(receiver_class, minlength=n)
         ).reshape(-1) - np.bincount(sender_class * n + receiver_class, minlength=2 * n)
         # the spec keys' cells stay a temporary: a named array would live on
-        # into the fill below, where the collection's memory peaks
+        # to the sort below, where the collection's memory peaks
         untouched = size - np.bincount(
-            spec_event * (2 * n) + sender_class[spec_sender] * n + receiver_class[spec_receiver],
+            spec_event.astype(np.intp) * (2 * n)
+            + sender_class[spec_sender] * n
+            + receiver_class[spec_receiver],
             minlength=m * 2 * n,
         ).reshape(m, 2 * n)
         nonempty = np.flatnonzero(untouched)
         class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
-        classes = np.bincount(class_event, minlength=m)
 
-        # an event's touched rows, then its class rows: a touched key's row
-        # is its place among the touched keys plus the earlier events' class
-        # rows, a class row's its place among the class rows plus the touched
-        # keys of its event and the earlier ones
-        rows = touched + classes
+        # the listed rows: the touched dyads, each of count 1, then the
+        # nonempty cells, each counted by its untouched dyads; each index
+        # array is dropped after its last use, for the same reason
+        touched = spec_slots.size
+        row_event = np.concatenate((spec_event, class_event.astype(spec_event.dtype)))
+        weight = np.ones(row_event.size, dtype=np.min_scalar_type(design.n_dyads))
+        weight[touched:] = untouched.reshape(-1)[nonempty]
+        untouched = nonempty = None
+        if has_share:
+            # each listed row's (event, receiver) entry of the share
+            share_at = np.concatenate(
+                (spec_event.astype(np.intp) * n + spec_receiver, class_event * n + class_receiver)
+            )
+        if has_icr:
+            # a cell's ICR is its sender class plus its receiver's icr
+            icr_digit = np.concatenate(
+                (
+                    icr[spec_sender] + icr[spec_receiver],
+                    class_sender + (icr[class_receiver] if has_share else class_receiver),
+                ),
+                dtype=np.uint8,
+                casting="unsafe",
+            )
+        class_event = class_sender = class_receiver = spec_sender = spec_receiver = None
+        column = np.empty(in_spec.size, dtype=np.intp)
+        column[spec_slots] = np.arange(touched)
+        in_spec = spec_slots = spec_event = None
+
+        # each term's code of each listed row, and the rows' codes
+        code, high = row_event.astype(np.int64), m - 1
+        digits = []
+        for term in terms:
+            if term is Term.NTDEGREC:
+                digit, radix = design.share_code.reshape(-1)[share_at], design.share_ranks
+            elif term is Term.ICR:
+                digit, radix = icr_digit, 3
+            else:
+                slots, codes = design.entries[term]
+                digit = np.zeros(row_event.size, dtype=codes.dtype)
+                digit[column[slots]] = codes
+                radix = design.levels[term].size
+            if (high + 1) * radix > _CODE_LIMIT:
+                ranks, code = np.unique(code, return_inverse=True)
+                high = ranks.size - 1
+            code *= radix
+            code += digit
+            high = high * radix + radix - 1
+            digits.append(digit)
+        column = None
+
+        # merge each run of equal codes into one row
+        order = np.argsort(code)
+        code = code[order]
+        head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+        code = None
+        first = order[head]
+        self.count = np.add.reduceat(weight[order], head)
+        order = weight = None
+        event = row_event[first]
+        self.event = event.astype(np.min_scalar_type(m - 1))
+        rows = np.bincount(event, minlength=m)
         self.starts = np.cumsum(rows) - rows
-        touched_row = np.arange(spec_slots.size) + (np.cumsum(classes) - classes)[spec_event]
-        class_row = np.arange(nonempty.size) + np.cumsum(touched)[class_event]
-        self.event = np.repeat(np.arange(m, dtype=np.min_scalar_type(m - 1)), rows)
-        self.count = np.ones(self.event.size, dtype=np.min_scalar_type(size.max()))
-        self.count[class_row] = untouched.reshape(-1)[nonempty]
 
-        self.X = np.zeros((len(terms), self.event.size))
+        self.X = np.empty((len(terms), first.size))
         # each event's k observed statistics adjacent: the kernel's sums round by it
         self.x_obs = np.empty((m, len(terms))).T
         obs_sender, obs_receiver = dyad_from_index(design.obs_idx, n)
-        # each spec key's row, so that a sparse term's slots index X
-        column = np.empty(design.key_event.size, dtype=np.intp)
-        column[spec_slots] = touched_row
-        for c, term in enumerate(terms):
+        for c, (term, digit) in enumerate(zip(terms, digits)):
             if term is Term.NTDEGREC:
-                self.X[c, touched_row] = design.share[spec_event, spec_receiver]
-                self.X[c, class_row] = design.share[class_event, class_receiver]
+                self.X[c] = design.share.reshape(-1)[share_at[first]]
                 self.x_obs[c] = design.share[np.arange(m), obs_receiver]
             elif term is Term.ICR:
-                self.X[c, touched_row] = design.icr[spec_sender] + design.icr[spec_receiver]
-                # the cell's sender class plus its receiver's icr
-                self.X[c, class_row] = class_sender + (
-                    design.icr[class_receiver] if has_share else class_receiver
-                )
+                self.X[c] = digit[first]
                 self.x_obs[c] = design.icr[obs_sender] + design.icr[obs_receiver]
             else:
-                slots, values = design.entries[term]
-                self.X[c, column[slots]] = values
+                self.X[c] = design.levels[term][digit[first]]
                 self.x_obs[c] = design.observed[term]
 
 

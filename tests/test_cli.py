@@ -267,6 +267,8 @@ def test_unknown_config_key(tmp_path):
         ("knockout", {"conditions": ["full", "pa_removed", "full"]}, ["--seed", "1"]),
         ("knockout", {"conditions": []}, ["--seed", "1"]),
         ("simulate", {"conditions": []}, ["--seed", "1"]),
+        ("fit", {"tol": 1}, []),
+        ("fit", {"tol": 1e308}, []),
     ],
 )
 def test_bad_config_value_is_config_error(data_dir, tmp_path, command, payload, flags):
@@ -358,6 +360,13 @@ def test_config_extremes_fit_or_exit_cleanly(data_dir, setting):
                 code = run(["fit", "--config", cfg, *base, "--out", Path(tmp) / "o", *terms])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL), code
     assert "Traceback" not in err.getvalue()
+    if key == "tol":
+        # a tol of 1 or more could stop at theta = 0; a tiny one is valid,
+        # and its fits are reported unconverged
+        if 0 < value < 1:
+            assert code == EXIT_OK, code
+        else:
+            assert code == EXIT_CONFIG and "tol must be in (0, 1)" in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -421,7 +430,7 @@ def test_config_fuzz_loads_or_raises_config_error(key, value):
         except ConfigError:
             return
     assert _well_typed(cfg)
-    assert cfg.tol > 0 and cfg.replicates >= 1
+    assert 0 < cfg.tol < 1 and cfg.replicates >= 1
     assert cfg.seed is None or cfg.seed >= 0
     cfg.prior()
     ModelSpec(cfg.term_objects())

@@ -1,3 +1,4 @@
+import collections
 import math
 from unittest import mock
 
@@ -26,7 +27,7 @@ from remnet.inference import (
     posterior_interval,
     star_codes,
 )
-from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design, dyad_from_index
+from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design
 
 from conftest import (
     make_actors,
@@ -205,20 +206,31 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
         got, want = small.factors(some), full.factors(some)
         for name in ("X", "count", "event", "starts", "x_obs"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    # the design is O(m*n + nnz): an (m, n) share, the icr vector, an
-    # 8-byte slot and an 8-byte value per nonzero sparse statistic, a
-    # 1-byte event, sender and receiver per key (a dyad where any of them is
-    # nonzero: m = 70 and n = 32 each fit a byte) and each sparse term's
-    # 8-byte value at each event's observed dyad
+    # the design is O(m*n + nnz): an (m, n) share and its 1-byte rank
+    # codes, the icr vector, a 1-byte event, sender and receiver per key (a
+    # dyad where any sparse term is nonzero: m = 70 and n = 32 each fit a
+    # byte), and per sparse term an 8-byte slot and a narrow code per
+    # nonzero statistic, its 8-byte levels (0 and its distinct nonzero
+    # values) and its 8-byte value at each event's observed dyad
     for design in (small, full):
         stats, _ = dense_design(actors, seq, design.terms)
-        sparse = [c for c, t in enumerate(design.terms) if t not in (Term.NTDEGREC, Term.ICR)]
-        nnz = np.count_nonzero(stats[sparse])
-        keys = np.count_nonzero(np.any(stats[sparse] != 0, axis=0))
-        assert 128 < keys <= 32768
-        assert design.nbytes == design.full_tensor.nbytes == (
-            8 * (seq.m * actors.n + actors.n) + 3 * keys + 16 * nnz + 8 * len(sparse) * seq.m
+        sparse = [t for t in design.terms if t not in (Term.NTDEGREC, Term.ICR)]
+        keys = np.count_nonzero(
+            np.any(stats[[design.terms.index(t) for t in sparse]] != 0, axis=0)
         )
+        assert 128 < keys <= 32768
+        want = 9 * seq.m * actors.n + 8 * actors.n + 3 * keys
+        for term in sparse:
+            values = stats[design.terms.index(term)]
+            values = values[values != 0.0]
+            levels = design.levels[term]
+            slots, codes = design.entries[term]
+            # a value is its level, bit for bit, in key order
+            assert levels[codes].tobytes() == values.tobytes()
+            assert levels.tobytes() == np.concatenate(([0.0], np.unique(values))).tobytes()
+            assert codes.dtype == np.min_scalar_type(levels.size - 1)
+            want += (8 + codes.itemsize) * values.size + 8 * levels.size + 8 * seq.m
+        assert design.nbytes == design.full_tensor.nbytes == want
         assert design.nbytes < stats.nbytes / 5
 
 
@@ -245,6 +257,23 @@ def test_blocks_match_fill_design_and_naive_oracle(case):
         state.update(*event)
 
 
+def assert_rows_partition_dyads(f, X):
+    """Each event's rows of the ``_Factors`` ``f`` are the distinct
+    statistic vectors of its dyads in ``X``, the (k, m, n_dyads) statistics
+    of ``dense_design``, bit for bit and no two equal, and each row counts
+    the dyads that have its vector, so the counts sum to n(n - 1)."""
+    k, m, D = X.shape
+    assert f.X.shape == (k, f.count.size) and f.event.size == f.count.size
+    assert np.all(np.diff(f.event.astype(int)) >= 0)
+    assert np.array_equal(np.unique(f.event, return_index=True)[1], f.starts)
+    for t, rows in enumerate(np.split(np.arange(f.count.size), f.starts[1:])):
+        listed = [row.tobytes() for row in f.X[:, rows].T]
+        assert len(set(listed)) == rows.size, t
+        dyads = collections.Counter(row.tobytes() for row in X[:, t].T)
+        assert dict(zip(listed, f.count[rows].tolist())) == dyads, t
+        assert f.count[rows].sum() == D
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=st.data())
 def test_factors_list_touched_dyads_with_their_block_statistics(case):
@@ -260,41 +289,31 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
         design = EventDesign(actors, seq, terms)
         f = design.factors(terms)
     X, _ = dense_design(actors, seq, terms)
-    D = design.n_dyads
-    # an untouched dyad's cell: (icr_i or 0, j or icr_j or 0), in that order
-    icr = actors.icr_array().astype(int)
-    sender, receiver = dyad_from_index(np.arange(D), n)
-    zero = np.zeros(D, dtype=int)
-    sender_key = icr[sender] if Term.ICR in terms else zero
-    receiver_key = (
-        receiver if Term.NTDEGREC in terms else icr[receiver] if Term.ICR in terms else zero
-    )
-    cell = sender_key * n + receiver_key
-    sparse = [c for c, t in enumerate(terms) if t not in (Term.NTDEGREC, Term.ICR)]
-    touched = np.any(X[sparse] != 0.0, axis=0)
-    assert np.array_equal(np.unique(f.event, return_index=True)[1], f.starts)
-    assert np.all(np.diff(f.event.astype(int)) >= 0) and f.event.size == f.count.size
-    for t in range(m):
-        rows = np.flatnonzero(f.event == t)
-        # its touched dyads first, in dyad order, each its block row
-        mine = np.flatnonzero(touched[t])
-        assert f.X[:, rows[: mine.size]].tobytes() == X[:, t, mine].tobytes()
-        assert np.all(f.count[rows[: mine.size]] == 1)
-        # then one row per nonempty cell of the rest, in cell order, that
-        # counts the cell's dyads and holds each one's block row
-        rest = np.flatnonzero(~touched[t])
-        cells = np.unique(cell[rest])
-        assert rows.size == mine.size + cells.size
-        for row, c in zip(rows[mine.size :], cells):
-            members = rest[cell[rest] == c]
-            assert f.count[row] == members.size
-            shared = np.broadcast_to(f.X[:, row, None], (len(terms), members.size))
-            assert shared.tobytes() == X[:, t, members].tobytes()
-        assert mine.size + f.count[rows[mine.size :]].sum() == D
+    assert_rows_partition_dyads(f, X)
     assert f.x_obs.tobytes() == X[:, np.arange(m), design.obs_idx].tobytes()
     # each event's k observed values adjacent: the kernel's theta @ x_obs and
     # x_obs.sum(axis=1) round by this layout, and so do the saved modes
     assert f.x_obs.strides == (8, 8 * len(terms))
+
+
+def test_row_codes_reranked_below_the_limit_give_the_same_factors(path_sized_fixture):
+    # a limit of m re-ranks the codes before every term's digit: m events
+    # times any radix (at least 2) passes it, and so do the ranks, of which
+    # there are at least m
+    actors, seq = path_sized_fixture
+    design = EventDesign(actors, seq)
+    terms = ALL_TERMS[::-1]
+    want = design.factors(terms)
+    with mock.patch.object(inference, "_CODE_LIMIT", design.m), mock.patch.object(
+        inference.np, "unique", wraps=np.unique
+    ) as unique:
+        got = design.factors(terms)
+    assert unique.call_count == len(terms) == 14
+    assert want.count.size < design.m * design.n_dyads / 2
+    for name in ("X", "count", "event", "starts", "x_obs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.strides == b.strides
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
@@ -394,11 +413,12 @@ def test_kernel_event_without_touched_dyad(small_fixture):
     terms = (Term.NTDEGREC, Term.RRECSND, Term.PSABXB, Term.ICR)
     design = EventDesign(actors, seq, terms)
     factors = design.factors(terms)
+    X, _ = dense_design(actors, seq, terms)
+    assert_rows_partition_dyads(factors, X)
     # no history before the first event: no sparse statistic is nonzero, so
-    # it has class rows alone, at most 2n of them, and a later event has a
-    # touched row
+    # its rows hold base statistics alone, and a later event has a row with
+    # a nonzero sparse statistic
     first = factors.event == 0
-    assert first.sum() <= 2 * actors.n and factors.count[first].sum() == design.n_dyads
     assert not factors.X[1:3, first].any() and factors.X[1:3, ~first].any()
     for theta in ([1.5, -2.0, 0.7, 0.9], [-3.0, 2.5, 3.0, -1.0]):
         assert_kernel_matches_oracle(design, terms, theta)
@@ -410,7 +430,8 @@ def test_kernel_event_without_touched_dyad(small_fixture):
 )
 def test_kernel_spec_without_base_terms(small_fixture, case):
     # with no base term every untouched dyad scores 0: an event has at
-    # most one class row, all zeros, that counts its untouched dyads
+    # most one all-zero row, which counts its untouched dyads, and its
+    # touched dyads are counted by its other rows
     actors, seq = small_fixture
     terms = (Term.OSPSND, Term.PSABBA, Term.RSNDSND)
     thetas = [[0.4, 2.0, -1.0], [-2.5, -3.0, 2.0]]
@@ -428,11 +449,12 @@ def test_kernel_spec_without_base_terms(small_fixture, case):
         thetas = [[0.4, 2.0, 1.0]]
     design = EventDesign(actors, seq, terms)
     factors = design.factors(terms)
+    assert_rows_partition_dyads(factors, dense_design(actors, seq, terms)[0])
     D = design.n_dyads
     is_class = ~factors.X.any(axis=0)
     classes = np.bincount(factors.event[is_class], minlength=seq.m)
     untouched = np.bincount(factors.event, factors.count * is_class, minlength=seq.m)
-    touched = np.bincount(factors.event, ~is_class, minlength=seq.m)
+    touched = np.bincount(factors.event, factors.count * ~is_class, minlength=seq.m)
     assert classes.max() == 1 and np.array_equal(untouched + touched, np.full(seq.m, D))
     # each event's largest row score
     M = np.maximum.reduceat(np.asarray(thetas[0]) @ factors.X, factors.starts)
