@@ -9,35 +9,29 @@ default), whose log density, gradient and Hessian diagonal
 inverse negative Hessian of the log-posterior at the mode.
 
 Every model-layer function reads its data from an ``EventDesign``, the
-per-event statistics of one network in O(m*n + nnz) memory, held as the
-design's own arrays: NTDegRec as a receiver share per event, ICR as a
-static actor vector and the other twelve terms as their nonzero entries,
-each value with an integer code (a sparse term's index into its sorted
-levels, NTDegRec's rank within its event). One kernel, ``_evaluate``,
-gives the log-likelihood, gradient and Hessian in one pass over a spec's
-``_Factors``, which ``fit_map`` collects once per fit with one mask of
-the spec's keys and gathers from the design's per-key maps
-``key_event``, ``key_sender`` and ``key_receiver``; each theta of a fit
-then costs one kernel pass and one prior call. An event's likelihood
-depends on its risk set only through the multiset of (statistics,
-count), so ``_Factors`` lists each distinct statistic vector of an event
-once, weighted by the number of its dyads that have it. It starts from
-the event's touched dyads (where one of the spec's sparse terms is
-nonzero) and its untouched dyads, which have base statistics alone and
-so depend on a dyad (i, j) only through its cell: the sender's icr_i
-(with ICR) and the receiver j (with NTDegRec) or its icr_j (with ICR
-alone). An event has at most 2n cells, each a row weighted by its dyad
-count (the normaliser over counted classes: Perry & Wolfe, JRSS-B 2013),
-sized from the actors' class counts. Rows of an event with equal
-statistics are then merged: each row gets a mixed-radix integer code of
-its event and its terms' codes, one argsort groups equal codes, and only
-the merged rows are filled. Each event's observed statistics are read
-from the design, not searched for among the rows. The kernel is the
-dense kernel's arithmetic over those weighted rows, with no difference
-formed but H's. A pass costs O(rows*k^2), rows at most m*n + nnz and
-usually far fewer, not O(m*n^2*k^2). Adequacy reads no design: it ranks
-the scores of a ``stats.RiskSetScorer``, the scorer the knock-out sampler
-draws from.
+per-event statistics of one network as weighted rows. An event's
+likelihood depends on its risk set only through the multiset of
+(statistics, count), so the design lists each distinct statistic vector
+of an event once, weighted by the number of its dyads that have it. It
+starts from the event's touched dyads (where one of its sparse terms is
+nonzero) and its untouched dyads, which have base statistics alone and so
+depend on a dyad (i, j) only through its cell: the sender's icr_i (with
+ICR) and the receiver j (with NTDegRec) or its icr_j (with ICR alone). An
+event has at most 2n cells, each a row weighted by its dyad count (the
+normaliser over counted classes: Perry & Wolfe, JRSS-B 2013), sized from
+the actors' class counts. Each value is held as an integer code into its
+term's sorted levels, and ``_merge`` merges an event's rows with equal
+codes: each row gets a mixed-radix code of its event and its terms'
+codes, one argsort groups equal codes and their counts are summed. A
+spec's rows, its ``_Factors``, are the same merge over the spec's code
+columns of the design's rows, which ``fit_map`` runs once per fit; each
+theta of a fit then costs one kernel pass and one prior call. One kernel,
+``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass:
+the dense kernel's arithmetic over those weighted rows, with no
+difference formed but H's. A pass costs O(rows*k^2), rows at most
+m*n + nnz and usually far fewer, not O(m*n^2*k^2). Adequacy reads no
+design: it ranks the scores of a ``stats.RiskSetScorer``, the scorer the
+knock-out sampler draws from.
 
 Only ``posterior_interval`` uses SciPy: it imports ``scipy.special`` when
 called, for the normal quantile ``ndtri`` at any level. ``star_codes``
@@ -213,36 +207,41 @@ class FitResult:
 
 
 # terms with a dense natural form: NTDegRec is a receiver share per event
-# and ICR a static actor vector; every other term is stored sparse
+# and ICR a static actor vector; every other term is nonzero only on the
+# dyads its events touched
 _BASE_TERMS = (Term.NTDEGREC, Term.ICR)
 
 
 class EventDesign:
-    """Per-event statistics of one network, for the terms a model uses.
+    """Per-event statistics of one network, for the terms a model uses, as
+    each event's distinct statistic vectors, each counted by its dyads.
 
     The statistics of ``terms`` (all 14 by default) are read from one
-    ``HistoryState`` replay of the events, each term in its natural form.
-    ``share[t]`` is NTDegRec's receiver share at event t (None unless the
-    design has NTDegRec): dyad (i, j) has ``share[t, j]``. ``icr`` is the
-    0/1 actor vector: dyad (i, j) has ICR ``icr[i] + icr[j]``. The other
-    (sparse) terms are nonzero only on the touched dyads, the union of
-    their nonzero entries, which the key maps list in (event, dyad) order:
-    key u is dyad (``key_sender[u]``, ``key_receiver[u]``) at event
-    ``key_event[u]``, each map in the narrowest unsigned type that holds
-    its values (at most 8 bytes a key together). ``entries[term]`` is a
-    sparse term's (slots, codes): the keys of its nonzero statistics, in
-    increasing order, and each one's code in the narrowest unsigned type
-    that holds it, an index into ``levels[term]``, which holds 0 and then
-    the term's distinct nonzero values in increasing order, so that a
-    value is ``levels[term][code]`` bit for bit. ``share_code[t, j]`` is
-    the rank of ``share[t, j]`` among the distinct shares of event t, and
-    ``share_ranks`` the most ranks an event has. ``observed[term]`` is a
-    sparse term's value at each event's observed dyad, zero or not; that
-    dyad's canonical index is ``obs_idx[t]``. Memory is O(m*n + nnz),
-    ``nbytes`` bytes; ``full_tensor`` is another name for the design, the
-    attribute perfbench's spans read. Its one reader is ``factors``, which
-    gives a spec's statistics as the likelihood kernel's weighted rows:
-    each event's distinct statistic vectors, each counted by its dyads.
+    ``HistoryState`` replay of the events. An event's dyads come in two
+    kinds. Its touched dyads, where any sparse term is nonzero, are listed
+    one by one. An untouched dyad (i, j) has only base statistics, and
+    they depend on i and j through its cell alone: the sender class is
+    ``icr_i`` with ICR (else 0), the receiver class ``j`` with NTDegRec,
+    else ``icr_j`` with ICR (else 0). So every untouched dyad of a cell has
+    one statistic vector (its base statistics and 0 for each sparse term),
+    listed once and counted by the cell's untouched dyads, which the
+    actors' class counts give; an event has at most 2n cells (the
+    normaliser over counted classes: Perry & Wolfe, JRSS-B 2013). The
+    listed rows of an event with equal statistics are then merged by
+    ``_merge`` into one, whose count is the sum of theirs.
+
+    Each term's values are held as codes: ``levels[term]`` is 0 and then
+    the term's distinct values in increasing order (0, 1, 2 for ICR, whose
+    value is its code), so that a value is ``levels[term][code]`` bit for
+    bit, and a code's order is its value's. Row r is at event ``event[r]``,
+    counts ``count[r]`` dyads and has code ``codes[term][r]`` for each
+    term; an event's rows come in increasing code, and every event has one.
+    ``observed[term][t]`` is the code at event t's observed dyad. Each
+    array is in the narrowest unsigned type that holds its values. Memory
+    is O(rows + distinct values), ``nbytes`` bytes; ``full_tensor`` is
+    another name for the design, the attribute perfbench's spans read. Its
+    one reader is ``factors``, which merges the rows again over a spec's
+    terms.
     """
 
     def __init__(
@@ -260,11 +259,12 @@ class EventDesign:
         self.m = m = seq.m
         self.n_dyads = D = n * (n - 1)
         sparse = [t for t in self.terms if t not in _BASE_TERMS]
+        has_share, has_icr = Term.NTDEGREC in self.terms, Term.ICR in self.terms
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
-        share = np.empty((m, n)) if Term.NTDEGREC in self.terms else None
         per_block = max(1, _BLOCK_ROWS // D)
-        # before the block buffer, so that no long-lived array pins its hole
+        # before the block buffer, so that no array pins its hole
+        share = np.empty((m, n)) if has_share else None
         observed = np.empty((len(sparse), m))
         stats = np.empty((len(sparse), per_block, n - 1, n))
         keys, n_keys = [np.empty(0, np.intp)], 0
@@ -296,59 +296,96 @@ class EventDesign:
                 lo, hi = bounds[c], bounds[c + 1]
                 parts.append((slot[lo:hi], value[lo:hi]))
         stats = flat = nonzero = None  # free the block buffers for what follows
-        # each sparse term's values as codes into its levels: 0, then its
-        # distinct nonzero values. Values are sorted by their bits as int64,
-        # their numeric order for nonnegative statistics, so that this and
-        # the share ranks below use the int64 argsort of every collection,
-        # not a float sort of their own
-        entries, levels = {}, {}
-        for t, parts in zip(sparse, found):
+
+        # the touched dyads, in (event, dyad) order: each one's event, sender
+        # and receiver in their smallest types (a per-dyad table spares
+        # key-sized temporaries)
+        key_event, dyad = np.divmod(np.concatenate(keys), D)
+        keys = None
+        key_sender, key_receiver = (
+            a.astype(np.min_scalar_type(n - 1))[dyad] for a in dyad_from_index(np.arange(D), n)
+        )
+        key_event = key_event.astype(np.min_scalar_type(m - 1))
+        dyad = None
+        obs_sender, obs_receiver = dyad_from_index(obs, n)
+
+        # each actor's sender class (0 or 1) and receiver class (0 to n - 1):
+        # dyad (i, j) is in cell sender_class[i] * n + receiver_class[j]
+        icr_class = icr.astype(np.intp)
+        zero = np.zeros(n, dtype=np.intp)
+        sender_class = icr_class if has_icr else zero
+        receiver_class = np.arange(n) if has_share else icr_class if has_icr else zero
+        # each cell's dyads, its sender class's actors times its receiver
+        # class's less the pairs (i, i); each event's untouched dyads per
+        # cell, and the nonempty cells
+        size = np.outer(
+            np.bincount(sender_class, minlength=2), np.bincount(receiver_class, minlength=n)
+        ).reshape(-1) - np.bincount(sender_class * n + receiver_class, minlength=2 * n)
+        untouched = size - np.bincount(
+            key_event.astype(np.intp) * (2 * n)
+            + sender_class[key_sender] * n
+            + receiver_class[key_receiver],
+            minlength=m * 2 * n,
+        ).reshape(m, 2 * n)
+        nonempty = np.flatnonzero(untouched)
+        class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
+
+        # the listed rows: the touched dyads, each of count 1, then the
+        # nonempty cells, each counted by its untouched dyads; each array
+        # is dropped after its last use
+        touched = key_event.size
+        row_event = np.concatenate((key_event, class_event.astype(key_event.dtype)))
+        weight = np.ones(row_event.size, dtype=np.min_scalar_type(D))
+        weight[touched:] = untouched.reshape(-1)[nonempty]
+        untouched = nonempty = None
+        levels, row_codes, obs_codes = {}, {}, {}
+        for t, obs_values, parts in zip(sparse, observed, found):
             slots, values = (np.concatenate(x) for x in zip(*parts))
             parts.clear()
-            bits = values.view(np.int64)
-            ranked = bits[np.argsort(bits)]
-            distinct = np.concatenate((ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]))
-            levels[t] = np.concatenate(([0.0], distinct.view(np.float64)))
-            codes = np.searchsorted(distinct, bits)
-            codes += 1
-            entries[t] = (slots, codes.astype(np.min_scalar_type(distinct.size)))
-        values = bits = ranked = codes = None
-        # the touched dyads' keys event * n_dyads + dyad, in increasing order, as
-        # maps in their smallest types (a per-dyad table spares key-sized temporaries)
-        keys = np.concatenate(keys)
-        event, dyad = np.divmod(keys, D)
-        actor_type = np.min_scalar_type(n - 1)
-        self.key_sender, self.key_receiver = (
-            a.astype(actor_type)[dyad] for a in dyad_from_index(np.arange(D), n)
+            levels[t], codes, obs_codes[t] = _coded(values, obs_values)
+            row_codes[t] = np.zeros(row_event.size, dtype=codes.dtype)
+            row_codes[t][slots] = codes
+        observed = slots = values = codes = None
+        if has_share:
+            # each row's (event, receiver) entry of the share
+            levels[Term.NTDEGREC], codes, obs_codes[Term.NTDEGREC] = _coded(
+                share.reshape(-1), share[np.arange(m), obs_receiver]
+            )
+            row_codes[Term.NTDEGREC] = codes[
+                np.concatenate(
+                    (key_event.astype(np.intp) * n + key_receiver, class_event * n + class_receiver)
+                )
+            ]
+            share = codes = None
+        if has_icr:
+            # a cell's ICR is its sender class plus its receiver's icr
+            levels[Term.ICR] = np.arange(3.0)
+            row_codes[Term.ICR] = np.concatenate(
+                (
+                    icr_class[key_sender] + icr_class[key_receiver],
+                    class_sender + (icr_class[class_receiver] if has_share else class_receiver),
+                ),
+                dtype=np.uint8,
+                casting="unsafe",
+            )
+            obs_codes[Term.ICR] = (icr_class[obs_sender] + icr_class[obs_receiver]).astype(np.uint8)
+        key_event = key_sender = key_receiver = None
+        class_event = class_sender = class_receiver = None
+
+        first, count = _merge(
+            row_event, weight, [(row_codes[t], levels[t].size) for t in self.terms], m
         )
-        self.key_event = event.astype(np.min_scalar_type(m - 1))
-        keys = event = dyad = None
-        self.share_code, self.share_ranks = None, 0
-        if share is not None:
-            # each receiver's rank among the distinct shares of its event
-            order = np.argsort(share.view(np.int64), axis=1)
-            events = np.arange(m)[:, None]
-            ranked = share[events, order]
-            rank = np.zeros((m, n), dtype=np.intp)
-            rank[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-            rank = np.cumsum(rank, axis=1)
-            self.share_ranks = int(rank[:, -1].max()) + 1
-            self.share_code = np.empty((m, n), dtype=actor_type)
-            self.share_code[events, order] = rank
-        self.share, self.icr, self.entries, self.levels = share, icr, entries, levels
-        self.observed = dict(zip(sparse, observed))
-        self.obs_idx = obs
+        weight = None
+        self.event = row_event[first]
+        self.count = count.astype(np.min_scalar_type(D))
+        self.codes = {t: row_codes.pop(t)[first] for t in self.terms}
+        self.levels, self.observed = levels, obs_codes
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the share, share code, icr, key map, slot, code, level and
-        observed arrays."""
-        arrays = [self.icr, self.key_event, self.key_sender, self.key_receiver]
-        arrays += [a for pair in self.entries.values() for a in pair]
-        arrays += self.levels.values()
-        arrays += self.observed.values()
-        if self.share is not None:
-            arrays += [self.share, self.share_code]
+        """Bytes of the event, count, code, level and observed arrays."""
+        arrays = [self.event, self.count, *self.codes.values()]
+        arrays += [*self.levels.values(), *self.observed.values()]
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -383,9 +420,53 @@ def _as_theta(theta, k: int) -> np.ndarray:
 # dyad rows per block: a block of events of the ``EventDesign`` build, or
 # of the kernel's Hessian sum, stays cache-sized
 _BLOCK_ROWS = 1 << 16
-# the bound on ``_Factors``' row codes: a code whose next digit would reach
+# the bound on ``_merge``'s row codes: a code whose next digit would reach
 # it is first replaced by its rank among the codes
 _CODE_LIMIT = 1 << 63
+
+
+def _coded(values: np.ndarray, more: np.ndarray):
+    """A term's levels, 0 and then the distinct values of ``values`` in
+    increasing order, and the codes of ``values`` and of ``more`` (values
+    among them) into the levels, in the narrowest unsigned type.
+
+    Statistics are nonnegative, so their order is that of their bits as
+    int64: the sort is the int64 argsort ``_merge`` runs, not a float sort
+    of its own. Each sorted value's code counts the levels up to it."""
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    ranked = np.concatenate(([0], bits[order]))
+    step = ranked[1:] != ranked[:-1]
+    levels = np.concatenate(([0], ranked[1:][step]))
+    codes = np.empty(bits.size, dtype=np.min_scalar_type(levels.size - 1))
+    codes[order] = np.cumsum(step)
+    more = np.searchsorted(levels, more.view(np.int64)).astype(codes.dtype)
+    return levels.view(np.float64), codes, more
+
+
+def _merge(event, count, columns, m: int):
+    """Merge rows with equal event and codes: the index of one row of each
+    run of equal rows, in increasing code, and the sum of each run's counts.
+
+    ``columns`` holds each term's (codes of the rows, number of levels). A
+    row's code is its event and its terms' codes in mixed radix, event
+    first, so rows sort by event and then by value, term by term. Where
+    the next digit would take the codes to ``_CODE_LIMIT``, they are first
+    replaced by their ranks, which keeps their order. One argsort then
+    groups equal rows."""
+    code, high = event.astype(np.int64), m - 1
+    for digit, radix in columns:
+        if (high + 1) * radix > _CODE_LIMIT:
+            ranks, code = np.unique(code, return_inverse=True)
+            high = ranks.size - 1
+        code *= radix
+        code += digit
+        high = high * radix + radix - 1
+    order = np.argsort(code)
+    code = code[order]
+    head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    code = None
+    return order[head], np.add.reduceat(count[order], head)
 
 
 class _Factors:
@@ -393,152 +474,32 @@ class _Factors:
     collected once per fit: each event's distinct statistic vectors, each
     once, weighted by the number of the event's dyads that have it.
 
-    The dyads of an event come in two kinds. Its touched dyads, where any
-    of the spec's sparse terms is nonzero, are listed one by one. An
-    untouched dyad (i, j) has only base statistics, and they depend on
-    i and j through its cell alone: the sender class is ``icr_i`` when the
-    spec has ICR (else 0), the receiver class ``j`` when it has NTDegRec,
-    else ``icr_j`` when it has ICR (else 0). So every dyad of a cell shares
-    one row of statistics (its base statistics and 0 for each sparse term),
-    listed once and counted by the cell's untouched dyads, which the
-    actors' class counts give. An event has at most 2n cells.
-
-    Rows of one event with equal statistics are then merged into one, whose
-    count is the sum of theirs (two such rows get equal probabilities, so
-    the likelihood sees only the sum). Equal statistics are found from
-    integer codes, not floats: each term's value has a code in the design
-    (a sparse term's index into its levels, NTDegRec's rank within its
-    event, ICR's value), and a row's code is its event and its terms' codes
-    in mixed radix, event first. Where the next digit would take the code
-    to ``_CODE_LIMIT``, the codes are first replaced by their ranks, which
-    keeps their order. One argsort of the codes groups the rows, and only
-    the merged rows are filled, each from the codes of one row of its
-    group, so a value is its level bit for bit.
+    A design's rows restricted to a spec's terms list every dyad of an
+    event with its spec statistics, so ``_merge`` over the spec's code
+    columns gives the spec's rows, and each one is filled from the codes
+    of one design row of its run, so a value is its level bit for bit.
 
     ``X`` holds every merged row's statistics in spec order, shape
     (k, rows), an event's rows in increasing code; ``count`` each row's
-    weight and ``event`` its event, each in the narrowest unsigned type
-    that holds its values; ``starts`` where each event's rows begin (every
-    event has a row). ``x_obs`` holds each event's observed statistics,
-    shape (k, m) with an event's k values adjacent, read from the design
-    and its ``obs_idx``.
+    weight and ``event`` its event; ``starts`` where each event's rows
+    begin (every event has a row). ``x_obs`` holds each event's observed
+    statistics, shape (k, m) with an event's k values adjacent.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
-        n, m = design.n, design.m
-        has_share, has_icr = Term.NTDEGREC in terms, Term.ICR in terms
-
-        # each actor's sender class (0 or 1) and receiver class (0 to n - 1):
-        # dyad (i, j) is in cell sender_class[i] * n + receiver_class[j]
-        icr = design.icr.astype(np.intp)
-        zero = np.zeros(n, dtype=np.intp)
-        sender_class = icr if has_icr else zero
-        receiver_class = np.arange(n) if has_share else icr if has_icr else zero
-
-        # the spec's touched dyads: the keys where any of its sparse terms
-        # is nonzero
-        in_spec = np.zeros(design.key_event.size, dtype=bool)
-        for term in terms:
-            if term not in _BASE_TERMS:
-                in_spec[design.entries[term][0]] = True
-        spec_slots = np.flatnonzero(in_spec)
-        spec_event = design.key_event[spec_slots]
-        spec_sender = design.key_sender[spec_slots]
-        spec_receiver = design.key_receiver[spec_slots]
-        # each cell's dyads, its sender class's actors times its receiver
-        # class's less the pairs (i, i); each event's untouched dyads per
-        # cell, and the nonempty cells
-        size = np.outer(
-            np.bincount(sender_class, minlength=2), np.bincount(receiver_class, minlength=n)
-        ).reshape(-1) - np.bincount(sender_class * n + receiver_class, minlength=2 * n)
-        # the spec keys' cells stay a temporary: a named array would live on
-        # to the sort below, where the collection's memory peaks
-        untouched = size - np.bincount(
-            spec_event.astype(np.intp) * (2 * n)
-            + sender_class[spec_sender] * n
-            + receiver_class[spec_receiver],
-            minlength=m * 2 * n,
-        ).reshape(m, 2 * n)
-        nonempty = np.flatnonzero(untouched)
-        class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
-
-        # the listed rows: the touched dyads, each of count 1, then the
-        # nonempty cells, each counted by its untouched dyads; each index
-        # array is dropped after its last use, for the same reason
-        touched = spec_slots.size
-        row_event = np.concatenate((spec_event, class_event.astype(spec_event.dtype)))
-        weight = np.ones(row_event.size, dtype=np.min_scalar_type(design.n_dyads))
-        weight[touched:] = untouched.reshape(-1)[nonempty]
-        untouched = nonempty = None
-        if has_share:
-            # each listed row's (event, receiver) entry of the share
-            share_at = np.concatenate(
-                (spec_event.astype(np.intp) * n + spec_receiver, class_event * n + class_receiver)
-            )
-        if has_icr:
-            # a cell's ICR is its sender class plus its receiver's icr
-            icr_digit = np.concatenate(
-                (
-                    icr[spec_sender] + icr[spec_receiver],
-                    class_sender + (icr[class_receiver] if has_share else class_receiver),
-                ),
-                dtype=np.uint8,
-                casting="unsafe",
-            )
-        class_event = class_sender = class_receiver = spec_sender = spec_receiver = None
-        column = np.empty(in_spec.size, dtype=np.intp)
-        column[spec_slots] = np.arange(touched)
-        in_spec = spec_slots = spec_event = None
-
-        # each term's code of each listed row, and the rows' codes
-        code, high = row_event.astype(np.int64), m - 1
-        digits = []
-        for term in terms:
-            if term is Term.NTDEGREC:
-                digit, radix = design.share_code.reshape(-1)[share_at], design.share_ranks
-            elif term is Term.ICR:
-                digit, radix = icr_digit, 3
-            else:
-                slots, codes = design.entries[term]
-                digit = np.zeros(row_event.size, dtype=codes.dtype)
-                digit[column[slots]] = codes
-                radix = design.levels[term].size
-            if (high + 1) * radix > _CODE_LIMIT:
-                ranks, code = np.unique(code, return_inverse=True)
-                high = ranks.size - 1
-            code *= radix
-            code += digit
-            high = high * radix + radix - 1
-            digits.append(digit)
-        column = None
-
-        # merge each run of equal codes into one row
-        order = np.argsort(code)
-        code = code[order]
-        head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-        code = None
-        first = order[head]
-        self.count = np.add.reduceat(weight[order], head)
-        order = weight = None
-        event = row_event[first]
-        self.event = event.astype(np.min_scalar_type(m - 1))
-        rows = np.bincount(event, minlength=m)
+        m = design.m
+        first, self.count = _merge(
+            design.event, design.count, [(design.codes[t], design.levels[t].size) for t in terms], m
+        )
+        self.event = design.event[first]
+        rows = np.bincount(self.event, minlength=m)
         self.starts = np.cumsum(rows) - rows
-
         self.X = np.empty((len(terms), first.size))
         # each event's k observed statistics adjacent: the kernel's sums round by it
         self.x_obs = np.empty((m, len(terms))).T
-        obs_sender, obs_receiver = dyad_from_index(design.obs_idx, n)
-        for c, (term, digit) in enumerate(zip(terms, digits)):
-            if term is Term.NTDEGREC:
-                self.X[c] = design.share.reshape(-1)[share_at[first]]
-                self.x_obs[c] = design.share[np.arange(m), obs_receiver]
-            elif term is Term.ICR:
-                self.X[c] = digit[first]
-                self.x_obs[c] = design.icr[obs_sender] + design.icr[obs_receiver]
-            else:
-                self.X[c] = design.levels[term][digit[first]]
-                self.x_obs[c] = design.observed[term]
+        for c, term in enumerate(terms):
+            self.X[c] = design.levels[term][design.codes[term][first]]
+            self.x_obs[c] = design.levels[term][design.observed[term]]
 
 
 def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:
@@ -644,10 +605,11 @@ def fit_map(
     non-converged result is still returned. ``n_iter`` counts iterations,
     so a fit makes ``n_iter + 1`` passes over the design. The empty model
     is no special case: its gradient max-norm is 0, so it converges with
-    no iteration, in one pass.
+    no iteration, in one pass. Raises ValueError unless 0 < ``tol`` < 1:
+    from 1 on, the null model's gradient can pass it at theta = 0.
     """
-    if not 0 < tol < math.inf:  # NaN fails too
-        raise ValueError("tol must be positive and finite")
+    if not 0 < tol < 1:  # NaN fails too
+        raise ValueError("tol must be in (0, 1)")
     factors = design.factors(spec.terms)
     m = design.m
     k = spec.k

@@ -1,5 +1,6 @@
 import collections
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -200,38 +201,44 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
     terms = (Term.NTDEGREC, Term.PSABBA, Term.RRECSND, Term.ICR)
     full = EventDesign(actors, seq)
     small = EventDesign(actors, seq, terms)
-    assert np.array_equal(small.obs_idx, full.obs_idx)
     # the spec's design and the full one give the same rows, in any order
     for some in (terms, terms[::-1], terms[1:3]):
         got, want = small.factors(some), full.factors(some)
         for name in ("X", "count", "event", "starts", "x_obs"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    # the design is O(m*n + nnz): an (m, n) share and its 1-byte rank
-    # codes, the icr vector, a 1-byte event, sender and receiver per key (a
-    # dyad where any sparse term is nonzero: m = 70 and n = 32 each fit a
-    # byte), and per sparse term an 8-byte slot and a narrow code per
-    # nonzero statistic, its 8-byte levels (0 and its distinct nonzero
-    # values) and its 8-byte value at each event's observed dyad
+    # the design is its own terms' merged rows: per row a 1-byte event (m =
+    # 70), a 2-byte count (n(n - 1) = 992) and a narrow code per term; per
+    # term its 8-byte levels (0 and its distinct values; 0, 1, 2 for ICR)
+    # and its code at each event's observed dyad
     for design in (small, full):
-        stats, _ = dense_design(actors, seq, design.terms)
-        sparse = [t for t in design.terms if t not in (Term.NTDEGREC, Term.ICR)]
-        keys = np.count_nonzero(
-            np.any(stats[[design.terms.index(t) for t in sparse]] != 0, axis=0)
-        )
-        assert 128 < keys <= 32768
-        want = 9 * seq.m * actors.n + 8 * actors.n + 3 * keys
-        for term in sparse:
-            values = stats[design.terms.index(term)]
-            values = values[values != 0.0]
-            levels = design.levels[term]
-            slots, codes = design.entries[term]
-            # a value is its level, bit for bit, in key order
-            assert levels[codes].tobytes() == values.tobytes()
-            assert levels.tobytes() == np.concatenate(([0.0], np.unique(values))).tobytes()
+        stats, obs = dense_design(actors, seq, design.terms)
+        x_obs = stats[:, np.arange(seq.m), obs]
+        rows = design.count.size
+        assert rows == sum(np.unique(stats[:, t], axis=1).shape[1] for t in range(seq.m))
+        assert design.event.dtype == np.uint8 and design.count.dtype == np.uint16
+        want = 3 * rows
+        values = []
+        for c, term in enumerate(design.terms):
+            levels, codes = design.levels[term], design.codes[term]
+            if term is Term.ICR:
+                assert levels.tobytes() == np.arange(3.0).tobytes()
+            else:
+                distinct = np.unique(np.concatenate(([0.0], stats[c].ravel())))
+                assert levels.tobytes() == distinct.tobytes()
+            assert codes.dtype == design.observed[term].dtype
             assert codes.dtype == np.min_scalar_type(levels.size - 1)
-            want += (8 + codes.itemsize) * values.size + 8 * levels.size + 8 * seq.m
+            # a value is its level, bit for bit
+            assert levels[design.observed[term]].tobytes() == x_obs[c].tobytes()
+            values.append(levels[codes])
+            want += codes.itemsize * (rows + seq.m) + 8 * levels.size
         assert design.nbytes == design.full_tensor.nbytes == want
         assert design.nbytes < stats.nbytes / 5
+        # the design's own rows are each event's distinct statistic vectors
+        own = types.SimpleNamespace(
+            X=np.array(values), count=design.count, event=design.event,
+            starts=np.flatnonzero(np.diff(design.event, prepend=-1)),
+        )
+        assert_rows_partition_dyads(own, stats)
 
 
 @settings(max_examples=30, deadline=None)
@@ -282,15 +289,20 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
     rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
     icr_indices = tuple(np.flatnonzero(rng.random(n) < 0.5))
     actors, seq = random_sequence(n, m, rng, icr_indices=icr_indices)
-    terms = case.draw(st.permutations(ALL_TERMS), label="order")
-    terms = terms[: case.draw(st.integers(1, 14), label="k")]
+    # the spec's rows are merged again from a design for a superset of its
+    # terms, in the design's own order: its NTDegRec and ICR cells collapse
+    # and its dyads touched only by the other terms fold into the spec's cells
+    built = case.draw(st.permutations(ALL_TERMS), label="design order")
+    built = built[: case.draw(st.integers(1, 14), label="design k")]
+    terms = case.draw(st.permutations(built), label="order")
+    terms = terms[: case.draw(st.integers(1, len(built)), label="k")]
     per_block = case.draw(st.integers(1, m), label="events per block")
     with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
-        design = EventDesign(actors, seq, terms)
+        design = EventDesign(actors, seq, built)
         f = design.factors(terms)
-    X, _ = dense_design(actors, seq, terms)
+    X, obs = dense_design(actors, seq, terms)
     assert_rows_partition_dyads(f, X)
-    assert f.x_obs.tobytes() == X[:, np.arange(m), design.obs_idx].tobytes()
+    assert f.x_obs.tobytes() == X[:, np.arange(m), obs].tobytes()
     # each event's k observed values adjacent: the kernel's theta @ x_obs and
     # x_obs.sum(axis=1) round by this layout, and so do the saved modes
     assert f.x_obs.strides == (8, 8 * len(terms))
@@ -307,9 +319,16 @@ def test_row_codes_reranked_below_the_limit_give_the_same_factors(path_sized_fix
     with mock.patch.object(inference, "_CODE_LIMIT", design.m), mock.patch.object(
         inference.np, "unique", wraps=np.unique
     ) as unique:
+        reranked = EventDesign(actors, seq)
+        assert unique.call_count == len(design.terms) == 14
         got = design.factors(terms)
-    assert unique.call_count == len(terms) == 14
+    assert unique.call_count == 2 * len(terms) == 28
     assert want.count.size < design.m * design.n_dyads / 2
+    # the build's re-rank keeps its rows and their order
+    for a, b in [(reranked.event, design.event), (reranked.count, design.count)] + [
+        (reranked.codes[t], design.codes[t]) for t in ALL_TERMS
+    ]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for name in ("X", "count", "event", "starts", "x_obs"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.strides == b.strides
@@ -342,7 +361,7 @@ def kernel_errors(design, terms, theta):
     s = np.tensordot(theta, X, axes=1)
     p = np.exp(s - s.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
-    x_obs = X[:, np.arange(design.m), design.obs_idx]
+    x_obs = X[:, np.arange(design.m), obs]
     scales = (
         abs(want[0]) + np.abs(s).max(axis=1).sum(),
         np.abs(x_obs).sum(axis=1) + np.einsum("td,ktd->k", p, np.abs(X)),
@@ -363,7 +382,7 @@ def assert_kernel_matches_oracle(design, terms, theta, rel=1e-12):
     got = inference._evaluate(theta, design.factors(terms))
     X, obs = dense_design(design.actors, design.seq, terms)
     ll, g, H = dense_evaluate(theta, X, obs)
-    x_obs = X[:, np.arange(design.m), design.obs_idx]
+    x_obs = X[:, np.arange(design.m), obs]
     g_scale = np.maximum(np.abs(x_obs).sum(axis=1), np.abs(x_obs.sum(axis=1) - g))
     assert all(np.all(np.isfinite(part)) for part in got)
     assert abs(got[0] - ll) <= rel * abs(ll)
@@ -814,11 +833,12 @@ def test_prior_validation():
         PriorSpec(df=5e-324)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+# from 1 on a tol can pass at theta = 0 and call the null model converged
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1.0, 1e308])
 def test_fit_map_rejects_tol_that_is_not_positive_and_finite(small_fixture, tol):
     actors, seq = small_fixture
     spec = ModelSpec(terms=(Term.PSABBA,), network_id="net")
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\)$"):
         fit_map(spec, EventDesign(actors, seq, spec.terms), tol=tol)
 
 
