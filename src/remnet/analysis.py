@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from remnet.data import ActorTable, EventSequence
-from remnet.inference import FitResult
+from remnet.inference import FitResult, NumericalError
 # not used here: perfbench/spans.py wraps remnet.analysis.EventDesign
 from remnet.inference import EventDesign  # noqa: F401
 from remnet.stats import RiskSetScorer
@@ -142,25 +142,29 @@ def adequacy(fit: FitResult, actors: ActorTable, seq: EventSequence) -> Adequacy
     maximum of the row-major (n, n) scores, and the observed dyad's 0-based
     rank counts the higher scores and the equal scores before it. Recall
     is reported at each of ``RECALL_PCTS``. Raises ValueError when the
-    actor table and the sequence name different networks.
+    actor table and the sequence name different networks, and
+    NumericalError when an event's largest score is not finite.
     """
     if actors.network_id != seq.network_id:
         raise ValueError("actor table and event sequence network_id differ")
     n = actors.n
-    scorer = RiskSetScorer(fit.spec.terms, fit.mode, actors.icr_array())
     positions = np.empty(seq.m, dtype=np.intp)
     either = both = 0
-    for t, (a, b) in enumerate(seq.index_pairs(actors).tolist()):
-        scores = scorer.scores().reshape(-1)
-        obs = a * n + b
-        observed = scores[obs]
-        positions[t] = np.count_nonzero(scores > observed) + np.count_nonzero(
-            scores[:obs] == observed
-        )
-        top = int(scores.argmax())
-        either += top // n == a or top % n == b
-        both += top == obs
-        scorer.update(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # the largest score is checked
+        scorer = RiskSetScorer(fit.spec.terms, fit.mode, actors.icr_array())
+        for t, (a, b) in enumerate(seq.index_pairs(actors).tolist()):
+            scores = scorer.scores().reshape(-1)
+            top = int(scores.argmax())  # the first NaN, if any
+            if not math.isfinite(scores[top]):
+                raise NumericalError(f"non-finite largest score {scores[top]} at event {t}")
+            obs = a * n + b
+            observed = scores[obs]
+            positions[t] = np.count_nonzero(scores > observed) + np.count_nonzero(
+                scores[:obs] == observed
+            )
+            either += top // n == a or top % n == b
+            both += top == obs
+            scorer.update(a, b)
     n_dyads = n * (n - 1)
     recall = {
         pct: float(np.mean(positions < math.ceil(pct / 100.0 * n_dyads)))

@@ -177,11 +177,18 @@ def _load_all(cfg: RunConfig, file_ids: bool = True):
     return dict(sorted(nets.items()))
 
 
+# the bytes a file name may take, and the bytes of the longest prefix and
+# suffix ``_network_file`` puts around an id ("concentration_", ".json")
+_NAME_MAX = 255
+_NAME_EXTRA = 19
+
+
 def _check_file_id(net_id: str) -> None:
     """DataError unless ``net_id`` can be part of a file name.
 
-    It cannot when it holds a path separator or a NUL, or when the
-    file-system encoding cannot encode it.
+    It cannot when it holds a path separator or a NUL, when the file-system
+    encoding cannot encode it, or when its encoding is too long for the
+    longest per-network file name.
     """
     problem = None
     if os.sep in net_id or (os.altsep and os.altsep in net_id):
@@ -190,9 +197,12 @@ def _check_file_id(net_id: str) -> None:
         problem = "holds a NUL character"
     else:
         try:
-            os.fsencode(net_id)
+            size = len(os.fsencode(net_id))
         except UnicodeEncodeError:
             problem = f"cannot be encoded in {sys.getfilesystemencoding()}"
+        else:
+            if size + _NAME_EXTRA > _NAME_MAX:
+                problem = f"takes {size} bytes, more than {_NAME_MAX - _NAME_EXTRA}"
     if problem:
         raise DataError(f"network id {net_id!r} {problem}, so it cannot name a file")
 

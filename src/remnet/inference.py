@@ -13,18 +13,19 @@ per-event statistics of one network as weighted rows. An event's
 likelihood depends on its risk set only through the multiset of
 (statistics, count), so the design lists each distinct statistic vector
 of an event once, weighted by the number of its dyads that have it. It
-starts from the event's touched dyads (where one of its sparse terms is
-nonzero) and its untouched dyads, which have base statistics alone and so
-depend on a dyad (i, j) only through its cell: the sender's icr_i (with
-ICR) and the receiver j (with NTDegRec) or its icr_j (with ICR alone). An
-event has at most 2n cells, each a row weighted by its dyad count (the
-normaliser over counted classes: Perry & Wolfe, JRSS-B 2013), sized from
-the actors' class counts. Each value is held as an integer code into its
-term's sorted levels, and ``_merge`` merges an event's rows with equal
-codes: each row gets a mixed-radix code of its event and its terms'
-codes, one argsort groups equal codes and their counts are summed. A
-spec's rows, its ``_Factors``, are the same merge over the spec's code
-columns of the design's rows, which ``fit_map`` runs once per fit; each
+starts from the event's listed dyads (its observed dyad and those where
+one of its sparse terms is nonzero) and its unlisted dyads, which have
+base statistics alone and so depend on a dyad (i, j) only through its
+cell (icr_i, j). An event has at most 2n cells, each a row weighted by
+its dyad count (the normaliser over counted classes: Perry & Wolfe,
+JRSS-B 2013). Each value is held as an integer code into its term's
+sorted levels, and ``_merge`` merges an event's rows with equal codes:
+each row gets a mixed-radix code of its event and its terms' codes, one
+argsort groups equal codes and their counts are summed, and the merged
+row of each observed dyad is found among the merged codes. A spec's rows,
+its ``_Factors``, are the same merge over the spec's code columns of the
+design's rows, which ``fit_map`` runs once per fit; an event's observed
+statistics are those of the merged row of its observed design row. Each
 theta of a fit then costs one kernel pass and one prior call. One kernel,
 ``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass:
 the dense kernel's arithmetic over those weighted rows, with no
@@ -218,17 +219,18 @@ class EventDesign:
 
     The statistics of ``terms`` (all 14 by default) are read from one
     ``HistoryState`` replay of the events. An event's dyads come in two
-    kinds. Its touched dyads, where any sparse term is nonzero, are listed
-    one by one. An untouched dyad (i, j) has only base statistics, and
-    they depend on i and j through its cell alone: the sender class is
-    ``icr_i`` with ICR (else 0), the receiver class ``j`` with NTDegRec,
-    else ``icr_j`` with ICR (else 0). So every untouched dyad of a cell has
-    one statistic vector (its base statistics and 0 for each sparse term),
-    listed once and counted by the cell's untouched dyads, which the
-    actors' class counts give; an event has at most 2n cells (the
-    normaliser over counted classes: Perry & Wolfe, JRSS-B 2013). The
-    listed rows of an event with equal statistics are then merged by
-    ``_merge`` into one, whose count is the sum of theirs.
+    kinds. Its listed dyads, its observed dyad and those where any sparse
+    term is nonzero, are rows one by one. An unlisted dyad (i, j) has only
+    base statistics, and they depend on i and j through its cell (icr_i,
+    j) alone, whatever the terms: NTDegRec is the receiver's share and ICR
+    icr_i + icr_j. So every unlisted dyad of a cell has one statistic
+    vector (its base statistics and 0 for each sparse term), a row counted
+    by the cell's unlisted dyads; an event has at most 2n cells (the
+    normaliser over counted classes: Perry & Wolfe, JRSS-B 2013). Every
+    row carries its event, its sender's icr flag and its receiver, from
+    which its base codes are one expression each. The rows of an event
+    with equal statistics are then merged by ``_merge`` into one, whose
+    count is the sum of theirs.
 
     Each term's values are held as codes: ``levels[term]`` is 0 and then
     the term's distinct values in increasing order (0, 1, 2 for ICR, whose
@@ -236,9 +238,9 @@ class EventDesign:
     bit, and a code's order is its value's. Row r is at event ``event[r]``,
     counts ``count[r]`` dyads and has code ``codes[term][r]`` for each
     term; an event's rows come in increasing code, and every event has one.
-    ``observed[term][t]`` is the code at event t's observed dyad. Each
+    ``observed[t]`` is the row that holds event t's observed dyad. Each
     array is in the narrowest unsigned type that holds its values. Memory
-    is O(rows + distinct values), ``nbytes`` bytes; ``full_tensor`` is
+    is O(rows + m + distinct values), ``nbytes`` bytes; ``full_tensor`` is
     another name for the design, the attribute perfbench's spans read. Its
     one reader is ``factors``, which merges the rows again over a spec's
     terms.
@@ -259,17 +261,15 @@ class EventDesign:
         self.m = m = seq.m
         self.n_dyads = D = n * (n - 1)
         sparse = [t for t in self.terms if t not in _BASE_TERMS]
-        has_share, has_icr = Term.NTDEGREC in self.terms, Term.ICR in self.terms
         icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
         per_block = max(1, _BLOCK_ROWS // D)
         # before the block buffer, so that no array pins its hole
-        share = np.empty((m, n)) if has_share else None
-        observed = np.empty((len(sparse), m))
-        stats = np.empty((len(sparse), per_block, n - 1, n))
+        share = np.empty((m, n)) if Term.NTDEGREC in self.terms else None
+        obs = np.empty(m, dtype=np.intp)
         keys, n_keys = [np.empty(0, np.intp)], 0
         found = [[(np.empty(0, np.intp), np.empty(0))] for _ in sparse]
-        obs = np.empty(m, dtype=np.intp)
+        stats = np.empty((len(sparse), per_block, n - 1, n))
         state = HistoryState(n, self.terms)
         for start in range(0, m, per_block):
             stop = min(start + per_block, m)
@@ -280,112 +280,96 @@ class EventDesign:
                 a, b = int(pairs[t, 0]), int(pairs[t, 1])
                 obs[t] = dyad_index(a, b, n)
                 state.update(a, b)
-            # the block's nonzero entries, term by term in (event, dyad) order
+            # the block's listed dyads (touched or observed) and its nonzero
+            # entries, term by term in (event, dyad) order
             size = (stop - start) * D
             flat = stats.reshape(len(sparse), per_block * D)[:, :size]
-            observed[:, start:stop] = flat[:, np.arange(stop - start) * D + obs[start:stop]]
             nonzero = flat != 0.0
-            touched = np.flatnonzero(nonzero.any(axis=0))
-            keys.append(start * D + touched)
+            mask = nonzero.any(axis=0)
+            mask[np.arange(stop - start) * D + obs[start:stop]] = True
+            listed = np.flatnonzero(mask)
+            keys.append(start * D + listed)
             term, pos = np.divmod(np.flatnonzero(nonzero), size)
-            slot = np.searchsorted(touched, pos) + n_keys
-            n_keys += touched.size
+            slot = np.searchsorted(listed, pos) + n_keys
+            n_keys += listed.size
             value = flat[term, pos]
             bounds = np.searchsorted(term, np.arange(len(sparse) + 1))
             for c, parts in enumerate(found):
                 lo, hi = bounds[c], bounds[c + 1]
                 parts.append((slot[lo:hi], value[lo:hi]))
-        stats = flat = nonzero = None  # free the block buffers for what follows
+        stats = flat = nonzero = mask = None  # free the block buffers for what follows
 
-        # the touched dyads, in (event, dyad) order: each one's event, sender
-        # and receiver in their smallest types (a per-dyad table spares
-        # key-sized temporaries)
-        key_event, dyad = np.divmod(np.concatenate(keys), D)
-        keys = None
-        key_sender, key_receiver = (
-            a.astype(np.min_scalar_type(n - 1))[dyad] for a in dyad_from_index(np.arange(D), n)
-        )
+        # the listed dyads, in (event, dyad) order: the index of each event's
+        # observed one, and each one's event, sender's icr flag and receiver
+        # in their smallest types (a per-dyad table spares key-sized
+        # temporaries)
+        keys = np.concatenate(keys)
+        observed = np.searchsorted(keys, np.arange(m) * D + obs)
+        key_event, dyad = np.divmod(keys, D)
+        keys = obs = None
+        flag = icr.astype(np.uint8)
+        sender, receiver = dyad_from_index(np.arange(D), n)
+        key_flag = flag[sender][dyad]
+        key_receiver = receiver.astype(np.min_scalar_type(n - 1))[dyad]
         key_event = key_event.astype(np.min_scalar_type(m - 1))
-        dyad = None
-        obs_sender, obs_receiver = dyad_from_index(obs, n)
+        sender = receiver = dyad = None
 
-        # each actor's sender class (0 or 1) and receiver class (0 to n - 1):
-        # dyad (i, j) is in cell sender_class[i] * n + receiver_class[j]
-        icr_class = icr.astype(np.intp)
-        zero = np.zeros(n, dtype=np.intp)
-        sender_class = icr_class if has_icr else zero
-        receiver_class = np.arange(n) if has_share else icr_class if has_icr else zero
-        # each cell's dyads, its sender class's actors times its receiver
-        # class's less the pairs (i, i); each event's untouched dyads per
-        # cell, and the nonempty cells
-        size = np.outer(
-            np.bincount(sender_class, minlength=2), np.bincount(receiver_class, minlength=n)
-        ).reshape(-1) - np.bincount(sender_class * n + receiver_class, minlength=2 * n)
-        untouched = size - np.bincount(
-            key_event.astype(np.intp) * (2 * n)
-            + sender_class[key_sender] * n
-            + receiver_class[key_receiver],
+        # an unlisted dyad (i, j) of event t is in cell (t, icr_i, j): each
+        # cell's dyads, the actors of flag icr_i less j itself; each event's
+        # unlisted dyads per cell, and the nonempty cells
+        size = np.bincount(flag, minlength=2)[:, None] - (np.arange(2)[:, None] == flag)
+        unlisted = size.reshape(-1) - np.bincount(
+            np.ravel_multi_index((key_event, key_flag, key_receiver), (m, 2, n)),
             minlength=m * 2 * n,
         ).reshape(m, 2 * n)
-        nonempty = np.flatnonzero(untouched)
-        class_event, class_sender, class_receiver = np.unravel_index(nonempty, (m, 2, n))
+        nonempty = np.flatnonzero(unlisted)
 
-        # the listed rows: the touched dyads, each of count 1, then the
-        # nonempty cells, each counted by its untouched dyads; each array
-        # is dropped after its last use
-        touched = key_event.size
-        row_event = np.concatenate((key_event, class_event.astype(key_event.dtype)))
+        # the rows: the listed dyads, each of count 1, then the nonempty
+        # cells, each counted by its unlisted dyads; each carries its event,
+        # flag and receiver, and each array is dropped after its last use
+        row_event, row_flag, row_receiver = (
+            np.concatenate((key, cell), dtype=key.dtype, casting="unsafe")
+            for key, cell in zip(
+                (key_event, key_flag, key_receiver), np.unravel_index(nonempty, (m, 2, n))
+            )
+        )
         weight = np.ones(row_event.size, dtype=np.min_scalar_type(D))
-        weight[touched:] = untouched.reshape(-1)[nonempty]
-        untouched = nonempty = None
-        levels, row_codes, obs_codes = {}, {}, {}
-        for t, obs_values, parts in zip(sparse, observed, found):
+        weight[key_event.size :] = unlisted.reshape(-1)[nonempty]
+        key_event = key_flag = key_receiver = unlisted = nonempty = None
+        levels, row_codes = {}, {}
+        for t, parts in zip(sparse, found):
             slots, values = (np.concatenate(x) for x in zip(*parts))
             parts.clear()
-            levels[t], codes, obs_codes[t] = _coded(values, obs_values)
+            levels[t], codes = _coded(values)
             row_codes[t] = np.zeros(row_event.size, dtype=codes.dtype)
             row_codes[t][slots] = codes
-        observed = slots = values = codes = None
-        if has_share:
-            # each row's (event, receiver) entry of the share
-            levels[Term.NTDEGREC], codes, obs_codes[Term.NTDEGREC] = _coded(
-                share.reshape(-1), share[np.arange(m), obs_receiver]
-            )
-            row_codes[Term.NTDEGREC] = codes[
-                np.concatenate(
-                    (key_event.astype(np.intp) * n + key_receiver, class_event * n + class_receiver)
-                )
-            ]
+        slots = values = codes = None
+        if share is not None:
+            # a row's NTDegRec is its (event, receiver) entry of the share
+            levels[Term.NTDEGREC], codes = _coded(share.reshape(-1))
+            row_codes[Term.NTDEGREC] = codes[row_event.astype(np.intp) * n + row_receiver]
             share = codes = None
-        if has_icr:
-            # a cell's ICR is its sender class plus its receiver's icr
+        if Term.ICR in self.terms:
+            # a row's ICR is its sender's flag plus its receiver's
             levels[Term.ICR] = np.arange(3.0)
-            row_codes[Term.ICR] = np.concatenate(
-                (
-                    icr_class[key_sender] + icr_class[key_receiver],
-                    class_sender + (icr_class[class_receiver] if has_share else class_receiver),
-                ),
-                dtype=np.uint8,
-                casting="unsafe",
-            )
-            obs_codes[Term.ICR] = (icr_class[obs_sender] + icr_class[obs_receiver]).astype(np.uint8)
-        key_event = key_sender = key_receiver = None
-        class_event = class_sender = class_receiver = None
+            row_codes[Term.ICR] = row_flag + flag[row_receiver]
+        row_flag = row_receiver = None
 
-        first, count = _merge(
-            row_event, weight, [(row_codes[t], levels[t].size) for t in self.terms], m
+        first, count, observed = _merge(
+            row_event, weight, [(row_codes[t], levels[t].size) for t in self.terms], m, observed
         )
         weight = None
         self.event = row_event[first]
         self.count = count.astype(np.min_scalar_type(D))
         self.codes = {t: row_codes.pop(t)[first] for t in self.terms}
-        self.levels, self.observed = levels, obs_codes
+        self.levels = levels
+        self.observed = observed.astype(np.min_scalar_type(first.size - 1))
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the event, count, code, level and observed arrays."""
-        arrays = [self.event, self.count, *self.codes.values()]
-        arrays += [*self.levels.values(), *self.observed.values()]
+        """Bytes of the event, count, observed, code and level arrays."""
+        arrays = [self.event, self.count, self.observed]
+        arrays += [*self.codes.values(), *self.levels.values()]
         return sum(a.nbytes for a in arrays)
 
     @property
@@ -425,10 +409,10 @@ _BLOCK_ROWS = 1 << 16
 _CODE_LIMIT = 1 << 63
 
 
-def _coded(values: np.ndarray, more: np.ndarray):
+def _coded(values: np.ndarray):
     """A term's levels, 0 and then the distinct values of ``values`` in
-    increasing order, and the codes of ``values`` and of ``more`` (values
-    among them) into the levels, in the narrowest unsigned type.
+    increasing order, and the codes of ``values`` into the levels, in the
+    narrowest unsigned type.
 
     Statistics are nonnegative, so their order is that of their bits as
     int64: the sort is the int64 argsort ``_merge`` runs, not a float sort
@@ -440,20 +424,21 @@ def _coded(values: np.ndarray, more: np.ndarray):
     levels = np.concatenate(([0], ranked[1:][step]))
     codes = np.empty(bits.size, dtype=np.min_scalar_type(levels.size - 1))
     codes[order] = np.cumsum(step)
-    more = np.searchsorted(levels, more.view(np.int64)).astype(codes.dtype)
-    return levels.view(np.float64), codes, more
+    return levels.view(np.float64), codes
 
 
-def _merge(event, count, columns, m: int):
+def _merge(event, count, columns, m: int, find):
     """Merge rows with equal event and codes: the index of one row of each
-    run of equal rows, in increasing code, and the sum of each run's counts.
+    run of equal rows, in increasing code, the sum of each run's counts and
+    the merged row of each row in ``find``.
 
     ``columns`` holds each term's (codes of the rows, number of levels). A
     row's code is its event and its terms' codes in mixed radix, event
     first, so rows sort by event and then by value, term by term. Where
     the next digit would take the codes to ``_CODE_LIMIT``, they are first
     replaced by their ranks, which keeps their order. One argsort then
-    groups equal rows."""
+    groups equal rows, and each found row's code is looked up among the
+    runs' codes."""
     code, high = event.astype(np.int64), m - 1
     for digit, radix in columns:
         if (high + 1) * radix > _CODE_LIMIT:
@@ -462,11 +447,13 @@ def _merge(event, count, columns, m: int):
         code *= radix
         code += digit
         high = high * radix + radix - 1
+    found = code[find]
     order = np.argsort(code)
     code = code[order]
     head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    found = np.searchsorted(code[head], found)
     code = None
-    return order[head], np.add.reduceat(count[order], head)
+    return order[head], np.add.reduceat(count[order], head), found
 
 
 class _Factors:
@@ -477,19 +464,26 @@ class _Factors:
     A design's rows restricted to a spec's terms list every dyad of an
     event with its spec statistics, so ``_merge`` over the spec's code
     columns gives the spec's rows, and each one is filled from the codes
-    of one design row of its run, so a value is its level bit for bit.
+    of one design row of its run, so a value is its level bit for bit. The
+    same merge gives the row of each event's observed design row, whose
+    statistics are the event's observed ones.
 
     ``X`` holds every merged row's statistics in spec order, shape
     (k, rows), an event's rows in increasing code; ``count`` each row's
     weight and ``event`` its event; ``starts`` where each event's rows
     begin (every event has a row). ``x_obs`` holds each event's observed
-    statistics, shape (k, m) with an event's k values adjacent.
+    statistics, the columns of ``X`` at its observed rows, shape (k, m)
+    with an event's k values adjacent.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
         m = design.m
-        first, self.count = _merge(
-            design.event, design.count, [(design.codes[t], design.levels[t].size) for t in terms], m
+        first, self.count, observed = _merge(
+            design.event,
+            design.count,
+            [(design.codes[t], design.levels[t].size) for t in terms],
+            m,
+            design.observed,
         )
         self.event = design.event[first]
         rows = np.bincount(self.event, minlength=m)
@@ -499,7 +493,7 @@ class _Factors:
         self.x_obs = np.empty((m, len(terms))).T
         for c, term in enumerate(terms):
             self.X[c] = design.levels[term][design.codes[term][first]]
-            self.x_obs[c] = design.levels[term][design.observed[term]]
+            self.x_obs[c] = self.X[c][observed]
 
 
 def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@
 A trajectory draws one coefficient vector from the Laplace posterior,
 zeroes the knocked-out terms, then samples events sequentially: each step
 is a categorical draw over the risk set with probabilities proportional
-to exp(theta' u), computed max-shifted so any finite theta is safe. The
+to exp(theta' u), computed max-shifted; a theta whose largest score
+overflows is a ``NumericalError``, not a draw from inf or NaN. The
 sampler builds no design: it draws from the log-scores of a
 ``stats.RiskSetScorer``, the scorer adequacy ranks, which keeps the
 (n, n) score of the store's array terms (plus ICR) current, recomputing
@@ -18,6 +19,7 @@ within a replicate share coefficients before zeroing (paired contrasts).
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from remnet.data import ActorTable
-from remnet.inference import FitResult, ModelSpec
+from remnet.inference import FitResult, ModelSpec, NumericalError
 from remnet.stats import PSHIFT_TERMS, RiskSetScorer, Term
 
 _CONDITION_ZEROES = {
@@ -123,23 +125,27 @@ def simulate_trajectory(
     Each step takes the log-scores of a ``RiskSetScorer`` (its diagonal
     is -inf), shifts them by their maximum, exponentiates them in place
     and draws with one uniform (``_draw``); the scorer then records the
-    event.
+    event. Raises NumericalError when a step's largest score is not finite.
     """
     if m < 1:
         raise ValueError("trajectory length must be >= 1")
     theta_eff = _zeroed(theta, spec, condition)
     if not np.all(np.isfinite(theta_eff)):
         raise ValueError("non-finite coefficients")
-    scorer = RiskSetScorer(spec.terms, theta_eff, actors.icr_array())
     rng = np.random.default_rng(seed)
     events = []
-    for _ in range(m):
-        w = scorer.scores()
-        w -= w.max()
-        np.exp(w, out=w)
-        i, j = _draw(w, rng.random())
-        events.append((actors.actor_ids[i], actors.actor_ids[j]))
-        scorer.update(i, j)
+    with np.errstate(over="ignore", invalid="ignore"):  # the largest score is checked
+        scorer = RiskSetScorer(spec.terms, theta_eff, actors.icr_array())
+        for _ in range(m):
+            w = scorer.scores()
+            top = w.max()
+            if not math.isfinite(top):
+                raise NumericalError(f"non-finite largest score {top} in a trajectory")
+            w -= top
+            np.exp(w, out=w)
+            i, j = _draw(w, rng.random())
+            events.append((actors.actor_ids[i], actors.actor_ids[j]))
+            scorer.update(i, j)
     seed_int = int(seed) if isinstance(seed, numbers.Integral) else -1
     return Trajectory(
         network_id=actors.network_id,

@@ -742,7 +742,9 @@ def write_json_networks(path, network_ids, actors="abcd"):
     path.write_text(json.dumps(nets), encoding="utf-8")
 
 
-@pytest.mark.parametrize("bad_id", ["x/y", "a\0b"], ids=["separator", "nul"])
+@pytest.mark.parametrize(
+    "bad_id", ["x/y", "a\0b", "n" * 240], ids=["separator", "nul", "too_long"]
+)
 def test_network_id_that_cannot_name_a_file_is_data_error(tmp_path, capsys, bad_id):
     events = tmp_path / "nets.json"
     write_json_networks(events, ["alpha", bad_id])  # alpha's files would come first
@@ -955,6 +957,34 @@ def test_malformed_saved_output_is_data_error(
     base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
     assert run([command, *base, "--out", out, "--seed", "1"]) == EXIT_DATA
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["adequacy", "simulate", "knockout"])
+def test_saved_fit_whose_scores_overflow_is_numerical_error(tmp_path, capsys, command):
+    # finite coefficients whose scores are not: ICR's 2 * 1e308 overflows on
+    # the dyads between the two ICR actors; a RuntimeWarning on the way fails
+    # the test (pyproject's filterwarnings)
+    actors = make_actors(4, (0, 1), network_id="net")
+    seq = sequence_from_pairs(actors, [(0, 1), (1, 0), (2, 3), (3, 0)])
+    save_network(actors, seq, tmp_path / "e.csv", tmp_path / "a.csv")
+    out = tmp_path / "o"
+    out.mkdir()
+    fit = {
+        "network_id": "net",
+        "terms": ["PSAB-BA", "ICR", "RRecSnd"],
+        "mode": [1e308, 1e308, -1e308],
+        "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "logLik": -1.0,
+        "AICc": 1.0,
+        "converged": True,
+        "n_events": 4,
+    }
+    (out / "fit_net.json").write_text(json.dumps(fit))
+    base = ["--events", tmp_path / "e.csv", "--actors", tmp_path / "a.csv"]
+    sim = ["--seed", "1", "--replicates", "2"]
+    assert run([command, *base, "--out", out, *sim]) == EXIT_NUMERICAL
+    assert "non-finite largest score" in capsys.readouterr().err
+    assert not list(out.glob("trajectories_*")) + list(out.glob("concentration*"))
 
 
 @pytest.fixture(scope="module")

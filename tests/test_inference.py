@@ -208,15 +208,17 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     # the design is its own terms' merged rows: per row a 1-byte event (m =
     # 70), a 2-byte count (n(n - 1) = 992) and a narrow code per term; per
-    # term its 8-byte levels (0 and its distinct values; 0, 1, 2 for ICR)
-    # and its code at each event's observed dyad
+    # term its 8-byte levels (0 and its distinct values; 0, 1, 2 for ICR);
+    # per event the narrow index of the row that holds its observed dyad
     for design in (small, full):
         stats, obs = dense_design(actors, seq, design.terms)
         x_obs = stats[:, np.arange(seq.m), obs]
         rows = design.count.size
         assert rows == sum(np.unique(stats[:, t], axis=1).shape[1] for t in range(seq.m))
         assert design.event.dtype == np.uint8 and design.count.dtype == np.uint16
-        want = 3 * rows
+        assert design.observed.dtype == np.min_scalar_type(rows - 1)
+        assert np.array_equal(design.event[design.observed], np.arange(seq.m))
+        want = 3 * rows + design.observed.itemsize * seq.m
         values = []
         for c, term in enumerate(design.terms):
             levels, codes = design.levels[term], design.codes[term]
@@ -225,12 +227,11 @@ def test_spec_design_columns_equal_full_design(path_sized_fixture):
             else:
                 distinct = np.unique(np.concatenate(([0.0], stats[c].ravel())))
                 assert levels.tobytes() == distinct.tobytes()
-            assert codes.dtype == design.observed[term].dtype
             assert codes.dtype == np.min_scalar_type(levels.size - 1)
-            # a value is its level, bit for bit
-            assert levels[design.observed[term]].tobytes() == x_obs[c].tobytes()
+            # a value is its level, bit for bit, the observed one too
+            assert levels[codes[design.observed]].tobytes() == x_obs[c].tobytes()
             values.append(levels[codes])
-            want += codes.itemsize * (rows + seq.m) + 8 * levels.size
+            want += codes.itemsize * rows + 8 * levels.size
         assert design.nbytes == design.full_tensor.nbytes == want
         assert design.nbytes < stats.nbytes / 5
         # the design's own rows are each event's distinct statistic vectors
@@ -300,6 +301,8 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
     with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
         design = EventDesign(actors, seq, built)
         f = design.factors(terms)
+    # each event's observed dyad is one of its design rows
+    assert np.array_equal(design.event[design.observed], np.arange(m))
     X, obs = dense_design(actors, seq, terms)
     assert_rows_partition_dyads(f, X)
     assert f.x_obs.tobytes() == X[:, np.arange(m), obs].tobytes()
