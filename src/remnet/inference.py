@@ -55,7 +55,8 @@ from remnet.stats import (
     ALL_TERMS,
     HistoryState,
     Term,
-    _fill_design,
+    _offdiag,
+    _ROLES_AT,
     dyad_from_index,
     dyad_index,
     term_from_name,
@@ -232,6 +233,12 @@ class EventDesign:
     with equal statistics are then merged by ``_merge`` into one, whose
     count is the sum of theirs.
 
+    The replay copies the store's stacked arrays, the array terms, into a
+    block buffer each event, and finds their nonzero entries a block at a
+    time. Each p-shift's nonzero dyads follow from the previous event
+    alone, so they are listed for all events at once, in closed form, each
+    with the value 1.
+
     Each term's values are held as codes: ``levels[term]`` is 0 and then
     the term's distinct values in increasing order (0, 1, 2 for ICR, whose
     value is its code), so that a value is ``levels[term][code]`` bit for
@@ -268,36 +275,63 @@ class EventDesign:
         share = np.empty((m, n)) if Term.NTDEGREC in self.terms else None
         obs = np.empty(m, dtype=np.intp)
         keys, n_keys = [np.empty(0, np.intp)], 0
-        found = [[(np.empty(0, np.intp), np.empty(0))] for _ in sparse]
-        stats = np.empty((len(sparse), per_block, n - 1, n))
+        # each p-shift's listed keys t * D + dyad, in increasing order: the
+        # dyad, row or column that its roles pick in event t - 1 (0 its
+        # sender, 1 its receiver, 2 each other actor, in increasing order),
+        # gathered from the table of every dyad's index, row i actor i's
+        # sent dyads and column j its received ones
+        shifts = [t for t in sparse if _ROLES_AT[t.position]]
+        pshift = {}
+        if shifts:
+            role = [pairs[:-1, :1], pairs[:-1, 1:]]
+            if any(2 in _ROLES_AT[t.position] for t in shifts):
+                rest = np.ones((m - 1, n), dtype=bool)
+                for actor in pairs[:-1].T:
+                    rest[np.arange(m - 1), actor] = False
+                role.append(np.nonzero(rest)[1].reshape(m - 1, n - 2))
+            i, j = np.indices((n, n))
+            table = i * (n - 1) + j - (j > i)
+            base = np.arange(D, m * D, D)[:, None]
+            for t in shifts:
+                sender, receiver = _ROLES_AT[t.position]
+                pshift[t] = (table[role[sender], role[receiver]] + base).reshape(-1)
+            rest = role = i = j = table = base = None
         state = HistoryState(n, self.terms)
+        found = {t: [(np.empty(0, np.intp), np.empty(0))] for t in state.array_terms}
+        s = len(found)
+        stats = np.empty((s, per_block, n - 1, n))
+        store = _offdiag(state.stat)
         for start in range(0, m, per_block):
             stop = min(start + per_block, m)
             for t in range(start, stop):
                 if share is not None:
                     share[t] = state.share
-                _fill_design(state, icr, sparse, stats[:, t - start])
+                stats[:, t - start] = store
                 a, b = int(pairs[t, 0]), int(pairs[t, 1])
                 obs[t] = dyad_index(a, b, n)
                 state.update(a, b)
-            # the block's listed dyads (touched or observed) and its nonzero
-            # entries, term by term in (event, dyad) order
+            # the block's listed dyads (touched or observed) and the array
+            # terms' nonzero entries, term by term in (event, dyad) order
             size = (stop - start) * D
-            flat = stats.reshape(len(sparse), per_block * D)[:, :size]
+            flat = stats.reshape(s, per_block * D)[:, :size]
             nonzero = flat != 0.0
             mask = nonzero.any(axis=0)
             mask[np.arange(stop - start) * D + obs[start:stop]] = True
+            for pkeys in pshift.values():
+                lo, hi = np.searchsorted(pkeys, (start * D, stop * D))
+                mask[pkeys[lo:hi] - start * D] = True
             listed = np.flatnonzero(mask)
             keys.append(start * D + listed)
             term, pos = np.divmod(np.flatnonzero(nonzero), size)
             slot = np.searchsorted(listed, pos) + n_keys
             n_keys += listed.size
             value = flat[term, pos]
-            bounds = np.searchsorted(term, np.arange(len(sparse) + 1))
-            for c, parts in enumerate(found):
+            bounds = np.searchsorted(term, np.arange(s + 1))
+            for c, parts in enumerate(found.values()):
                 lo, hi = bounds[c], bounds[c + 1]
                 parts.append((slot[lo:hi], value[lo:hi]))
-        stats = flat = nonzero = mask = None  # free the block buffers for what follows
+        # free the block buffers for what follows
+        stats = flat = nonzero = mask = store = None
 
         # the listed dyads, in (event, dyad) order: the index of each event's
         # observed one, and each one's event, sender's icr flag and receiver
@@ -305,6 +339,9 @@ class EventDesign:
         # temporaries)
         keys = np.concatenate(keys)
         observed = np.searchsorted(keys, np.arange(m) * D + obs)
+        for t, pkeys in pshift.items():
+            found[t] = [(np.searchsorted(keys, pkeys), np.ones(pkeys.size))]
+        pshift = pkeys = None
         key_event, dyad = np.divmod(keys, D)
         keys = obs = None
         flag = icr.astype(np.uint8)
@@ -337,9 +374,10 @@ class EventDesign:
         weight[key_event.size :] = unlisted.reshape(-1)[nonempty]
         key_event = key_flag = key_receiver = unlisted = nonempty = None
         levels, row_codes = {}, {}
-        for t, parts in zip(sparse, found):
+        for t in sparse:
+            parts = found.pop(t)
             slots, values = (np.concatenate(x) for x in zip(*parts))
-            parts.clear()
+            parts.clear()  # its views pin each block's slot and value arrays
             levels[t], codes = _coded(values)
             row_codes[t] = np.zeros(row_event.size, dtype=codes.dtype)
             row_codes[t][slots] = codes

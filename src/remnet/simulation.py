@@ -134,6 +134,7 @@ def simulate_trajectory(
         raise ValueError("non-finite coefficients")
     rng = np.random.default_rng(seed)
     events = []
+    ones = np.ones(actors.n)  # _draw's row sums are w @ ones
     with np.errstate(over="ignore", invalid="ignore"):  # the largest score is checked
         scorer = RiskSetScorer(spec.terms, theta_eff, actors.icr_array())
         for _ in range(m):
@@ -143,7 +144,7 @@ def simulate_trajectory(
                 raise NumericalError(f"non-finite largest score {top} in a trajectory")
             w -= top
             np.exp(w, out=w)
-            i, j = _draw(w, rng.random())
+            i, j = _draw(w, rng.random(), ones)
             events.append((actors.actor_ids[i], actors.actor_ids[j]))
             scorer.update(i, j)
     seed_int = int(seed) if isinstance(seed, numbers.Integral) else -1
@@ -156,14 +157,15 @@ def simulate_trajectory(
     )
 
 
-def _draw(w: np.ndarray, u: float) -> tuple[int, int]:
+def _draw(w: np.ndarray, u: float, ones: np.ndarray) -> tuple[int, int]:
     """Dyad (i, j) of the inverse-CDF draw of ``u`` under the weights ``w``,
     an (n, n) array with a zero diagonal, read in row-major (canonical dyad)
-    order: the row from the cumulative row sums, then the column from that
-    row's cumulative sum. A ``u * total`` that rounds past the last
-    boundary of the row sums, or of the row's, takes the row's last dyad."""
+    order: the row from the cumulative row sums ``w @ ones`` (``ones`` the
+    caller's (n,) vector of ones), then the column from that row's
+    cumulative sum. A ``u * total`` that rounds past the last boundary of
+    the row sums, or of the row's, takes the row's last dyad."""
     n = w.shape[0]
-    row_cdf = (w @ np.ones(n)).cumsum()
+    row_cdf = (w @ ones).cumsum()
     x = u * row_cdf[-1]
     i = min(int(row_cdf.searchsorted(x, side="right")), n - 1)
     if i:

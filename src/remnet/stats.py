@@ -4,13 +4,13 @@
 it is built for: NTDegRec as an (n,) receiver share that each event
 rewrites in O(n), and the other terms that depend on more than the last
 event as (n, n) arrays stacked by position, of which each event rewrites
-only the rows and columns it changes. ``_fill_design`` reads the store
-over the whole risk set into a caller's array and builds only the
-p-shifts and ICR at read time; ``design_matrix`` is that read into a
-fresh (terms, dyads) matrix, whose column ``dyad_index(i, j, n)`` holds
-dyad (i, j)'s statistics.
-``inference.EventDesign`` keeps the same reads in structured form (the
-NTDegRec share, the ICR vector and each other term's nonzero entries).
+only the rows and columns it changes. ``design_matrix`` is the one dense
+read of the store: it copies the whole risk set into a fresh (terms,
+dyads) matrix, whose column ``dyad_index(i, j, n)`` holds dyad (i, j)'s
+statistics, and builds only the p-shifts and ICR at read time.
+``inference.EventDesign`` keeps the statistics in structured form: it
+copies only the stacked arrays out of the store each event, and lists
+each p-shift's dyads in closed form from the previous event.
 ``RiskSetScorer`` keeps theta' u over the risk set current from a store,
 row by row: ``simulation.simulate_trajectory`` draws each event from it and
 ``analysis.adequacy`` ranks the observed event in it.
@@ -323,24 +323,29 @@ def dyad_from_index(idx, n: int):
 
 
 def _offdiag(mat: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries of square ``mat``, (n-1, n), in canonical dyad order."""
-    n = mat.shape[0]
-    return np.ravel(mat)[1:].reshape(n - 1, n + 1)[:, :n]
+    """Off-diagonal entries of square ``mat``, or of each of a stack of
+    them, shape (..., n-1, n), in canonical dyad order: a view of a
+    C-contiguous ``mat``."""
+    *stack, n, _ = mat.shape
+    return mat.reshape(*stack, n * n)[..., 1:].reshape(*stack, n - 1, n + 1)[..., :n]
 
 
-def _fill_design(
-    state: HistoryState, icr: np.ndarray, terms: Sequence[Term], out: np.ndarray
-) -> None:
-    """Write the statistics of ``terms`` into ``out``, a (len(terms), n-1, n)
-    view: ``out[c]``, read row-major, is term c over the risk set in
-    canonical dyad order.
+def design_matrix(
+    state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
+) -> np.ndarray:
+    """Statistic matrix of shape (len(terms), n*(n-1)), C-contiguous: row c
+    is term c over the risk set in canonical dyad order, so column
+    ``dyad_index(i, j, n)`` holds dyad (i, j)'s statistics.
 
-    A read of ``state``: the array terms are copied out of ``state.stat``
-    and NTDegRec from ``state.share``. Each p-shift is built from
-    ``state.last_event`` as an outer product of role indicators, and ICR
-    from ``icr``. Raises ValueError for a term ``state`` was built without.
+    A dense read of ``state``: the array terms are copied out of
+    ``state.stat`` and NTDegRec from ``state.share``. Each p-shift is built
+    from ``state.last_event`` as an outer product of role indicators, and
+    ICR from ``icr``. Raises ValueError for a term ``state`` was built
+    without.
     """
     n = state.n
+    X = np.empty((len(terms), n * (n - 1)))
+    out = X.reshape(len(terms), n - 1, n)
     role = np.zeros((3, n))
     if state.last_event is not None:
         a, b = state.last_event
@@ -361,15 +366,4 @@ def _fill_design(
             vec = np.asarray(icr, dtype=np.float64)
             mat = vec[:, None] + vec[None, :]
         out[c] = _offdiag(mat)
-
-
-def design_matrix(
-    state: HistoryState, icr: np.ndarray, terms: Sequence[Term]
-) -> np.ndarray:
-    """Statistic matrix of shape (len(terms), n*(n-1)), C-contiguous: row c
-    is term c over the risk set in canonical dyad order, the layout
-    ``_fill_design`` writes."""
-    n = state.n
-    X = np.empty((len(terms), n * (n - 1)))
-    _fill_design(state, icr, terms, X.reshape(len(terms), n - 1, n))
     return X

@@ -28,11 +28,12 @@ from remnet.inference import (
     posterior_interval,
     star_codes,
 )
-from remnet.stats import ALL_TERMS, HistoryState, Term, _fill_design
+from remnet.stats import ALL_TERMS, PSHIFT_TERMS, HistoryState, Term, design_matrix
 
 from conftest import (
     make_actors,
     point_mass_fit,
+    random_events,
     random_sequence,
     sequence_from_pairs,
     simulate_sequence,
@@ -256,8 +257,7 @@ def test_blocks_match_fill_design_and_naive_oracle(case):
     dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
     state = HistoryState(n)
     for t, event in enumerate(events):
-        filled = np.empty((14, n - 1, n))
-        _fill_design(state, icr, ALL_TERMS, filled)
+        filled = design_matrix(state, icr, ALL_TERMS)
         naive = np.array(
             [naive_stat_vector(events[:t], icr, n, i, j, ALL_TERMS) for i, j in dyads]
         ).T
@@ -309,6 +309,63 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
     # each event's k observed values adjacent: the kernel's theta @ x_obs and
     # x_obs.sum(axis=1) round by this layout, and so do the saved modes
     assert f.x_obs.strides == (8, 8 * len(terms))
+
+
+# (1, 0) after (0, 1) is a reply: its observed dyad is its PSAB-BA dyad
+REPLIES = [(0, 1), (1, 0), (0, 1), (2, 0), (0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "n, pairs, terms, events_per_block",
+    [
+        # no array term, so the block buffer is empty
+        pytest.param(
+            5, random_events(5, 30, np.random.default_rng(5)), PSHIFT_TERMS, None,
+            id="pshifts_only",
+        ),
+        # the row and column shifts have no dyad: no actor is outside an event
+        pytest.param(
+            2, [(0, 1), (1, 0), (1, 0), (0, 1)], PSHIFT_TERMS + (Term.ICR,), None,
+            id="two_actors",
+        ),
+        # no previous event, so no p-shift dyad
+        pytest.param(4, [(2, 3)], ALL_TERMS, None, id="one_event"),
+        pytest.param(3, REPLIES, (Term.PSABBA,), None, id="reply"),
+        # every event's previous event lies in the block before
+        pytest.param(
+            4, random_events(4, 12, np.random.default_rng(4)), ALL_TERMS, 1,
+            id="block_boundary",
+        ),
+    ],
+)
+def test_closed_form_pshift_rows_match_the_dense_design(n, pairs, terms, events_per_block):
+    actors = make_actors(n, icr_indices=(0,))
+    seq = sequence_from_pairs(actors, pairs)
+    per_block = events_per_block or seq.m
+    with mock.patch.object(inference, "_BLOCK_ROWS", per_block * n * (n - 1)):
+        design = EventDesign(actors, seq, terms)
+    X, obs = dense_design(actors, seq, terms)
+    x_obs = X[:, np.arange(seq.m), obs]
+    for c, term in enumerate(terms):
+        levels, codes = design.levels[term], design.codes[term]
+        if term is not Term.ICR:  # ICR's levels are 0, 1, 2
+            distinct = np.unique(np.concatenate(([0.0], X[c].ravel())))
+            assert levels.tobytes() == distinct.tobytes(), term
+        assert levels[codes[design.observed]].tobytes() == x_obs[c].tobytes(), term
+    own = types.SimpleNamespace(
+        X=np.array([design.levels[t][design.codes[t]] for t in terms]),
+        count=design.count, event=design.event,
+        starts=np.flatnonzero(np.diff(design.event, prepend=-1)),
+    )
+    assert_rows_partition_dyads(own, X)
+    f = design.factors(terms)
+    assert_rows_partition_dyads(f, X)
+    assert f.x_obs.tobytes() == x_obs.tobytes()
+    if n == 2:
+        for term in PSHIFT_TERMS[1:]:
+            assert design.levels[term].tobytes() == np.zeros(1).tobytes()
+    if pairs is REPLIES:
+        assert f.x_obs[0].tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_row_codes_reranked_below_the_limit_give_the_same_factors(path_sized_fixture):
