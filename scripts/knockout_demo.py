@@ -21,6 +21,12 @@ from remnet.stats import Term
 import numpy as np
 
 
+def _cell(x, fmt: str) -> str:
+    """A comparison the report leaves empty (every Theil index 0, as with two
+    actors) prints blank, as in concentration.csv."""
+    return "" if x is None else format(x, fmt)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--actors", type=int, default=8)
@@ -45,7 +51,9 @@ def main() -> None:
         KnockoutCondition.named("full"),
         seed=args.seed,
     )
-    seq = EventSequence("demo", traj.events)
+    seq = EventSequence(
+        "demo", tuple((ids[i], ids[j]) for i, j in traj.events.tolist())
+    )
     print(f"simulated {seq.m} events over {actors.n} actors")
 
     fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
@@ -59,10 +67,9 @@ def main() -> None:
     report = concentration_report(trajs, actors)
     print(f"\n{'condition':>12s} {'mean Theil':>10s} {'vs full %':>10s} {'excess':>7s}")
     for name, cond in report.conditions.items():
-        print(
-            f"{name:>12s} {cond.mean_theil:10.4f} "
-            f"{cond.pct_change_vs_full:10.2f} {cond.excess_fraction:7.3f}"
-        )
+        pct = _cell(cond.pct_change_vs_full, ".2f")
+        exc = _cell(cond.excess_fraction, ".3f")
+        print(f"{name:>12s} {cond.mean_theil:10.4f} {pct:>10s} {exc:>7s}")
 
 
 if __name__ == "__main__":

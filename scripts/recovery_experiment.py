@@ -40,7 +40,9 @@ def main() -> None:
             KnockoutCondition.named("full"),
             seed=args.seed + r,
         )
-        seq = EventSequence("recovery", traj.events)
+        seq = EventSequence(
+            "recovery", tuple((ids[i], ids[j]) for i, j in traj.events.tolist())
+        )
         fit = fit_map(spec, EventDesign(actors, seq, spec.terms))
         for k, (lo, hi) in enumerate(posterior_interval(fit, 0.95)):
             covered[k] += lo <= theta_true[k] <= hi

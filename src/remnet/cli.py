@@ -30,7 +30,9 @@ from remnet.analysis import (
     adequacy,
     concentration_report,
 )
-from remnet.data import DataError, load_networks, summarize, write_csv, write_json
+from remnet.data import (
+    ActorTable, DataError, load_networks, summarize, write_csv, write_json,
+)
 from remnet.inference import (
     EventDesign,
     FitResult,
@@ -358,19 +360,20 @@ def _simulate_networks(cfg: RunConfig, command: str):
             conditions=conditions,
             master_seed=cfg.seed,
         )
-        _write_trajectories(out, net_id, trajectories)
+        _write_trajectories(out, actors, trajectories)
         yield net_id, actors, trajectories
 
 
-def _write_trajectories(out: Path, net_id: str, trajectories) -> None:
+def _write_trajectories(out: Path, actors: ActorTable, trajectories) -> None:
     """``trajectories_<id>.csv``: the events CSV columns, condition, replicate, seed."""
+    ids = np.array(actors.actor_ids, dtype=object)
     write_csv(
-        _network_file(out, "trajectories", net_id, ".csv"),
+        _network_file(out, "trajectories", actors.network_id, ".csv"),
         ["network_id", "order", "sender", "receiver", "condition", "replicate", "seed"],
         (
             [t.network_id, order, s, r, t.condition, t.replicate, t.seed]
             for t in trajectories
-            for order, (s, r) in enumerate(t.events, start=1)
+            for order, s, r in zip(range(1, t.m + 1), *ids[t.events.T].tolist())
         ),
     )
 

@@ -11,6 +11,8 @@ sampler builds no design: it draws from the log-scores of a
 only the rows and columns an event changes; NTDegRec and the p-shifts are
 added per step. A step costs O(n^2) for the exp and O(n * s) for the
 store, s the number of array terms, with one uniform drawn per step.
+Each draw is kept as a pair of actor-table indices (``Trajectory.events``);
+nothing here maps an index to an actor id.
 
 Seeds derive deterministically from a master seed via numpy SeedSequence;
 the theta draw is keyed by replicate index only, so knock-out conditions
@@ -60,13 +62,17 @@ DEFAULT_CONDITIONS: tuple[KnockoutCondition, ...] = tuple(
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
+    """One sampled event sequence. ``events`` is an (m, 2) intp array of
+    (sender, receiver) indices into the actor table; ids appear only in
+    ``trajectories_<id>.csv`` and where a script builds an ``EventSequence``."""
+
     network_id: str
     condition: str
     replicate: int
     seed: int
-    events: tuple[tuple[str, str], ...]
+    events: np.ndarray
 
     @property
     def m(self) -> int:
@@ -74,11 +80,7 @@ class Trajectory:
 
     def volumes(self, actors: ActorTable) -> np.ndarray:
         """Total communication volume (in + out events) per actor."""
-        vol = np.zeros(actors.n, dtype=np.int64)
-        for s, r in self.events:
-            vol[actors.index(s)] += 1
-            vol[actors.index(r)] += 1
-        return vol
+        return np.bincount(self.events.ravel(), minlength=actors.n)
 
 
 def sample_parameters(fit: FitResult, seed) -> np.ndarray:
@@ -133,11 +135,11 @@ def simulate_trajectory(
     if not np.all(np.isfinite(theta_eff)):
         raise ValueError("non-finite coefficients")
     rng = np.random.default_rng(seed)
-    events = []
+    events = np.empty((m, 2), dtype=np.intp)
     ones = np.ones(actors.n)  # _draw's row sums are w @ ones
     with np.errstate(over="ignore", invalid="ignore"):  # the largest score is checked
         scorer = RiskSetScorer(spec.terms, theta_eff, actors.icr_array())
-        for _ in range(m):
+        for t in range(m):
             w = scorer.scores()
             top = w.max()
             if not math.isfinite(top):
@@ -145,7 +147,7 @@ def simulate_trajectory(
             w -= top
             np.exp(w, out=w)
             i, j = _draw(w, rng.random(), ones)
-            events.append((actors.actor_ids[i], actors.actor_ids[j]))
+            events[t] = i, j
             scorer.update(i, j)
     seed_int = int(seed) if isinstance(seed, numbers.Integral) else -1
     return Trajectory(
@@ -153,7 +155,7 @@ def simulate_trajectory(
         condition=condition.name,
         replicate=replicate,
         seed=seed_int,
-        events=tuple(events),
+        events=events,
     )
 
 

@@ -77,7 +77,7 @@ def simulate_sequence(theta_by_term, actors, m, seed):
     traj = simulate_trajectory(
         theta, spec, actors, m, KnockoutCondition.named("full"), seed
     )
-    return EventSequence(actors.network_id, traj.events)
+    return sequence_from_pairs(actors, traj.events)
 
 
 def point_mass_fit(theta_by_term, m, network_id="net"):

@@ -36,12 +36,18 @@ def run_script(name, *args):
             ["simulated 40 events over 6 actors", "AICc", "mean Theil", "all_removed"],
         ),
         (
+            # two actors: every Theil index is 0, so the comparisons print blank
+            "knockout_demo.py",
+            ("--actors", 2, "--events", 20, "--replicates", 3),
+            ["simulated 20 events over 2 actors", "mean Theil", "all_removed"],
+        ),
+        (
             "recovery_experiment.py",
             ("--actors", 5, "--events", 60, "--replicates", 2),
             ["95% interval coverage:", "PSAB-BA", "RRecSnd", "ICR"],
         ),
     ],
-    ids=["knockout_demo", "recovery_experiment"],
+    ids=["knockout_demo", "knockout_demo_two_actors", "recovery_experiment"],
 )
 def test_script_runs(name, args, headings):
     result = run_script(name, *args)

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remnet import selection
-from remnet.data import write_json
-from remnet.inference import EventDesign, ModelSpec, PriorSpec, fit_map
+from remnet.data import ActorTable, write_json
+from remnet.inference import (
+    EventDesign,
+    InadmissibleModelError,
+    ModelSpec,
+    PriorSpec,
+    fit_map,
+)
 from remnet.selection import exhaustive_select, hill_climb_select
-from remnet.stats import Term
+from remnet.stats import ALL_TERMS, Term
 
 from conftest import make_actors, random_sequence, simulate_sequence
 
@@ -163,3 +171,48 @@ def test_inadmissible_candidates_are_not_fitted(monkeypatch):
     exhaustive_select((Term.PSABBA, Term.ICR, Term.RRECSND), design=design)
     # AICc needs m > k + 1, so 3 events admit at most one term
     assert sorted(fitted) == [0, 1, 1, 1]
+
+
+def _design_arrays(d):
+    return [d.event, d.count, d.observed, *d.codes.values(), *d.levels.values()]
+
+
+def _select_all(design):
+    """The hill climb over all 14 terms, or its InadmissibleModelError's text."""
+    try:
+        return hill_climb_select(ALL_TERMS, design)
+    except InadmissibleModelError as exc:
+        return str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.data())
+def test_design_and_selection_ignore_actor_labels(case):
+    """Permuting the actor table changes no design byte and no selection bit:
+    a merged row's codes depend on statistic values, never on actor numbers.
+    Adequacy and the sampler are left out; their ties and draws follow the
+    canonical dyad order, which the labels set."""
+    n = case.draw(st.integers(2, 8), label="n")
+    m = case.draw(st.integers(1, 40), label="m")
+    icr = case.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="icr")
+    rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+    actors, seq = random_sequence(n, m, rng, [k for k in range(n) if icr[k]])
+    perm = case.draw(st.permutations(range(n)), label="permutation")
+    relabelled = ActorTable(
+        actors.network_id,
+        tuple(actors.actor_ids[k] for k in perm),
+        tuple(actors.icr[k] for k in perm),
+    )
+    a, b = EventDesign(actors, seq), EventDesign(relabelled, seq)
+    assert list(a.codes) == list(b.codes) and list(a.levels) == list(b.levels)
+    for x, y in zip(_design_arrays(a), _design_arrays(b), strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    ta, tb = _select_all(a), _select_all(b)
+    if isinstance(ta, str) or isinstance(tb, str):
+        assert ta == tb
+        return
+    assert ta.steps == tb.steps
+    fa, fb = ta.final, tb.final
+    assert fa.spec.terms == fb.spec.terms and fa.aicc == fb.aicc
+    assert fa.mode.tobytes() == fb.mode.tobytes()
+    assert fa.covariance.tobytes() == fb.covariance.tobytes()

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -75,8 +76,8 @@ def test_trajectory_uniform_when_all_zeroed():
         theta, spec, actors, 10_000, KnockoutCondition.named("all_removed"), seed=3
     )
     counts = np.zeros(12)
-    for s, r in traj.events:
-        counts[dyad_index(actors.index(s), actors.index(r), 4)] += 1
+    for i, j in traj.events.tolist():
+        counts[dyad_index(i, j, 4)] += 1
     _, p = chisquare(counts)
     assert p > 0.01
 
@@ -89,11 +90,8 @@ def test_trajectory_reversal_monotone_in_psabba():
         traj = simulate_trajectory(
             np.array([coef]), spec, actors, 3000, FULL, seed=11
         )
-        rev = sum(
-            traj.events[t] == traj.events[t - 1][::-1]
-            for t in range(1, len(traj.events))
-        )
-        rates.append(rev / (len(traj.events) - 1))
+        rev = np.all(traj.events[1:] == traj.events[:-1, ::-1], axis=1).sum()
+        rates.append(rev / (traj.m - 1))
     assert rates[0] < rates[1] < rates[2]
 
 
@@ -110,9 +108,9 @@ def test_trajectory_respects_risk_set():
     traj = simulate_trajectory(
         np.array([2.0, 1.0]), spec, actors, 500, FULL, seed=21
     )
-    ids = set(actors.actor_ids)
-    for s, r in traj.events:
-        assert s in ids and r in ids and s != r
+    assert traj.events.dtype == np.intp and traj.events.shape == (500, 2)
+    assert np.all((traj.events >= 0) & (traj.events < actors.n))
+    assert np.all(traj.events[:, 0] != traj.events[:, 1])
 
 
 # a p-shift model; ps_removed zeroes PSAB-BA and PSAB-XA, all_removed all
@@ -139,7 +137,7 @@ def test_sampler_draws_match_oracle_inverse_cdf(seed, condition):
     traj = simulate_trajectory(
         theta, ORACLE_SPEC, actors, m, KnockoutCondition.named(condition), seed
     )
-    events = [(actors.index(s), actors.index(r)) for s, r in traj.events]
+    events = list(map(tuple, traj.events.tolist()))
     dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
     rng = np.random.default_rng(seed)  # the sampler draws one uniform a step
     checked = 0
@@ -179,7 +177,7 @@ def test_zeroing_an_already_zero_term_is_identity():
     b = simulate_trajectory(
         theta, spec, actors, 200, KnockoutCondition.named("pa_removed"), seed=9
     )
-    assert a.events == b.events
+    assert np.array_equal(a.events, b.events)
 
 
 def test_knockout_counts_and_pairing():
@@ -209,7 +207,9 @@ def test_knockout_deterministic():
     actors = make_actors(4)
     a = run_knockout_experiment(fit, actors, 30, replicates=3, master_seed=5)
     b = run_knockout_experiment(fit, actors, 30, replicates=3, master_seed=5)
-    assert all(x.events == y.events and x.seed == y.seed for x, y in zip(a, b))
+    assert all(
+        np.array_equal(x.events, y.events) and x.seed == y.seed for x, y in zip(a, b)
+    )
 
 
 def test_knockout_paired_theta_across_conditions():
@@ -234,20 +234,31 @@ def test_knockout_paired_theta_across_conditions():
         redo = simulate_trajectory(
             theta, fit.spec, actors, 60, FULL, full_t.seed, replicate=r
         )
-        assert redo.events == full_t.events
+        assert np.array_equal(redo.events, full_t.events)
 
 
 def test_write_trajectories_csv(tmp_path):
     fit = point_mass_fit({Term.PSABBA: 1.0}, m=5)
-    actors = make_actors(3)
+    actors = make_actors(3, network_id="alpha")
     trajs = run_knockout_experiment(
         fit, actors, 5, replicates=2, conditions=(FULL,), master_seed=1
     )
-    path = tmp_path / "trajectories_net.csv"
-    _write_trajectories(tmp_path, "net", trajs)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "network_id,order,sender,receiver,condition,replicate,seed"
-    assert len(lines) == 1 + 2 * 5
+    _write_trajectories(tmp_path, actors, trajs)
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectories_alpha.csv"]
+    with open(tmp_path / "trajectories_alpha.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [
+        "network_id", "order", "sender", "receiver", "condition", "replicate", "seed"
+    ]
+    assert len(rows) == 2 * 5
+    # each trajectory's rows, in order: its ids at its index pairs, order 1..m
+    for k, t in enumerate(trajs):
+        block = rows[5 * k : 5 * (k + 1)]
+        assert [row[1] for row in block] == ["1", "2", "3", "4", "5"]
+        for row, (i, j) in zip(block, t.events.tolist()):
+            assert row[2:4] == [actors.actor_ids[i], actors.actor_ids[j]]
+            assert row[0] == "alpha"
+            assert row[4:] == ["full", str(t.replicate), str(t.seed)]
 
 
 def test_invalid_lengths():
@@ -266,7 +277,7 @@ def test_numpy_integer_seed_is_recorded():
     a = simulate_trajectory(theta, spec, actors, 50, FULL, seed=np.int64(7))
     b = simulate_trajectory(theta, spec, actors, 50, FULL, seed=7)
     assert a.seed == 7 and type(a.seed) is int
-    assert a.events == b.events
+    assert np.array_equal(a.events, b.events)
 
 
 def test_trajectory_and_design_bits_are_pinned():
@@ -279,7 +290,8 @@ def test_trajectory_and_design_bits_are_pinned():
     )
     spec = ModelSpec(terms=ALL_TERMS, network_id="net")
     traj = simulate_trajectory(theta, spec, actors, 300, FULL, seed=2024)
-    events = "\n".join(f"{s},{r}" for s, r in traj.events).encode()
+    ids = actors.actor_ids
+    events = "\n".join(f"{ids[i]},{ids[j]}" for i, j in traj.events.tolist()).encode()
     assert hashlib.sha256(events).hexdigest() == (
         "25e2e069c69cb246e28de27272667fc661279e7b6a9eb33df1324b2f31a9bc44"
     )
