@@ -4,10 +4,12 @@
 it is built for: NTDegRec as an (n,) receiver share that each event
 rewrites in O(n), and the other terms that depend on more than the last
 event as (n, n) arrays stacked by position, of which each event rewrites
-only the rows and columns it changes. ``design_matrix`` is the one dense
-read of the store: it copies the whole risk set into a fresh (terms,
-dyads) matrix, whose column ``dyad_index(i, j, n)`` holds dyad (i, j)'s
-statistics, and builds only the p-shifts and ICR at read time.
+only the rows and columns it changes; RSndSnd's and RRecSnd's rows are
+the inverses of (n, n) recency rank arrays. It holds only arrays, so
+stores stack. ``design_matrix`` is the one dense read of the store: it
+copies the whole risk set into a fresh (terms, dyads) matrix, whose
+column ``dyad_index(i, j, n)`` holds dyad (i, j)'s statistics, and
+builds only the p-shifts and ICR at read time.
 ``inference.EventDesign`` keeps the statistics in structured form: it
 copies only the stacked arrays out of the store each event, and lists
 each p-shift's dyads in closed form from the previous event.
@@ -113,21 +115,26 @@ class HistoryState:
     the last event.
 
     It always keeps the counts (``dyad_count``, ``out_degree``,
-    ``in_degree``, ``n_past_events``) and ``last_event``, from which the
-    p-shifts are read. Of the rest it keeps only what ``terms`` read:
-    ``share``, NTDegRec's (n,) receiver share (None without NTDegRec);
-    ``recency_out`` with RSndSnd and ``recency_in`` with RRecSnd (else
-    they stay empty); the 0/1 tie matrix ``tie`` (None without a triadic
-    term); and ``stat``, one (n, n) float64 array per term of
-    ``array_terms`` (the terms of ``terms`` among FrPSndSnd,
-    RRecSnd, RSndSnd, OTPSnd, ITPSnd, OSPSnd and ISPSnd, in that order),
-    stacked by position: entry (p, i, j), i != j, is term p's statistic
-    of dyad (i, j). ``update(a, b)`` rewrites only what event a -> b
-    changes, all in rows and columns a and b: the share; row a of
-    FrPSndSnd; the listed alters of RSndSnd row a and of RRecSnd row b;
-    and, on a new tie a -> b only, rows and columns a or b of the triadic
-    arrays, each by adding a row or column of ``tie``. Each entry has the
-    bits of its from-scratch value: counts are exact in float64.
+    ``volume``, each actor's events sent or received, and
+    ``n_past_events``) and ``last_event``, from which the p-shifts are
+    read. Of the rest it keeps only what ``terms`` read: ``share``,
+    NTDegRec's (n,) receiver share (None without NTDegRec); ``rank_out``
+    with RSndSnd and ``rank_in`` with RRecSnd, (n, n) float64 recency
+    ranks (entry (i, k) is k's rank among i's distinct receivers, or
+    senders, 1 the most recent, inf for no contact; else None); the 0/1
+    tie matrix ``tie`` (None without a triadic term); and ``stat``, one
+    (n, n) float64 array per term of ``array_terms`` (the terms of
+    ``terms`` among FrPSndSnd, RRecSnd, RSndSnd, OTPSnd, ITPSnd, OSPSnd
+    and ISPSnd, in that order), stacked by position: entry (p, i, j),
+    i != j, is term p's statistic of dyad (i, j). Apart from its sizes,
+    term tuples and last event it holds only arrays. ``update(a, b)``
+    rewrites only what event a -> b changes, all in rows and columns a
+    and b: the share; row a of FrPSndSnd; row a of ``rank_out`` and
+    RSndSnd, and row b of ``rank_in`` and RRecSnd, each statistic row the
+    inverse of its rank row; and, on a new tie a -> b only, rows and
+    columns a or b of the triadic arrays, each by adding a row or column
+    of ``tie``. Each entry has the bits of its from-scratch value: counts
+    and ranks are exact in float64, and 1 / inf is 0.
 
     Mutation is single-writer and strictly sequential per trajectory;
     read-only statistic evaluation at a fixed state is side-effect free.
@@ -138,9 +145,9 @@ class HistoryState:
         "terms",
         "dyad_count",
         "out_degree",
-        "in_degree",
-        "recency_in",
-        "recency_out",
+        "volume",
+        "rank_in",
+        "rank_out",
         "last_event",
         "n_past_events",
         "share",
@@ -155,7 +162,6 @@ class HistoryState:
         "_itp",
         "_osp",
         "_isp",
-        "_inv_rank",
     )
 
     def __init__(self, n: int, terms: Iterable[Term] = ALL_TERMS):
@@ -163,14 +169,12 @@ class HistoryState:
         self.terms = tuple(terms)
         self.dyad_count = np.zeros((n, n), dtype=np.int64)
         self.out_degree = np.zeros(n, dtype=np.int64)
-        self.in_degree = np.zeros(n, dtype=np.int64)
-        # recency_in[i]: distinct actors who sent to i, most recent first
-        # recency_out[i]: distinct actors i sent to, most recent first
-        self.recency_in: list[list[int]] = [[] for _ in range(n)]
-        self.recency_out: list[list[int]] = [[] for _ in range(n)]
+        self.volume = np.zeros(n, dtype=np.int64)
         self.last_event: tuple[int, int] | None = None
         self.n_past_events = 0
         self.share = np.zeros(n) if Term.NTDEGREC in self.terms else None
+        self.rank_out = np.full((n, n), np.inf) if Term.RSNDSND in self.terms else None
+        self.rank_in = np.full((n, n), np.inf) if Term.RRECSND in self.terms else None
         kept = tuple(t for t in _ARRAY_TERMS if t in self.terms)
         self.array_terms = kept
         self.stat = np.zeros((len(kept), n, n))
@@ -190,7 +194,6 @@ class HistoryState:
             self._osp,
             self._isp,
         ) = (self.stat[kept.index(t)] if t in kept else None for t in _ARRAY_TERMS)
-        self._inv_rank = 1.0 / np.arange(1, n + 1)
 
     def update(self, a: int, b: int) -> "HistoryState":
         """Record event a -> b. Returns self."""
@@ -218,27 +221,28 @@ class HistoryState:
             tie[a, b] = 1.0
         self.dyad_count[a, b] += 1
         self.out_degree[a] += 1
-        self.in_degree[b] += 1
+        self.volume[a] += 1
+        self.volume[b] += 1
         self.n_past_events += 1
         if self.share is not None:
-            volume = self.in_degree + self.out_degree
-            np.divide(volume, 2 * self.n_past_events, out=self.share)
+            np.divide(self.volume, 2 * self.n_past_events, out=self.share)
         if self._frp is not None:
             self._frp[a] = self.dyad_count[a] / self.out_degree[a]
         if self._rsnd is not None:
-            self._push(self.recency_out[a], b, self._rsnd[a])
+            _make_recent(self.rank_out[a], b, self._rsnd[a])
         if self._rrec is not None:
-            self._push(self.recency_in[b], a, self._rrec[b])
+            _make_recent(self.rank_in[b], a, self._rrec[b])
         self.last_event = (a, b)
         return self
 
-    def _push(self, recency: list[int], alter: int, row: np.ndarray) -> None:
-        """Move ``alter`` to the front of ``recency`` and write the inverse
-        ranks of the listed alters into ``row``."""
-        if alter in recency:
-            recency.remove(alter)
-        recency.insert(0, alter)
-        row[recency] = self._inv_rank[: len(recency)]
+
+def _make_recent(rank: np.ndarray, alter: int, row: np.ndarray) -> None:
+    """Give ``alter`` rank 1 in ``rank``, one actor's recency ranks, moving
+    each alter more recent than its old rank down one, and write the
+    inverse ranks into ``row``."""
+    rank += rank < rank[alter]
+    rank[alter] = 1.0
+    np.divide(1.0, rank, out=row)
 
 
 class RiskSetScorer:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import types
 from unittest import mock
@@ -393,6 +394,25 @@ def test_row_codes_reranked_below_the_limit_give_the_same_factors(path_sized_fix
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.strides == b.strides
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_design_bits_are_pinned():
+    # sha256 recorded before the recency lists became rank arrays; a change
+    # that moves one bit of a statistic, a merged row or a dtype fails here
+    actors = make_actors(30, icr_indices=(0, 1, 2))
+    truth = {Term.NTDEGREC: 2.0, Term.RRECSND: 1.0, Term.PSABBA: 2.5, Term.ICR: 0.8}
+    design = EventDesign(actors, simulate_sequence(truth, actors, 300, seed=1))
+    assert design.terms == ALL_TERMS
+    digest = hashlib.sha256()
+    arrays = [design.event, design.count, design.observed]
+    for term in design.terms:
+        arrays += [design.codes[term], design.levels[term]]
+    for a in arrays:
+        digest.update(a.dtype.str.encode())
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "5879d745dcf8f680e7dd8863eff66dce65918d1c2c2eae2623695e055b8cf5be"
+    )
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):

@@ -8,6 +8,7 @@ from remnet.stats import (
     PSHIFT_TERMS,
     HistoryState,
     Term,
+    canonical_terms,
     design_matrix,
     dyad_from_index,
     dyad_index,
@@ -70,12 +71,12 @@ def test_update_state_counts():
     state = replay([(0, 1), (0, 1)], 3)
     assert state.dyad_count[0, 1] == 2
     assert state.out_degree[0] == 2
-    assert state.in_degree[1] == 2
+    assert state.volume.tolist() == [2, 2, 0]
 
 
 def test_update_state_recency_order():
     state = replay([(0, 1), (0, 2)], 3)
-    assert state.recency_out[0] == [2, 1]
+    assert state.rank_out[0].tolist() == [np.inf, 2.0, 1.0]
 
 
 def test_update_state_rejects_self_loop():
@@ -97,8 +98,8 @@ def test_state_invariants_on_random_history():
         j = (i + 1 + int(rng.integers(n - 1))) % n
         state.update(i, j)
     assert np.array_equal(state.dyad_count.sum(axis=1), state.out_degree)
-    assert np.array_equal(state.dyad_count.sum(axis=0), state.in_degree)
-    assert (state.in_degree + state.out_degree).sum() == 2 * state.n_past_events
+    assert np.array_equal(state.dyad_count.sum(axis=0) + state.out_degree, state.volume)
+    assert state.volume.sum() == 2 * state.n_past_events
     assert (state.last_event is None) == (state.n_past_events == 0)
 
 
@@ -219,22 +220,26 @@ def test_dyad_index_roundtrip():
 
 
 @settings(max_examples=60, deadline=None)
-@given(event_sequences())
-def test_incremental_matches_naive_oracle(case):
+@given(event_sequences(), st.sets(st.sampled_from(ALL_TERMS), min_size=1))
+def test_incremental_matches_naive_oracle(case, subset):
     n, events, icr = case
+    subset = canonical_terms(subset)
     dyads = [(i, j) for i in range(n) for j in range(n) if i != j]
-    # the store is order-dependent: step one state and check every prefix
-    state = HistoryState(n)
+    # the store is order-dependent: step one state and check every prefix;
+    # a store sized to a subset keeps only some of its arrays
+    state, sub = HistoryState(n), HistoryState(n, subset)
     for t in range(len(events) + 1):
-        X = design_matrix(state, icr, ALL_TERMS)
-        assert X.dtype == np.float64 and X.flags.c_contiguous
-        naive = np.array(
-            [naive_stat_vector(events[:t], icr, n, i, j, ALL_TERMS) for i, j in dyads]
-        ).T.copy()
-        assert X.shape == naive.shape == (len(ALL_TERMS), len(dyads))
-        assert X.tobytes() == naive.tobytes(), (t, np.argwhere(X != naive)[:5])
+        for store, terms in ((state, ALL_TERMS), (sub, subset)):
+            X = design_matrix(store, icr, terms)
+            assert X.dtype == np.float64 and X.flags.c_contiguous
+            naive = np.array(
+                [naive_stat_vector(events[:t], icr, n, i, j, terms) for i, j in dyads]
+            ).T.copy()
+            assert X.shape == naive.shape == (len(terms), len(dyads))
+            assert X.tobytes() == naive.tobytes(), (t, terms, np.argwhere(X != naive)[:5])
         if t < len(events):
             state.update(*events[t])
+            sub.update(*events[t])
 
 
 @settings(max_examples=60, deadline=None)
