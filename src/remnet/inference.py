@@ -25,7 +25,12 @@ argsort groups equal codes and their counts are summed, and the merged
 row of each observed dyad is found among the merged codes. A spec's rows,
 its ``_Factors``, are the same merge over the spec's code columns of the
 design's rows, which ``fit_map`` runs once per fit; an event's observed
-statistics are those of the merged row of its observed design row. Each
+statistics are those of the merged row of its observed design row. The
+hill climb collects each move's rows from the current spec's merged rows
+instead, bit for bit the same (``selection._FitCache``): a removal merges
+them again, an add splits them by the term's codes with one ``bincount``,
+and an add whose bins would outnumber the design's rows (NTDegRec's)
+keeps the fresh merge. Each
 theta of a fit then costs one kernel pass and one prior call. One kernel,
 ``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass:
 the dense kernel's arithmetic over those weighted rows, with no
@@ -465,10 +470,11 @@ def _coded(values: np.ndarray):
     return levels.view(np.float64), codes
 
 
-def _merge(event, count, columns, m: int, find):
+def _merge(event, count, columns, m: int, find, inverse: bool = False):
     """Merge rows with equal event and codes: the index of one row of each
     run of equal rows, in increasing code, the sum of each run's counts and
-    the merged row of each row in ``find``.
+    the merged row of each row in ``find``; with ``inverse``, also the
+    merged row of every row.
 
     ``columns`` holds each term's (codes of the rows, number of levels). A
     row's code is its event and its terms' codes in mixed radix, event
@@ -476,7 +482,9 @@ def _merge(event, count, columns, m: int, find):
     the next digit would take the codes to ``_CODE_LIMIT``, they are first
     replaced by their ranks, which keeps their order. One argsort then
     groups equal rows, and each found row's code is looked up among the
-    runs' codes."""
+    runs' codes. The rows may be a design's or any merged rows of it: the
+    hill climb merges a spec's rows again to drop a term, and sorts the
+    rows it refined by an added term's codes (``selection._FitCache``)."""
     code, high = event.astype(np.int64), m - 1
     for digit, radix in columns:
         if (high + 1) * radix > _CODE_LIMIT:
@@ -491,7 +499,12 @@ def _merge(event, count, columns, m: int, find):
     head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
     found = np.searchsorted(code[head], found)
     code = None
-    return order[head], np.add.reduceat(count[order], head), found
+    merged = order[head], np.add.reduceat(count[order], head), found
+    if not inverse:
+        return merged
+    rows = np.empty(order.size, dtype=np.intp)
+    rows[order] = np.repeat(np.arange(head.size), np.diff(head, append=order.size))
+    return *merged, rows
 
 
 class _Factors:
@@ -504,7 +517,11 @@ class _Factors:
     columns gives the spec's rows, and each one is filled from the codes
     of one design row of its run, so a value is its level bit for bit. The
     same merge gives the row of each event's observed design row, whose
-    statistics are the event's observed ones.
+    statistics are the event's observed ones. The hill climb passes in
+    ``merged``, each merged row's event, count and code of each term, and
+    each event's observed row, collected from the current spec's rows
+    instead (``selection._FitCache``); they equal the fresh merge's bit
+    for bit.
 
     ``X`` holds every merged row's statistics in spec order, shape
     (k, rows), an event's rows in increasing code; ``count`` each row's
@@ -514,23 +531,27 @@ class _Factors:
     with an event's k values adjacent.
     """
 
-    def __init__(self, design: EventDesign, terms: tuple[Term, ...]):
+    def __init__(self, design: EventDesign, terms: tuple[Term, ...], merged=None):
         m = design.m
-        first, self.count, observed = _merge(
-            design.event,
-            design.count,
-            [(design.codes[t], design.levels[t].size) for t in terms],
-            m,
-            design.observed,
-        )
-        self.event = design.event[first]
+        if merged is None:
+            first, self.count, observed = _merge(
+                design.event,
+                design.count,
+                [(design.codes[t], design.levels[t].size) for t in terms],
+                m,
+                design.observed,
+            )
+            self.event = design.event[first]
+            codes = (design.codes[t][first] for t in terms)
+        else:
+            self.event, self.count, codes, observed = merged
         rows = np.bincount(self.event, minlength=m)
         self.starts = np.cumsum(rows) - rows
-        self.X = np.empty((len(terms), first.size))
+        self.X = np.empty((len(terms), self.count.size))
         # each event's k observed statistics adjacent: the kernel's sums round by it
         self.x_obs = np.empty((m, len(terms))).T
-        for c, term in enumerate(terms):
-            self.X[c] = design.levels[term][design.codes[term][first]]
+        for c, (term, code) in enumerate(zip(terms, codes)):
+            self.X[c] = design.levels[term][code]
             self.x_obs[c] = self.X[c][observed]
 
 
@@ -619,6 +640,8 @@ def fit_map(
     tol: float = 1e-6,
     max_iter: int = 500,
     theta0: np.ndarray | None = None,
+    *,
+    _factors: _Factors | None = None,
 ) -> FitResult:
     """Posterior-mode fit of ``spec`` to ``design``, with Laplace covariance,
     by damped Newton steps.
@@ -639,10 +662,12 @@ def fit_map(
     is no special case: its gradient max-norm is 0, so it converges with
     no iteration, in one pass. Raises ValueError unless 0 < ``tol`` < 1:
     from 1 on, the null model's gradient can pass it at theta = 0.
+    ``_factors``, the hill climb's own collection of ``spec``'s rows, is
+    fitted in place of ``design.factors(spec.terms)``.
     """
     if not 0 < tol < 1:  # NaN fails too
         raise ValueError("tol must be in (0, 1)")
-    factors = design.factors(spec.terms)
+    factors = design.factors(spec.terms) if _factors is None else _factors
     m = design.m
     k = spec.k
 

@@ -3,7 +3,8 @@
 Both searches fit term sets to one ``EventDesign``, which must hold the
 statistics of every candidate term. ``hill_climb_select`` starts from the
 empty model and repeatedly applies the single-term addition or deletion
-with the largest strict AICc reduction, stopping at a local optimum.
+with the largest strict AICc reduction, stopping at a local optimum; it
+collects each move's rows from the current model's (``_FitCache``).
 ``exhaustive_select`` enumerates every subset and returns the global
 minimizer. Both reject an empty or repeated candidate set. Tie-breaking is
 deterministic: deletions are preferred over additions, then the lowest
@@ -24,6 +25,8 @@ from remnet.inference import (
     InadmissibleModelError,
     ModelSpec,
     PriorSpec,
+    _Factors,
+    _merge,
     aicc_defined,
     fit_map,
 )
@@ -70,6 +73,90 @@ class _FitCache:
         self.tol = tol
         self.max_iter = max_iter
         self.cache: dict[frozenset, FitResult | None] = {}
+        # the merged rows of the spec the hill climb's moves start from,
+        # the base of its fits, and each added term's nonzero design rows
+        # (see _factors)
+        self.rows = None
+        self.nonzero: dict[Term, np.ndarray] = {}
+
+    def _factors(self, terms: tuple[Term, ...], base: FitResult | None):
+        """The rows of ``terms`` collected from the rows of ``base``'s spec,
+        the hill climb's current one, when ``terms`` is one term from it;
+        None leaves ``fit_map`` to merge every design row.
+
+        The current spec's rows, with the merged row of every design row,
+        are collected once, when its first move needs them: as the accepted
+        move from the last round's rows, or else by a fresh merge. They
+        partition each event's dyads, so a removal merges them again, less
+        the term's codes, with their counts. An add of a term with R levels
+        splits each current row r by the term's code c: bin r * R + c sums
+        the counts of the design rows of r with code c (code 0 takes what
+        the others leave of r's count, so only the design rows where the
+        term is nonzero are read), and the nonzero bins are the new rows,
+        in the order of the codes of the current terms and then the added
+        one. Unless the added term comes last in ``terms``, one merge of
+        the new rows puts them in code order. An add whose bins would
+        outnumber the design's rows keeps the fresh merge, so no bin table
+        outgrows the design: NTDegRec's always does (hundreds of levels or
+        more), and so does an add of a term with tens of levels to many
+        rows."""
+        if base is None:
+            return None
+        current = base.spec.terms
+        if self.rows is None or self.rows[0] != current:
+            self.rows = self._moved(current, inverse=True) if self.rows else None
+            if self.rows is None:
+                d = self.design
+                first, count, observed, inv = _merge(
+                    d.event, d.count, [(d.codes[t], d.levels[t].size) for t in current],
+                    d.m, d.observed, inverse=True,
+                )
+                codes = {t: d.codes[t][first] for t in current}
+                self.rows = current, d.event[first], count, codes, observed, inv
+        moved = self._moved(terms)
+        if moved is None:
+            return None
+        _, event, count, codes, observed, _ = moved
+        return _Factors(self.design, terms, (event, count, codes.values(), observed))
+
+    def _moved(self, terms: tuple[Term, ...], inverse: bool = False):
+        """The rows of ``terms`` from the current ones, as ``self.rows``
+        holds them, the last item the merged row of every design row only
+        with ``inverse``; None unless ``terms`` is one term from the current
+        spec, or where the add keeps the fresh merge (see _factors)."""
+        d = self.design
+        current, event, count, codes, observed, inv = self.rows
+        if len(set(terms) ^ set(current)) != 1:
+            return None
+        if len(terms) > len(current):
+            (term,) = set(terms) - set(current)
+            radix = d.levels[term].size
+            if count.size * radix > d.event.size:
+                return None
+            if term not in self.nonzero:
+                self.nonzero[term] = (d.codes[term] != 0).nonzero()[0]
+            nonzero = self.nonzero[term]
+            weight = np.bincount(
+                inv[nonzero] * radix + d.codes[term][nonzero],
+                weights=d.count[nonzero],
+                minlength=count.size * radix,
+            ).reshape(-1, radix)
+            # exact: the counts are integers
+            weight[:, 0] = count - weight @ np.ones(radix)
+            bins = np.flatnonzero(weight)
+            row, code = np.divmod(bins, radix)
+            codes = {t: codes[t][row] for t in current} | {term: code}
+            event, count = event[row], weight.reshape(-1)[bins].astype(count.dtype)
+            found = inv[d.observed] * radix + d.codes[term][d.observed]
+            observed = np.searchsorted(bins, found)
+            if inverse:
+                inv = (np.cumsum(weight.reshape(-1) != 0) - 1)[inv * radix + d.codes[term]]
+            if terms == (*current, term):
+                return terms, event, count, codes, observed, inv
+        columns = [(codes[t], d.levels[t].size) for t in terms]
+        sub, count, observed, *merged = _merge(event, count, columns, d.m, observed, inverse)
+        codes = {t: codes[t][sub] for t in terms}
+        return terms, event[sub], count, codes, observed, inverse and merged[0][inv]
 
     def fit(self, terms: tuple[Term, ...], base: FitResult | None = None):
         """Fit a term set from ``base``'s coefficients (0 for a term it lacks)
@@ -93,6 +180,7 @@ class _FitCache:
                 max_iter=self.max_iter,
                 design=self.design,
                 theta0=theta0,
+                _factors=self._factors(terms, base),
             )
             if result.converged:
                 return result

@@ -915,7 +915,7 @@ def test_prior_validation():
 
 # from 1 on a tol can pass at theta = 0 and call the null model converged
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1.0, 1e308])
-def test_fit_map_rejects_tol_that_is_not_positive_and_finite(small_fixture, tol):
+def test_fit_map_rejects_tol_outside_zero_one(small_fixture, tol):
     actors, seq = small_fixture
     spec = ModelSpec(terms=(Term.PSABBA,), network_id="net")
     with pytest.raises(ValueError, match=r"^tol must be in \(0, 1\)$"):

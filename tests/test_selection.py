@@ -1,9 +1,12 @@
+import types
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remnet import selection
+from remnet import inference, selection
 from remnet.data import ActorTable, write_json
 from remnet.inference import (
     EventDesign,
@@ -13,7 +16,7 @@ from remnet.inference import (
     fit_map,
 )
 from remnet.selection import exhaustive_select, hill_climb_select
-from remnet.stats import ALL_TERMS, Term
+from remnet.stats import ALL_TERMS, Term, canonical_terms
 
 from conftest import make_actors, random_sequence, simulate_sequence
 
@@ -216,3 +219,108 @@ def test_design_and_selection_ignore_actor_labels(case):
     assert fa.spec.terms == fb.spec.terms and fa.aicc == fb.aicc
     assert fa.mode.tobytes() == fb.mode.tobytes()
     assert fa.covariance.tobytes() == fb.covariance.tobytes()
+
+
+FACTOR_FIELDS = ("X", "count", "event", "starts", "x_obs")
+
+
+def assert_factors_equal(got, want):
+    for name in FACTOR_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def collect_moves(design, current):
+    """Each one-term move from ``current`` (canonical), its kind, and its
+    factors and the merged row of each design row as the hill climb
+    collects them from ``current``'s rows (the latter when the move is
+    accepted); a fresh move's are None, which leaves ``fit_map`` to
+    collect them, and only an add whose bins would outnumber the design's
+    rows is fresh."""
+    fitter = selection._FitCache(design, PriorSpec(), 1e-6, 500)
+    base = types.SimpleNamespace(spec=ModelSpec(current))  # all _factors reads
+    moves = []
+    for term in ALL_TERMS:
+        if term in current:
+            terms, kind = tuple(t for t in current if t is not term), "removal"
+        else:
+            terms = canonical_terms((*current, term))
+            kind = "add last" if terms[-1] is term else "add before"
+        got, inv = fitter._factors(terms, base), None
+        if got is None:
+            assert kind != "removal"
+            assert fitter.rows[2].size * design.levels[term].size > design.event.size
+            kind = f"fresh {term.value}"
+        else:
+            inv = fitter._moved(terms, inverse=True)[-1]
+        moves.append((terms, kind, got, inv))
+    return moves
+
+
+def assert_moves_equal_fresh_factors(design, moves):
+    """Every collected move's factors and design rows' merged rows equal
+    a fresh merge's bit for bit; the kinds of move seen."""
+    for terms, _, got, inv in moves:
+        if got is not None:
+            assert_factors_equal(got, design.factors(terms))
+            columns = [(design.codes[t], design.levels[t].size) for t in terms]
+            fresh = inference._merge(
+                design.event, design.count, columns, design.m, design.observed, inverse=True
+            )
+            assert inv.dtype == fresh[3].dtype and inv.tobytes() == fresh[3].tobytes()
+    return {kind for _, kind, _, _ in moves}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.data())
+def test_moves_from_the_current_rows_equal_fresh_factors(case):
+    n = case.draw(st.integers(2, 8), label="n")
+    m = case.draw(st.integers(1, 30), label="m")
+    icr = case.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="icr")
+    rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+    design = EventDesign(*random_sequence(n, m, rng, [k for k in range(n) if icr[k]]))
+    current = canonical_terms(case.draw(st.sets(st.sampled_from(ALL_TERMS)), label="current"))
+    assert_moves_equal_fresh_factors(design, collect_moves(design, current))
+
+
+def test_every_kind_of_move_and_reranked_codes_give_fresh_factors(path_sized_fixture):
+    design = EventDesign(*path_sized_fixture)
+    # from the empty spec every add comes last; from this one RSndSnd's
+    # comes before PSAB-BA and ICR's after it
+    current = (Term.RRECSND, Term.PSABBA)
+    kinds = set()
+    for spec in ((), current):
+        kinds |= assert_moves_equal_fresh_factors(design, collect_moves(design, spec))
+    assert {"removal", "add last", "add before", "fresh NTDegRec"} <= kinds
+    # a limit of m re-ranks the codes before every digit of every merge:
+    # the current rows', each removal's and each re-sorted add's
+    with mock.patch.object(inference, "_CODE_LIMIT", design.m), mock.patch.object(
+        inference.np, "unique", wraps=np.unique
+    ) as unique:
+        moves = collect_moves(design, current)
+    assert unique.call_count > 0
+    assert kinds >= assert_moves_equal_fresh_factors(design, moves)
+
+
+def test_hill_climb_collects_paper_scale_moves_bit_for_bit(monkeypatch):
+    # one network of the data package's mean size (n = 100, m = 500): every
+    # move the hill climb collects from the current rows equals a fresh
+    # collection, whose merge sorts all 14-term design rows
+    actors = make_actors(100, icr_indices=range(10))
+    truth = {Term.NTDEGREC: 2.0, Term.RRECSND: 1.0, Term.PSABBA: 2.5, Term.ICR: 0.8}
+    design = EventDesign(actors, simulate_sequence(truth, actors, 500, seed=1))
+    collected = []
+
+    def checked_fit_map(spec, **kwargs):
+        got = kwargs["_factors"]
+        if got is not None:
+            assert_factors_equal(got, design.factors(spec.terms))
+        collected.append(got is not None)
+        return fit_map(spec, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_map", checked_fit_map)
+    trace = hill_climb_select(ALL_TERMS, design)
+    assert trace.final.spec.k > 0
+    # the empty model and each add past the bin rule merge afresh
+    assert not collected[0] and sum(collected) > len(collected) / 2
