@@ -19,22 +19,23 @@ base statistics alone and so depend on a dyad (i, j) only through its
 cell (icr_i, j). An event has at most 2n cells, each a row weighted by
 its dyad count (the normaliser over counted classes: Perry & Wolfe,
 JRSS-B 2013). Each value is held as an integer code into its term's
-sorted levels, and ``_merge`` merges an event's rows with equal codes:
-each row gets a mixed-radix code of its event and its terms' codes, one
-argsort groups equal codes and their counts are summed, and the merged
-row of each observed dyad is found among the merged codes. A spec's rows,
-its ``_Factors``, are the same merge over the spec's code columns of the
-design's rows, which ``fit_map`` runs once per fit; an event's observed
-statistics are those of the merged row of its observed design row. The
-hill climb collects each move's rows from the current spec's merged rows
-instead, bit for bit the same (``selection._FitCache``): a removal merges
-them again, an add splits them by the term's codes with one ``bincount``,
-and an add whose bins would outnumber the design's rows (NTDegRec's)
-keeps the fresh merge. Each
-theta of a fit then costs one kernel pass and one prior call. One kernel,
-``_evaluate``, gives the log-likelihood, gradient and Hessian in one pass:
-the dense kernel's arithmetic over those weighted rows, with no
-difference formed but H's. A pass costs O(rows*k^2), rows at most
+sorted levels. Every merge in the package is one call of ``_merge``,
+which takes rows and returns rows: it merges an event's rows with equal
+codes of the given terms (each row gets a mixed-radix code of its event
+and those codes, one argsort groups equal codes and their counts are
+summed) and finds the merged row of each event's observed row. The build
+merges its own rows once. A spec's rows, its ``_Factors``, are the merge
+of the design's rows over the spec's terms (``EventDesign.factors``); an
+event's observed statistics are those of the merged row of its observed
+design row. The hill climb collects each move's rows from the current
+spec's merged rows instead, bit for bit the same
+(``selection._FitCache``): a removal merges them again, an add splits
+them by the term's codes with one ``bincount``, and an add whose bins
+would outnumber the design's rows (NTDegRec's) merges the design's rows.
+Each theta of a fit then costs one kernel pass and one prior call. One
+kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian in
+one pass: the dense kernel's arithmetic over those weighted rows, with
+no difference formed but H's. A pass costs O(rows*k^2), rows at most
 m*n + nnz and usually far fewer, not O(m*n^2*k^2). Adequacy reads no
 design: it ranks the scores of a ``stats.RiskSetScorer``, the scorer the
 knock-out sampler draws from.
@@ -253,9 +254,10 @@ class EventDesign:
     ``observed[t]`` is the row that holds event t's observed dyad. Each
     array is in the narrowest unsigned type that holds its values. Memory
     is O(rows + m + distinct values), ``nbytes`` bytes; ``full_tensor`` is
-    another name for the design, the attribute perfbench's spans read. Its
-    one reader is ``factors``, which merges the rows again over a spec's
-    terms.
+    another name for the design, the attribute perfbench's spans read.
+    ``factors`` merges the rows again over a spec's terms, and the hill
+    climb reads them where it cannot collect a move from the current
+    spec's rows (``selection._FitCache``).
     """
 
     def __init__(
@@ -398,15 +400,11 @@ class EventDesign:
             row_codes[Term.ICR] = row_flag + flag[row_receiver]
         row_flag = row_receiver = None
 
-        first, count, observed = _merge(
-            row_event, weight, [(row_codes[t], levels[t].size) for t in self.terms], m, observed
+        self.event, self.count, self.codes, observed = _merge(
+            (row_event, weight, row_codes, observed), self.terms, levels, m
         )
-        weight = None
-        self.event = row_event[first]
-        self.count = count.astype(np.min_scalar_type(D))
-        self.codes = {t: row_codes.pop(t)[first] for t in self.terms}
         self.levels = levels
-        self.observed = observed.astype(np.min_scalar_type(first.size - 1))
+        self.observed = observed.astype(np.min_scalar_type(self.count.size - 1))
 
     @property
     def nbytes(self) -> int:
@@ -418,6 +416,11 @@ class EventDesign:
     @property
     def full_tensor(self) -> "EventDesign":
         return self
+
+    @property
+    def _rows(self):
+        """The design's rows as ``_merge`` takes them."""
+        return self.event, self.count, self.codes, self.observed
 
     def _checked(self, terms: Sequence[Term]) -> tuple[Term, ...]:
         terms = tuple(terms)
@@ -434,7 +437,8 @@ class EventDesign:
         reads: per event, each distinct statistic vector of its dyads,
         weighted by the number of dyads that have it (see ``_Factors``).
         Raises ValueError naming any term the design was built without."""
-        return _Factors(self, self._checked(terms))
+        terms = self._checked(terms)
+        return _Factors(self, terms, _merge(self._rows, terms, self.levels, self.m))
 
 
 def _as_theta(theta, k: int) -> np.ndarray:
@@ -470,41 +474,50 @@ def _coded(values: np.ndarray):
     return levels.view(np.float64), codes
 
 
-def _merge(event, count, columns, m: int, find, inverse: bool = False):
-    """Merge rows with equal event and codes: the index of one row of each
-    run of equal rows, in increasing code, the sum of each run's counts and
-    the merged row of each row in ``find``; with ``inverse``, also the
-    merged row of every row.
+def _merge(rows, terms: tuple[Term, ...], levels, m: int, inverse: bool = False):
+    """Merge ``rows`` over ``terms``: the rows of an event with equal codes
+    of ``terms`` become one, whose count is the sum of theirs in their type
+    (an event's counts sum to its dyads, which the build's type holds);
+    with ``inverse``, also the merged row of every row.
 
-    ``columns`` holds each term's (codes of the rows, number of levels). A
-    row's code is its event and its terms' codes in mixed radix, event
-    first, so rows sort by event and then by value, term by term. Where
-    the next digit would take the codes to ``_CODE_LIMIT``, they are first
-    replaced by their ranks, which keeps their order. One argsort then
-    groups equal rows, and each found row's code is looked up among the
-    runs' codes. The rows may be a design's or any merged rows of it: the
-    hill climb merges a spec's rows again to drop a term, and sorts the
-    rows it refined by an added term's codes (``selection._FitCache``)."""
+    Rows are a tuple (event, count, codes, observed): each row's event and
+    count, a dict of each term's codes of the rows, with at least
+    ``terms``, and each event's observed row. The merged rows come in the
+    same form, an event's in increasing code, each with the event and the
+    codes of ``terms`` of one row of its run, and each event's observed
+    row the merged row of its observed one. A row's code is its event and
+    its terms' codes in mixed radix (``m`` events, ``levels[term].size``
+    levels), event first, so rows sort by event and then by value, term by
+    term. Where the next digit would take the codes to ``_CODE_LIMIT``,
+    they are first replaced by their ranks, which keeps their order. One
+    argsort then groups equal rows, and each observed row's code is looked
+    up among the runs' codes. The rows may be the build's, a design's or
+    any merged rows of it: the hill climb merges a spec's rows again to
+    drop a term, and sorts the rows it refined by an added term's codes
+    (``selection._FitCache``)."""
+    event, count, codes, observed = rows
     code, high = event.astype(np.int64), m - 1
-    for digit, radix in columns:
+    for term in terms:
+        radix = levels[term].size
         if (high + 1) * radix > _CODE_LIMIT:
             ranks, code = np.unique(code, return_inverse=True)
             high = ranks.size - 1
         code *= radix
-        code += digit
+        code += codes[term]
         high = high * radix + radix - 1
-    found = code[find]
+    found = code[observed]
     order = np.argsort(code)
     code = code[order]
     head = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
     found = np.searchsorted(code[head], found)
-    code = None
-    merged = order[head], np.add.reduceat(count[order], head), found
-    if not inverse:
-        return merged
-    rows = np.empty(order.size, dtype=np.intp)
-    rows[order] = np.repeat(np.arange(head.size), np.diff(head, append=order.size))
-    return *merged, rows
+    code = None  # freed before the counts' gather, which would raise the build's peak
+    first, count = order[head], np.add.reduceat(count[order], head, dtype=count.dtype)
+    if inverse:
+        inv = np.empty(order.size, dtype=np.intp)
+        inv[order] = np.repeat(np.arange(head.size), np.diff(head, append=order.size))
+    order = None
+    merged = event[first], count, {t: codes[t][first] for t in terms}, found
+    return (merged, inv) if inverse else merged
 
 
 class _Factors:
@@ -513,15 +526,14 @@ class _Factors:
     once, weighted by the number of the event's dyads that have it.
 
     A design's rows restricted to a spec's terms list every dyad of an
-    event with its spec statistics, so ``_merge`` over the spec's code
-    columns gives the spec's rows, and each one is filled from the codes
-    of one design row of its run, so a value is its level bit for bit. The
-    same merge gives the row of each event's observed design row, whose
-    statistics are the event's observed ones. The hill climb passes in
-    ``merged``, each merged row's event, count and code of each term, and
-    each event's observed row, collected from the current spec's rows
-    instead (``selection._FitCache``); they equal the fresh merge's bit
-    for bit.
+    event with its spec statistics, so ``_merge`` of them over the spec's
+    terms gives the spec's rows, ``rows``, each with the codes of one
+    design row of its run, so that a value is its level bit for bit; an
+    event's observed row is the merged row of its observed design row, so
+    its statistics are the event's observed ones. ``EventDesign.factors``
+    merges the design's rows; the hill climb collects them from the
+    current spec's rows instead, bit for bit the same
+    (``selection._FitCache``).
 
     ``X`` holds every merged row's statistics in spec order, shape
     (k, rows), an event's rows in increasing code; ``count`` each row's
@@ -531,27 +543,16 @@ class _Factors:
     with an event's k values adjacent.
     """
 
-    def __init__(self, design: EventDesign, terms: tuple[Term, ...], merged=None):
+    def __init__(self, design: EventDesign, terms: tuple[Term, ...], rows):
         m = design.m
-        if merged is None:
-            first, self.count, observed = _merge(
-                design.event,
-                design.count,
-                [(design.codes[t], design.levels[t].size) for t in terms],
-                m,
-                design.observed,
-            )
-            self.event = design.event[first]
-            codes = (design.codes[t][first] for t in terms)
-        else:
-            self.event, self.count, codes, observed = merged
-        rows = np.bincount(self.event, minlength=m)
-        self.starts = np.cumsum(rows) - rows
+        self.event, self.count, codes, observed = rows
+        per_event = np.bincount(self.event, minlength=m)
+        self.starts = np.cumsum(per_event) - per_event
         self.X = np.empty((len(terms), self.count.size))
         # each event's k observed statistics adjacent: the kernel's sums round by it
         self.x_obs = np.empty((m, len(terms))).T
-        for c, (term, code) in enumerate(zip(terms, codes)):
-            self.X[c] = design.levels[term][code]
+        for c, term in enumerate(terms):
+            self.X[c] = design.levels[term][codes[term]]
             self.x_obs[c] = self.X[c][observed]
 
 
@@ -662,8 +663,8 @@ def fit_map(
     is no special case: its gradient max-norm is 0, so it converges with
     no iteration, in one pass. Raises ValueError unless 0 < ``tol`` < 1:
     from 1 on, the null model's gradient can pass it at theta = 0.
-    ``_factors``, the hill climb's own collection of ``spec``'s rows, is
-    fitted in place of ``design.factors(spec.terms)``.
+    ``_factors``, the hill climb's collection of ``spec``'s rows, equal to
+    ``design.factors(spec.terms)`` bit for bit, is fitted in place of it.
     """
     if not 0 < tol < 1:  # NaN fails too
         raise ValueError("tol must be in (0, 1)")

@@ -304,6 +304,17 @@ def test_factors_list_touched_dyads_with_their_block_statistics(case):
         f = design.factors(terms)
     # each event's observed dyad is one of its design rows
     assert np.array_equal(design.event[design.observed], np.arange(m))
+    # the design's rows are merged over its own terms: a merge over them
+    # again returns them unchanged, the observed rows in a wider type
+    event, count, codes, observed = inference._merge(
+        design._rows, design.terms, design.levels, m
+    )
+    assert list(codes) == list(design.codes)
+    for a, b in [(event, design.event), (count, design.count)] + [
+        (codes[t], design.codes[t]) for t in design.terms
+    ]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert np.array_equal(observed, design.observed)
     X, obs = dense_design(actors, seq, terms)
     assert_rows_partition_dyads(f, X)
     assert f.x_obs.tobytes() == X[:, np.arange(m), obs].tobytes()

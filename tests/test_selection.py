@@ -235,9 +235,8 @@ def collect_moves(design, current):
     """Each one-term move from ``current`` (canonical), its kind, and its
     factors and the merged row of each design row as the hill climb
     collects them from ``current``'s rows (the latter when the move is
-    accepted); a fresh move's are None, which leaves ``fit_map`` to
-    collect them, and only an add whose bins would outnumber the design's
-    rows is fresh."""
+    accepted); only an add whose bins would outnumber the design's rows,
+    a "fresh" one, merges the design's rows instead."""
     fitter = selection._FitCache(design, PriorSpec(), 1e-6, 500)
     base = types.SimpleNamespace(spec=ModelSpec(current))  # all _factors reads
     moves = []
@@ -247,14 +246,11 @@ def collect_moves(design, current):
         else:
             terms = canonical_terms((*current, term))
             kind = "add last" if terms[-1] is term else "add before"
-        got, inv = fitter._factors(terms, base), None
-        if got is None:
-            assert kind != "removal"
-            assert fitter.rows[2].size * design.levels[term].size > design.event.size
+        got = fitter._factors(terms, base)
+        _, (_, count, _, _), _ = fitter.rows
+        if kind != "removal" and count.size * design.levels[term].size > design.event.size:
             kind = f"fresh {term.value}"
-        else:
-            inv = fitter._moved(terms, inverse=True)[-1]
-        moves.append((terms, kind, got, inv))
+        moves.append((terms, kind, got, fitter._moved(terms, inverse=True)[1]))
     return moves
 
 
@@ -262,13 +258,9 @@ def assert_moves_equal_fresh_factors(design, moves):
     """Every collected move's factors and design rows' merged rows equal
     a fresh merge's bit for bit; the kinds of move seen."""
     for terms, _, got, inv in moves:
-        if got is not None:
-            assert_factors_equal(got, design.factors(terms))
-            columns = [(design.codes[t], design.levels[t].size) for t in terms]
-            fresh = inference._merge(
-                design.event, design.count, columns, design.m, design.observed, inverse=True
-            )
-            assert inv.dtype == fresh[3].dtype and inv.tobytes() == fresh[3].tobytes()
+        assert_factors_equal(got, design.factors(terms))
+        _, fresh = inference._merge(design._rows, terms, design.levels, design.m, inverse=True)
+        assert inv.dtype == fresh.dtype and inv.tobytes() == fresh.tobytes()
     return {kind for _, kind, _, _ in moves}
 
 
@@ -314,13 +306,14 @@ def test_hill_climb_collects_paper_scale_moves_bit_for_bit(monkeypatch):
 
     def checked_fit_map(spec, **kwargs):
         got = kwargs["_factors"]
-        if got is not None:
-            assert_factors_equal(got, design.factors(spec.terms))
-        collected.append(got is not None)
+        assert got is not None
+        assert_factors_equal(got, design.factors(spec.terms))
+        collected.append(spec.terms)
         return fit_map(spec, **kwargs)
 
     monkeypatch.setattr(selection, "fit_map", checked_fit_map)
     trace = hill_climb_select(ALL_TERMS, design)
     assert trace.final.spec.k > 0
-    # the empty model and each add past the bin rule merge afresh
-    assert not collected[0] and sum(collected) > len(collected) / 2
+    # the empty model's and each NTDegRec add's rows, past the bin rule,
+    # are merged from the design's rows, and checked too
+    assert collected[0] == () and (Term.NTDEGREC,) in collected
