@@ -110,15 +110,15 @@ class _FitCache:
         bin rule, else from the design's (see _factors); with ``inverse``,
         also the merged row of every design row."""
         d = self.design
-        if self.rows is None or len(set(terms) ^ set(self.rows[0])) != 1:
+        current, rows, inv = self.rows or ((), None, None)
+        moved = set(terms) ^ set(current)
+        term = moved.pop() if len(moved) == 1 and rows is not None else None
+        add = len(terms) > len(current)
+        if term is None or add and rows[1].size * d.levels[term].size > d.event.size:
             return _merge(d._rows, terms, d.levels, d.m, inverse)
-        current, rows, inv = self.rows
-        if len(terms) > len(current):
-            (term,) = set(terms) - set(current)
+        if add:
             event, count, codes, _ = rows
             radix = d.levels[term].size
-            if count.size * radix > d.event.size:
-                return _merge(d._rows, terms, d.levels, d.m, inverse)
             if term not in self.nonzero:
                 self.nonzero[term] = (d.codes[term] != 0).nonzero()[0]
             nonzero = self.nonzero[term]
@@ -139,10 +139,8 @@ class _FitCache:
                 inv = (np.cumsum(weight.reshape(-1) != 0) - 1)[inv * radix + d.codes[term]]
             if terms == (*current, term):
                 return (rows, inv) if inverse else rows
-        if not inverse:
-            return _merge(rows, terms, d.levels, d.m)
-        rows, merged = _merge(rows, terms, d.levels, d.m, inverse=True)
-        return rows, merged[inv]
+        merged = _merge(rows, terms, d.levels, d.m, inverse)
+        return (merged[0], merged[1][inv]) if inverse else merged
 
     def fit(self, terms: tuple[Term, ...], base: FitResult | None = None):
         """Fit a term set from ``base``'s coefficients (0 for a term it lacks)

@@ -231,25 +231,43 @@ def assert_factors_equal(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def merges_of_the_design(design, calls):
+    """A stand-in for ``selection._merge`` that appends to ``calls``, for
+    each merge, whether it merges the design's rows and its ``inverse``."""
+
+    def merge(rows, terms, levels, m, inverse=False):
+        calls.append((rows[0] is design.event, inverse))
+        return inference._merge(rows, terms, levels, m, inverse)
+
+    return merge
+
+
 def collect_moves(design, current):
     """Each one-term move from ``current`` (canonical), its kind, and its
     factors and the merged row of each design row as the hill climb
     collects them from ``current``'s rows (the latter when the move is
-    accepted); only an add whose bins would outnumber the design's rows,
-    a "fresh" one, merges the design's rows instead."""
+    accepted). The first move merges ``current``'s rows from the design's,
+    with the merged row of each design row; besides, only an add whose
+    bins would outnumber the design's rows, a "fresh" one, merges the
+    design's rows, and no other move does."""
     fitter = selection._FitCache(design, PriorSpec(), 1e-6, 500)
     base = types.SimpleNamespace(spec=ModelSpec(current))  # all _factors reads
-    moves = []
-    for term in ALL_TERMS:
+    moves, calls = [], []
+    for i, term in enumerate(ALL_TERMS):
         if term in current:
             terms, kind = tuple(t for t in current if t is not term), "removal"
         else:
             terms = canonical_terms((*current, term))
             kind = "add last" if terms[-1] is term else "add before"
-        got = fitter._factors(terms, base)
+        calls.clear()
+        with mock.patch.object(selection, "_merge", merges_of_the_design(design, calls)):
+            got = fitter._factors(terms, base)
         _, (_, count, _, _), _ = fitter.rows
-        if kind != "removal" and count.size * design.levels[term].size > design.event.size:
+        fresh = kind != "removal" and count.size * design.levels[term].size > design.event.size
+        if fresh:
             kind = f"fresh {term.value}"
+        want = [(True, True)] * (i == 0) + [(True, False)] * fresh
+        assert [call for call in calls if call[0]] == want, kind
         moves.append((terms, kind, got, fitter._moved(terms, inverse=True)[1]))
     return moves
 
@@ -302,18 +320,24 @@ def test_hill_climb_collects_paper_scale_moves_bit_for_bit(monkeypatch):
     actors = make_actors(100, icr_indices=range(10))
     truth = {Term.NTDEGREC: 2.0, Term.RRECSND: 1.0, Term.PSABBA: 2.5, Term.ICR: 0.8}
     design = EventDesign(actors, simulate_sequence(truth, actors, 500, seed=1))
-    collected = []
+    collected, calls = [], []
 
     def checked_fit_map(spec, **kwargs):
         got = kwargs["_factors"]
         assert got is not None
         assert_factors_equal(got, design.factors(spec.terms))
-        collected.append(spec.terms)
+        # whether the fit's rows were merged from the design's
+        collected.append((spec.terms, (True, False) in calls))
+        calls.clear()
         return fit_map(spec, **kwargs)
 
     monkeypatch.setattr(selection, "fit_map", checked_fit_map)
+    monkeypatch.setattr(selection, "_merge", merges_of_the_design(design, calls))
     trace = hill_climb_select(ALL_TERMS, design)
     assert trace.final.spec.k > 0
-    # the empty model's and each NTDegRec add's rows, past the bin rule,
-    # are merged from the design's rows, and checked too
-    assert collected[0] == () and (Term.NTDEGREC,) in collected
+    # the empty model's rows and each add's past the bin rule, NTDegRec's
+    # among them, are merged from the design's rows, and checked too; most
+    # fits' rows are collected from the current spec's
+    fresh = [terms for terms, merged in collected if merged]
+    assert collected[0] == ((), True) and (Term.NTDEGREC,) in fresh
+    assert len(fresh) < len(collected) / 2
