@@ -32,6 +32,9 @@ spec's merged rows instead, bit for bit the same
 (``selection._FitCache``): a removal merges them again, an add splits
 them by the term's codes with one ``bincount``, and an add whose bins
 would outnumber the design's rows (NTDegRec's) merges the design's rows.
+What a spec fixes is computed once per fit: its rows, their float
+weights and the observed totals (``_Factors``), the prior's normalising
+constant (at ``PriorSpec`` construction) and the damping's identity.
 Each theta of a fit then costs one kernel pass and one prior call. One
 kernel, ``_evaluate``, gives the log-likelihood, gradient and Hessian in
 one pass: the dense kernel's arithmetic over those weighted rows, with
@@ -104,7 +107,11 @@ _SERIES_DF = 1e3
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Independent t-prior applied to every coefficient."""
+    """Independent t-prior applied to every coefficient.
+
+    Its log normalising constant depends on ``scale`` and ``df`` alone, so
+    it is computed once, at construction (``_constant``); ``evaluate``
+    computes per theta only the terms in theta."""
 
     location: float = 0.0
     scale: float = 10.0
@@ -122,6 +129,7 @@ class PriorSpec:
         # leave math's domain (lgamma of a subnormal df) at theta = 0 cannot
         # steer a fit
         try:
+            object.__setattr__(self, "_const", self._constant())
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 self.evaluate(np.zeros(1))
         except (FloatingPointError, ValueError, OverflowError) as exc:
@@ -130,20 +138,17 @@ class PriorSpec:
                 f"df {self.df!r}) is not finite at theta = 0: {exc}"
             ) from None
 
-    def evaluate(self, theta) -> tuple[float, np.ndarray, np.ndarray]:
-        """The sum of the t log-densities of the coefficients, its gradient
-        and its Hessian's diagonal, in closed form.
+    def _constant(self) -> float:
+        """Each coefficient's log normalising constant, computed once, at
+        construction.
 
         From ``_SERIES_DF`` on, lgamma((nu+1)/2) - lgamma(nu/2), which
         cancels to no precision and overflows at huge nu, is taken from its
         asymptotic series 0.5 ln(nu/2) - 1/(4 nu) + 1/(24 nu^3), whose next
-        term is below 1e-16 there; the normalising constant then tends to
-        the Gaussian's, -0.5 ln(2 pi) - ln(scale). The derivatives are
-        written in u = z^2 / nu, so that no intermediate grows with nu:
-        both stay finite at any finite df.
+        term is below 1e-16 there; the constant then tends to the
+        Gaussian's, -0.5 ln(2 pi) - ln(scale).
         """
-        nu, scale = self.df, self.scale
-        z = (np.asarray(theta, dtype=np.float64) - self.location) / scale
+        nu = self.df
         if nu < _SERIES_DF:
             const = (
                 math.lgamma((nu + 1.0) / 2.0)
@@ -153,11 +158,24 @@ class PriorSpec:
         else:
             inv = 1.0 / nu
             const = -0.5 * math.log(2.0 * math.pi) - inv / 4.0 + inv**3 / 24.0
-        const -= math.log(scale)
+        return const - math.log(self.scale)
+
+    def evaluate(self, theta) -> tuple[float, np.ndarray, np.ndarray]:
+        """The sum of the t log-densities of the coefficients, its gradient
+        and its Hessian's diagonal, in closed form.
+
+        Only the terms in theta are computed per call; the normalising
+        constant is the one ``_constant`` gave at construction. The
+        derivatives are written in u = z^2 / nu, so that no intermediate
+        grows with nu: both stay finite at any finite df.
+        """
+        nu, scale = self.df, self.scale
+        z = (np.asarray(theta, dtype=np.float64) - self.location) / scale
         u = z * z / nu
-        log_density = float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(u)))
-        grad = -(1.0 + 1.0 / nu) * z / ((1.0 + u) * scale)
-        hess_diag = -(1.0 + 1.0 / nu) * (1.0 - u) / (scale * scale * (1.0 + u) ** 2)
+        log_density = float((self._const - (nu + 1.0) / 2.0 * np.log1p(u)).sum())
+        shape = 1.0 + u
+        grad = -(1.0 + 1.0 / nu) * z / (shape * scale)
+        hess_diag = -(1.0 + 1.0 / nu) * (1.0 - u) / (scale * scale * shape**2)
         return log_density, grad, hess_diag
 
 
@@ -537,15 +555,18 @@ class _Factors:
 
     ``X`` holds every merged row's statistics in spec order, shape
     (k, rows), an event's rows in increasing code; ``count`` each row's
-    weight and ``event`` its event; ``starts`` where each event's rows
-    begin (every event has a row). ``x_obs`` holds each event's observed
-    statistics, the columns of ``X`` at its observed rows, shape (k, m)
-    with an event's k values adjacent.
+    weight, ``weight`` the same as float64, and ``event`` its event;
+    ``starts`` where each event's rows begin (every event has a row).
+    ``x_obs`` holds each event's observed statistics, the columns of ``X``
+    at its observed rows, shape (k, m) with an event's k values adjacent,
+    and ``obs_total`` their sum over the events. Each depends on the spec
+    alone, so a fit computes it once, not at each theta.
     """
 
     def __init__(self, design: EventDesign, terms: tuple[Term, ...], rows):
         m = design.m
         self.event, self.count, codes, observed = rows
+        self.weight = self.count.astype(np.float64)
         per_event = np.bincount(self.event, minlength=m)
         self.starts = np.cumsum(per_event) - per_event
         self.X = np.empty((len(terms), self.count.size))
@@ -554,6 +575,7 @@ class _Factors:
         for c, term in enumerate(terms):
             self.X[c] = design.levels[term][codes[term]]
             self.x_obs[c] = self.X[c][observed]
+        self.obs_total = self.x_obs.sum(axis=1)
 
 
 def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.ndarray]:
@@ -565,30 +587,50 @@ def _evaluate(theta: np.ndarray, f: _Factors) -> tuple[float, np.ndarray, np.nda
     M_t the exact maximum of the event's row scores, so Z_t = sum_r w_r and
     p_r = w_r / Z_t. The event's expected statistics E_t = sum_r p_r x_r
     give g = sum_t (x_obs,t - E_t), and H = sum_t E_t E_t' - sum_r p_r x_r
-    x_r', the latter summed a block of ``_BLOCK_ROWS`` rows at a time.
+    x_r'. Per theta, only these are computed; ``f`` holds what the spec
+    fixes (the float weights, the observed totals). The rows are read a
+    block of ``_BLOCK_ROWS`` at a time, and each block's products p_r x_r,
+    formed once, give both its part of H's second sum and, with one 2-D
+    ``reduceat``, the E_t of the events whose rows start in it. Each
+    event's run is summed whole, as its own ``reduceat`` would sum it: the
+    one run that leaves the block is multiplied again over all its rows.
+    So one block of products is held, and at most that run's besides.
     Raises NumericalError for a non-finite theta or score.
     """
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise NumericalError("non-finite theta")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         s = theta @ f.X
         M = np.maximum.reduceat(s, f.starts)
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(s))):
+    if not np.isfinite(s).all():  # else M, the events' maxima of s, is finite
         raise NumericalError("non-finite linear predictor")
     s -= M[f.event]
     p = np.exp(s, out=s)
-    p *= f.count
+    p *= f.weight
     Z = np.add.reduceat(p, f.starts)
     p /= Z[f.event]
-    ll = float(np.sum(theta @ f.x_obs - M - np.log(Z)))
-    E = np.empty((len(theta), f.starts.size))
-    for c, x in enumerate(f.X):
-        E[c] = np.add.reduceat(p * x, f.starts)
-    g = f.x_obs.sum(axis=1) - E.sum(axis=1)
-    H = E @ E.T
+    ll = float((theta @ f.x_obs - M - np.log(Z)).sum())
+    m = f.starts.size
+    E = np.empty((len(theta), m))
+    parts = []
     for start in range(0, p.size, _BLOCK_ROWS):
-        X = f.X[:, start : start + _BLOCK_ROWS]
-        H -= (X * p[start : start + _BLOCK_ROWS]) @ X.T
+        stop = min(start + _BLOCK_ROWS, p.size)
+        X = f.X[:, start:stop]
+        Xp = X * p[start:stop]
+        parts.append(Xp @ X.T)
+        # the events whose rows start in the block, summed where a run is
+        # whole, the same sum as over the run alone
+        lo, hi = f.starts.searchsorted((start, stop))
+        if lo < hi:
+            E[:, lo:hi] = np.add.reduceat(Xp, f.starts[lo:hi] - start, axis=1)
+            end = f.starts[hi] if hi < m else p.size
+            if end > stop:
+                run = slice(f.starts[hi - 1], end)
+                E[:, hi - 1] = np.add.reduceat(f.X[:, run] * p[run], [0], axis=1)[:, 0]
+    g = f.obs_total - E.sum(axis=1)
+    H = E @ E.T
+    for part in parts:
+        H -= part
     return ll, g, H
 
 
@@ -621,13 +663,14 @@ def aicc(log_lik_at_mode: float, k: int, m: int) -> float:
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _damped_newton_step(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+def _damped_newton_step(g: np.ndarray, H: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """-(H + lam I)^-1 g for the first of lam = 0, 1e-8 s, 2e-8 s, 4e-8 s, ...
-    (s the largest |H_ij|, at least 1) that makes H + lam I positive definite."""
-    scale, lam = max(float(np.max(np.abs(H))), 1.0), 0.0
+    (s the largest |H_ij|, at least 1) that makes H + lam I positive
+    definite; ``eye`` is I, which the fit builds once."""
+    scale, lam = max(float(abs(H).max()), 1.0), 0.0
     while lam <= 4 * len(g) * scale:
         try:
-            L = np.linalg.cholesky(H + lam * np.eye(len(g)))
+            L = np.linalg.cholesky(H + lam * eye)
             return -np.linalg.solve(L.T, np.linalg.solve(L, g))
         except np.linalg.LinAlgError:
             lam = max(2.0 * lam, 1e-8 * scale)
@@ -679,15 +722,17 @@ def fit_map(
         return -(ll + log_prior), -(g + prior_g), -(H + np.diag(prior_h)), ll
 
     theta = np.zeros(k) if theta0 is None else _as_theta(theta0, k).copy()
+    eye = np.eye(k)
     f, g, H, ll = objective(theta)
     radius, n_iter = 1.0, 0
-    while np.max(np.abs(g), initial=0.0) > tol and n_iter < max_iter:
-        if radius <= _EPS * (1.0 + np.max(np.abs(theta))):
+    while abs(g).max(initial=0.0) > tol and n_iter < max_iter:
+        if radius <= _EPS * (1.0 + abs(theta).max()):
             break
         n_iter += 1
-        p = _damped_newton_step(g, H)
-        step = min(float(np.max(np.abs(p))), radius)
-        p *= step / np.max(np.abs(p))
+        p = _damped_newton_step(g, H, eye)
+        size = abs(p).max()
+        step = min(float(size), radius)
+        p *= step / size
         predicted = -(g @ p + 0.5 * p @ H @ p)
         try:
             cand = objective(theta + p)
@@ -697,7 +742,7 @@ def fit_map(
         if predicted > 64.0 * _EPS * abs(f):
             ratio = (f - cand[0]) / predicted
         else:  # f cannot rank the two points: keep the radius, judge by |g|
-            ratio = 0.5 if np.max(np.abs(cand[1])) < np.max(np.abs(g)) else 0.0
+            ratio = 0.5 if abs(cand[1]).max() < abs(g).max() else 0.0
         if ratio < 0.25:
             radius = step / 4.0
         elif ratio > 0.75 and step >= radius:
@@ -726,7 +771,7 @@ def fit_map(
         covariance=cov,
         log_lik_at_mode=ll,
         aicc=crit,
-        converged=bool(np.max(np.abs(g), initial=0.0) <= tol),
+        converged=bool(abs(g).max(initial=0.0) <= tol),
         n_events=m,
         n_iter=n_iter,
     )

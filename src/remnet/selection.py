@@ -74,10 +74,12 @@ class _FitCache:
         self.max_iter = max_iter
         self.cache: dict[frozenset, FitResult | None] = {}
         # the spec the hill climb's moves start from, the base of its fits,
-        # its merged rows and the merged row of every design row, and each
-        # added term's nonzero design rows (see _factors)
+        # its merged rows, the merged row of every design row and of each
+        # event's observed one, and each added term's nonzero design rows,
+        # their codes and counts, and its codes at the observed rows (see
+        # _factors)
         self.rows = None
-        self.nonzero: dict[Term, np.ndarray] = {}
+        self.adds: dict[Term, tuple[np.ndarray, ...]] = {}
 
     def _factors(self, terms: tuple[Term, ...], base: FitResult | None) -> _Factors:
         """The rows of ``terms``, collected from the rows of ``base``'s
@@ -96,12 +98,19 @@ class _FitCache:
         the nonzero bins are the new rows, in the order of the codes of the
         current terms and then the added one. Unless the added term comes
         last in ``terms``, one merge of the new rows puts them in code
-        order. An add whose bins would outnumber the design's rows merges
-        the design's rows instead, so no bin table outgrows the design:
-        NTDegRec's always does (hundreds of levels or more), and so does an
-        add of a term with tens of levels to many rows."""
+        order. What a move does not change is collected once: each added
+        term's nonzero design rows, their codes and float counts, and its
+        codes at the observed rows, once per hill climb, at its first add;
+        the merged row of each event's observed row once per round. Code
+        0's count is the row's count less the sum of its other bins, exact
+        in any order since the counts are integers. An add whose bins would
+        outnumber the design's rows merges the design's rows instead, so no
+        bin table outgrows the design: NTDegRec's always does (hundreds of
+        levels or more), and so does an add of a term with tens of levels
+        to many rows."""
         if base is not None and (self.rows is None or self.rows[0] != base.spec.terms):
-            self.rows = base.spec.terms, *self._moved(base.spec.terms, inverse=True)
+            rows, inv = self._moved(base.spec.terms, inverse=True)
+            self.rows = base.spec.terms, rows, inv, inv[self.design.observed]
         return _Factors(self.design, terms, self._moved(terms))
 
     def _moved(self, terms: tuple[Term, ...], inverse: bool = False):
@@ -110,7 +119,7 @@ class _FitCache:
         bin rule, else from the design's (see _factors); with ``inverse``,
         also the merged row of every design row."""
         d = self.design
-        current, rows, inv = self.rows or ((), None, None)
+        current, rows, inv, inv_observed = self.rows or ((), None, None, None)
         moved = set(terms) ^ set(current)
         term = moved.pop() if len(moved) == 1 and rows is not None else None
         add = len(terms) > len(current)
@@ -119,21 +128,27 @@ class _FitCache:
         if add:
             event, count, codes, _ = rows
             radix = d.levels[term].size
-            if term not in self.nonzero:
-                self.nonzero[term] = (d.codes[term] != 0).nonzero()[0]
-            nonzero = self.nonzero[term]
+            if term not in self.adds:
+                nonzero = (d.codes[term] != 0).nonzero()[0]
+                self.adds[term] = (
+                    nonzero,
+                    d.codes[term][nonzero],
+                    d.count[nonzero].astype(np.float64),
+                    d.codes[term][d.observed],
+                )
+            nonzero, nonzero_code, nonzero_count, observed_code = self.adds[term]
             weight = np.bincount(
-                inv[nonzero] * radix + d.codes[term][nonzero],
-                weights=d.count[nonzero],
+                inv[nonzero] * radix + nonzero_code,
+                weights=nonzero_count,
                 minlength=count.size * radix,
             ).reshape(-1, radix)
-            # exact: the counts are integers
-            weight[:, 0] = count - weight @ np.ones(radix)
+            # exact in any order: the counts are integers
+            weight[:, 0] = count - weight.sum(axis=1)
             bins = np.flatnonzero(weight)
             row, code = np.divmod(bins, radix)
             codes = {t: codes[t][row] for t in current} | {term: code}
             count = weight.reshape(-1)[bins].astype(count.dtype)
-            found = inv[d.observed] * radix + d.codes[term][d.observed]
+            found = inv_observed * radix + observed_code
             rows = event[row], count, codes, np.searchsorted(bins, found)
             if inverse:
                 inv = (np.cumsum(weight.reshape(-1) != 0) - 1)[inv * radix + d.codes[term]]

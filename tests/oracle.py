@@ -10,14 +10,30 @@ and ``dense_scores`` scores them term by term.
 reference for the ranks of ``remnet.analysis.adequacy``.
 ``dense_evaluate`` is the dense likelihood kernel over those statistics,
 the reference for the weighted-row kernel of ``remnet.inference``.
+``reference_evaluate``, ``reference_prior_evaluate`` and ``reference_fit``
+are the weighted-row kernel, the t prior and the MAP fit loop as they were
+before the per-fit constants left their per-theta paths, kept verbatim:
+the current ones must give the same bits.
 """
 
+import math
+import warnings
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from remnet.inference import NumericalError
+from remnet import inference
+from remnet.inference import (
+    _EPS,
+    FitResult,
+    NumericalError,
+    PriorSpec,
+    _as_theta,
+    _SERIES_DF,
+    aicc,
+    aicc_defined,
+)
 from remnet.stats import PSHIFT_TERMS, HistoryState, Term, design_matrix, dyad_index
 
 
@@ -209,3 +225,136 @@ def dense_evaluate(theta, X, obs) -> tuple[float, np.ndarray, np.ndarray]:
     g = X[:, observed].sum(axis=1) - expected.sum(axis=1)
     H = expected @ expected.T - pX @ X.T
     return ll, g, H
+
+
+def reference_evaluate(theta, f) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood, gradient and Hessian of ``theta`` over ``f``, a
+    spec's ``inference._Factors``, each event's expected statistics summed
+    by a 1-D ``reduceat`` of each term's products and H's second sum
+    formed a block of ``inference._BLOCK_ROWS`` rows at a time. Test
+    oracle: ``inference._evaluate`` must give its bits."""
+    if not np.all(np.isfinite(theta)):
+        raise NumericalError("non-finite theta")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        s = theta @ f.X
+        M = np.maximum.reduceat(s, f.starts)
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(s))):
+        raise NumericalError("non-finite linear predictor")
+    s -= M[f.event]
+    p = np.exp(s, out=s)
+    p *= f.count
+    Z = np.add.reduceat(p, f.starts)
+    p /= Z[f.event]
+    ll = float(np.sum(theta @ f.x_obs - M - np.log(Z)))
+    E = np.empty((len(theta), f.starts.size))
+    for c, x in enumerate(f.X):
+        E[c] = np.add.reduceat(p * x, f.starts)
+    g = f.x_obs.sum(axis=1) - E.sum(axis=1)
+    H = E @ E.T
+    for start in range(0, p.size, inference._BLOCK_ROWS):
+        X = f.X[:, start : start + inference._BLOCK_ROWS]
+        H -= (X * p[start : start + inference._BLOCK_ROWS]) @ X.T
+    return ll, g, H
+
+
+def reference_prior_evaluate(prior: PriorSpec, theta) -> tuple[float, np.ndarray, np.ndarray]:
+    """``prior``'s log density, gradient and Hessian diagonal at ``theta``,
+    the normalising constant computed at each call. Test oracle:
+    ``PriorSpec.evaluate`` must give its bits."""
+    nu, scale = prior.df, prior.scale
+    z = (np.asarray(theta, dtype=np.float64) - prior.location) / scale
+    if nu < _SERIES_DF:
+        const = (
+            math.lgamma((nu + 1.0) / 2.0)
+            - math.lgamma(nu / 2.0)
+            - 0.5 * math.log(nu * math.pi)
+        )
+    else:
+        inv = 1.0 / nu
+        const = -0.5 * math.log(2.0 * math.pi) - inv / 4.0 + inv**3 / 24.0
+    const -= math.log(scale)
+    u = z * z / nu
+    log_density = float(np.sum(const - (nu + 1.0) / 2.0 * np.log1p(u)))
+    grad = -(1.0 + 1.0 / nu) * z / ((1.0 + u) * scale)
+    hess_diag = -(1.0 + 1.0 / nu) * (1.0 - u) / (scale * scale * (1.0 + u) ** 2)
+    return log_density, grad, hess_diag
+
+
+def _reference_newton_step(g, H):
+    scale, lam = max(float(np.max(np.abs(H))), 1.0), 0.0
+    while lam <= 4 * len(g) * scale:
+        try:
+            L = np.linalg.cholesky(H + lam * np.eye(len(g)))
+            return -np.linalg.solve(L.T, np.linalg.solve(L, g))
+        except np.linalg.LinAlgError:
+            lam = max(2.0 * lam, 1e-8 * scale)
+    raise NumericalError("no damping makes the Hessian positive definite")
+
+
+def reference_fit(
+    spec, design, prior=PriorSpec(), tol=1e-6, max_iter=500, theta0=None, factors=None
+) -> FitResult:
+    """``inference.fit_map``'s damped Newton loop over ``reference_evaluate``
+    and ``reference_prior_evaluate``, each step's damping found with an
+    identity built per try. Test oracle: ``fit_map`` must give its bits
+    and its iteration count."""
+    factors = design.factors(spec.terms) if factors is None else factors
+    m = design.m
+    k = spec.k
+
+    def objective(theta):
+        ll, g, H = reference_evaluate(theta, factors)
+        log_prior, prior_g, prior_h = reference_prior_evaluate(prior, theta)
+        return -(ll + log_prior), -(g + prior_g), -(H + np.diag(prior_h)), ll
+
+    theta = np.zeros(k) if theta0 is None else _as_theta(theta0, k).copy()
+    f, g, H, ll = objective(theta)
+    radius, n_iter = 1.0, 0
+    while np.max(np.abs(g), initial=0.0) > tol and n_iter < max_iter:
+        if radius <= _EPS * (1.0 + np.max(np.abs(theta))):
+            break
+        n_iter += 1
+        p = _reference_newton_step(g, H)
+        step = min(float(np.max(np.abs(p))), radius)
+        p *= step / np.max(np.abs(p))
+        predicted = -(g @ p + 0.5 * p @ H @ p)
+        try:
+            cand = objective(theta + p)
+        except NumericalError:
+            radius = step / 4.0
+            continue
+        if predicted > 64.0 * _EPS * abs(f):
+            ratio = (f - cand[0]) / predicted
+        else:  # f cannot rank the two points: keep the radius, judge by |g|
+            ratio = 0.5 if np.max(np.abs(cand[1])) < np.max(np.abs(g)) else 0.0
+        if ratio < 0.25:
+            radius = step / 4.0
+        elif ratio > 0.75 and step >= radius:
+            radius *= 2.0
+        if ratio > 0.0:
+            theta, (f, g, H, ll) = theta + p, cand
+
+    try:
+        cov = np.linalg.inv(H)
+    except np.linalg.LinAlgError:
+        cov = None
+    if cov is None or not np.all(np.isfinite(cov)):
+        warnings.warn(
+            "singular or non-finite Hessian inverse at the mode; using the "
+            "pseudo-inverse",
+            RuntimeWarning,
+        )
+        cov = np.linalg.pinv(H)
+    cov = (cov + cov.T) / 2.0
+
+    crit = aicc(ll, k, m) if aicc_defined(k, m) else math.nan
+    return FitResult(
+        spec=spec,
+        mode=theta,
+        covariance=cov,
+        log_lik_at_mode=ll,
+        aicc=crit,
+        converged=bool(np.max(np.abs(g), initial=0.0) <= tol),
+        n_events=m,
+        n_iter=n_iter,
+    )

@@ -45,6 +45,8 @@ from oracle import (
     dense_scores,
     naive_log_likelihood,
     naive_stat_vector,
+    reference_evaluate,
+    reference_prior_evaluate,
 )
 
 
@@ -196,6 +198,41 @@ def test_streamed_kernel_matches_single_block(
             events, actors.icr_array(), actors.n, ALL_TERMS, theta
         )
         assert got[0] == pytest.approx(naive, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.data())
+def test_kernel_keeps_the_reference_bits(case):
+    # blocks as small as one row: most events' runs then leave the block
+    # they start in, and their expected statistics must still be summed
+    # whole, as the reference's 1-D reduceat sums them
+    n = case.draw(st.integers(2, 9), label="n")
+    m = case.draw(st.integers(1, 30), label="m")
+    icr = case.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="icr")
+    terms = case.draw(st.permutations(ALL_TERMS), label="order")
+    terms = terms[: case.draw(st.integers(0, 14), label="k")]
+    scale = case.draw(st.sampled_from([1.0, 5.0, 1e300]), label="scale")
+    theta = scale * np.array(
+        case.draw(
+            st.lists(st.floats(-1, 1), min_size=len(terms), max_size=len(terms)),
+            label="theta",
+        )
+    )
+    rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1), label="seed"))
+    actors, seq = random_sequence(n, m, rng, icr_indices=tuple(np.flatnonzero(icr)))
+    f = EventDesign(actors, seq, terms).factors(terms)
+    block = case.draw(st.integers(1, f.count.size + 1), label="block rows")
+    with mock.patch.object(inference, "_BLOCK_ROWS", block):
+        try:
+            want = reference_evaluate(theta, f)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError, match=f"^{exc}$"):
+                inference._evaluate(theta, f)
+            return
+        got = inference._evaluate(theta, f)
+    assert type(got[0]) is float and got[0].hex() == want[0].hex()
+    for part, want_part in zip(got[1:], want[1:]):
+        assert part.shape == want_part.shape and part.tobytes() == want_part.tobytes()
 
 
 def test_spec_design_columns_equal_full_design(path_sized_fixture):
@@ -1007,6 +1044,20 @@ def test_default_prior_derivatives_keep_their_bits():
     _, got_grad, got_hess = prior.evaluate(theta)
     assert got_grad.tobytes() == grad.tobytes()
     assert got_hess.tobytes() == hess.tobytes()
+
+
+def test_prior_keeps_the_reference_bits():
+    # the normalising constant is computed once, at construction, on each
+    # side of the series' start and at the largest dfs
+    theta = np.concatenate([np.linspace(-200.0, 200.0, 4001), [0.0, -0.0, 1e-300, 1e50]])
+    for df in (4.0, 999.9, 1e3, 1e20, 1e308):
+        for location, scale in ((0.0, 10.0), (1.5, 2.5)):
+            prior = PriorSpec(location=location, scale=scale, df=df)
+            for x in (theta, theta[:1], theta[:0]):
+                got, want = prior.evaluate(x), reference_prior_evaluate(prior, x)
+                assert got[0].hex() == want[0].hex(), df
+                assert got[1].tobytes() == want[1].tobytes(), df
+                assert got[2].tobytes() == want[2].tobytes(), df
 
 
 def test_model_spec_rejects_duplicates():

@@ -19,6 +19,7 @@ from remnet.selection import exhaustive_select, hill_climb_select
 from remnet.stats import ALL_TERMS, Term, canonical_terms
 
 from conftest import make_actors, random_sequence, simulate_sequence
+from oracle import reference_fit
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +222,7 @@ def test_design_and_selection_ignore_actor_labels(case):
     assert fa.covariance.tobytes() == fb.covariance.tobytes()
 
 
-FACTOR_FIELDS = ("X", "count", "event", "starts", "x_obs")
+FACTOR_FIELDS = ("X", "count", "weight", "event", "starts", "x_obs", "obs_total")
 
 
 def assert_factors_equal(got, want):
@@ -262,7 +263,7 @@ def collect_moves(design, current):
         calls.clear()
         with mock.patch.object(selection, "_merge", merges_of_the_design(design, calls)):
             got = fitter._factors(terms, base)
-        _, (_, count, _, _), _ = fitter.rows
+        _, (_, count, _, _), *_ = fitter.rows
         fresh = kind != "removal" and count.size * design.levels[term].size > design.event.size
         if fresh:
             kind = f"fresh {term.value}"
@@ -341,3 +342,35 @@ def test_hill_climb_collects_paper_scale_moves_bit_for_bit(monkeypatch):
     fresh = [terms for terms, merged in collected if merged]
     assert collected[0] == ((), True) and (Term.NTDEGREC,) in fresh
     assert len(fresh) < len(collected) / 2
+
+
+def test_hill_climb_fits_keep_the_reference_bits(path_sized_fixture, monkeypatch):
+    # every fit of a 14-term hill climb, each from its collected rows and
+    # warm start, gives the bits and the iteration count of the reference
+    # loop over the reference kernel and prior, on whatever BLAS runs both
+    design = EventDesign(*path_sized_fixture)
+    fits = []
+
+    def checked_fit_map(spec, **kwargs):
+        got = fit_map(spec, **kwargs)
+        want = reference_fit(
+            spec,
+            kwargs["design"],
+            kwargs["prior"],
+            kwargs["tol"],
+            kwargs["max_iter"],
+            kwargs["theta0"],
+            kwargs["_factors"],
+        )
+        assert got.mode.tobytes() == want.mode.tobytes(), spec.terms
+        assert got.covariance.tobytes() == want.covariance.tobytes(), spec.terms
+        assert got.log_lik_at_mode.hex() == want.log_lik_at_mode.hex(), spec.terms
+        assert got.aicc.hex() == want.aicc.hex(), spec.terms
+        assert (got.n_iter, got.converged) == (want.n_iter, want.converged), spec.terms
+        fits.append(got.n_iter)
+        return got
+
+    monkeypatch.setattr(selection, "fit_map", checked_fit_map)
+    hill_climb_select(ALL_TERMS, design)
+    # the empty model and at least one round of every add, each iterating
+    assert len(fits) >= 15 and sum(fits) > len(fits)
