@@ -7,12 +7,15 @@ reproducible from its artifacts. Each command formats its outputs here and
 writes them through ``data.write_csv`` and ``data.write_json``.
 
 Exit codes: 0 success, 2 configuration error (including an output file
-that cannot be written), 3 data error, 4 numerical failure.
+that cannot be written), 3 data error, 4 numerical failure. A command that
+runs out of memory exits 3 too, with one line naming it: the input is too
+large for this machine.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -443,7 +446,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="remnet",
         description="Relational event model pipeline for dyadic communication networks",
@@ -476,6 +482,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"data error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         # input paths are checked or mapped to a DataError where read: an output

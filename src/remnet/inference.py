@@ -24,14 +24,15 @@ which takes rows and returns rows: it merges an event's rows with equal
 codes of the given terms (each row gets a mixed-radix code of its event
 and those codes, one argsort groups equal codes and their counts are
 summed) and finds the merged row of each event's observed row. The build
-merges its own rows once. A spec's rows, its ``_Factors``, are the merge
-of the design's rows over the spec's terms (``EventDesign.factors``); an
-event's observed statistics are those of the merged row of its observed
-design row. The hill climb collects each move's rows from the current
-spec's merged rows instead, bit for bit the same
-(``selection._FitCache``): a removal merges them again, an add splits
-them by the term's codes with one ``bincount``, and an add whose bins
-would outnumber the design's rows (NTDegRec's) merges the design's rows.
+merges its own rows a block of events at a time (``EventDesign``). A
+spec's rows, its ``_Factors``, are the merge of the design's rows over the
+spec's terms (``EventDesign.factors``); an event's observed statistics are
+those of the merged row of its observed design row. The hill climb
+collects each move's rows from the current spec's merged rows instead,
+bit for bit the same (``selection._FitCache``): a removal merges them
+again, an add splits them by the term's codes with one ``bincount``, and
+an add whose bins would outnumber the design's rows (NTDegRec's) merges
+the design's rows.
 What a spec fixes is computed once per fit: its rows, their float
 weights and the observed totals (``_Factors``), the prior's normalising
 constant (at ``PriorSpec`` construction) and the damping's identity.
@@ -232,12 +233,6 @@ class FitResult:
             return cls.from_json_dict(json.load(fh))
 
 
-# terms with a dense natural form: NTDegRec is a receiver share per event
-# and ICR a static actor vector; every other term is nonzero only on the
-# dyads its events touched
-_BASE_TERMS = (Term.NTDEGREC, Term.ICR)
-
-
 class EventDesign:
     """Per-event statistics of one network, for the terms a model uses, as
     each event's distinct statistic vectors, each counted by its dyads.
@@ -257,11 +252,22 @@ class EventDesign:
     with equal statistics are then merged by ``_merge`` into one, whose
     count is the sum of theirs.
 
-    The replay copies the store's stacked arrays, the array terms, into a
-    block buffer each event, and finds their nonzero entries a block at a
-    time. Each p-shift's nonzero dyads follow from the previous event
-    alone, so they are listed for all events at once, in closed form, each
-    with the value 1.
+    The build runs in stages, a merge block of events at a time. Each
+    p-shift's nonzero dyads follow from the previous event alone, so they
+    are listed for all events at once, in closed form, each with the value
+    1 (``_pshift_keys``). The replay copies the store's stacked arrays, the
+    array terms, into a block buffer each event, and finds their nonzero
+    entries a scan block of ``_BLOCK_ROWS`` dyads at a time. A merge block
+    is a run of whole scan blocks that closes once its pending rows (its
+    listed dyads and its events' cells) reach ``_BLOCK_ROWS`` (``_scan``).
+    Its rows (``_cells``) are coded against its own levels, NTDegRec's
+    shares included (``_codes``), and merged (``_merge``); only the merged
+    rows are kept. Rows of different events never merge, so the blocks'
+    merged rows, joined in order, are those of one merge of every row. A
+    block's levels come in their values' order, so one ``_coded`` of all
+    the blocks' levels maps each block's codes to their union's
+    (``_joined``): every array is the one-pass build's, bit for bit and
+    dtype for dtype. The build holds one block's rows, not the network's.
 
     Each term's values are held as codes: ``levels[term]`` is 0 and then
     the term's distinct values in increasing order (0, 1, 2 for ICR, whose
@@ -292,137 +298,37 @@ class EventDesign:
         self.n = n = actors.n
         self.m = m = seq.m
         self.n_dyads = D = n * (n - 1)
-        sparse = [t for t in self.terms if t not in _BASE_TERMS]
-        icr = actors.icr_array()
         pairs = seq.index_pairs(actors)
-        per_block = max(1, _BLOCK_ROWS // D)
-        # before the block buffer, so that no array pins its hole
-        share = np.empty((m, n)) if Term.NTDEGREC in self.terms else None
-        obs = np.empty(m, dtype=np.intp)
-        keys, n_keys = [np.empty(0, np.intp)], 0
-        # each p-shift's listed keys t * D + dyad, in increasing order: the
-        # dyad, row or column that its roles pick in event t - 1 (0 its
-        # sender, 1 its receiver, 2 each other actor, in increasing order),
-        # gathered from the table of every dyad's index, row i actor i's
-        # sent dyads and column j its received ones
-        shifts = [t for t in sparse if _ROLES_AT[t.position]]
-        pshift = {}
-        if shifts:
-            role = [pairs[:-1, :1], pairs[:-1, 1:]]
-            if any(2 in _ROLES_AT[t.position] for t in shifts):
-                rest = np.ones((m - 1, n), dtype=bool)
-                for actor in pairs[:-1].T:
-                    rest[np.arange(m - 1), actor] = False
-                role.append(np.nonzero(rest)[1].reshape(m - 1, n - 2))
-            i, j = np.indices((n, n))
-            table = i * (n - 1) + j - (j > i)
-            base = np.arange(D, m * D, D)[:, None]
-            for t in shifts:
-                sender, receiver = _ROLES_AT[t.position]
-                pshift[t] = (table[role[sender], role[receiver]] + base).reshape(-1)
-            rest = role = i = j = table = base = None
-        state = HistoryState(n, self.terms)
-        found = {t: [(np.empty(0, np.intp), np.empty(0))] for t in state.array_terms}
-        s = len(found)
-        stats = np.empty((s, per_block, n - 1, n))
-        store = _offdiag(state.stat)
-        for start in range(0, m, per_block):
-            stop = min(start + per_block, m)
-            for t in range(start, stop):
-                if share is not None:
-                    share[t] = state.share
-                stats[:, t - start] = store
-                a, b = int(pairs[t, 0]), int(pairs[t, 1])
-                obs[t] = dyad_index(a, b, n)
-                state.update(a, b)
-            # the block's listed dyads (touched or observed) and the array
-            # terms' nonzero entries, term by term in (event, dyad) order
-            size = (stop - start) * D
-            flat = stats.reshape(s, per_block * D)[:, :size]
-            nonzero = flat != 0.0
-            mask = nonzero.any(axis=0)
-            mask[np.arange(stop - start) * D + obs[start:stop]] = True
-            for pkeys in pshift.values():
-                lo, hi = np.searchsorted(pkeys, (start * D, stop * D))
-                mask[pkeys[lo:hi] - start * D] = True
-            listed = np.flatnonzero(mask)
-            keys.append(start * D + listed)
-            term, pos = np.divmod(np.flatnonzero(nonzero), size)
-            slot = np.searchsorted(listed, pos) + n_keys
-            n_keys += listed.size
-            value = flat[term, pos]
-            bounds = np.searchsorted(term, np.arange(s + 1))
-            for c, parts in enumerate(found.values()):
-                lo, hi = bounds[c], bounds[c + 1]
-                parts.append((slot[lo:hi], value[lo:hi]))
-        # free the block buffers for what follows
-        stats = flat = nonzero = mask = store = None
-
-        # the listed dyads, in (event, dyad) order: the index of each event's
-        # observed one, and each one's event, sender's icr flag and receiver
-        # in their smallest types (a per-dyad table spares key-sized
-        # temporaries)
-        keys = np.concatenate(keys)
-        observed = np.searchsorted(keys, np.arange(m) * D + obs)
-        for t, pkeys in pshift.items():
-            found[t] = [(np.searchsorted(keys, pkeys), np.ones(pkeys.size))]
-        pshift = pkeys = None
-        key_event, dyad = np.divmod(keys, D)
-        keys = obs = None
-        flag = icr.astype(np.uint8)
-        sender, receiver = dyad_from_index(np.arange(D), n)
-        key_flag = flag[sender][dyad]
-        key_receiver = receiver.astype(np.min_scalar_type(n - 1))[dyad]
-        key_event = key_event.astype(np.min_scalar_type(m - 1))
-        sender = receiver = dyad = None
-
-        # an unlisted dyad (i, j) of event t is in cell (t, icr_i, j): each
-        # cell's dyads, the actors of flag icr_i less j itself; each event's
-        # unlisted dyads per cell, and the nonempty cells
+        flag = actors.icr_array().astype(np.uint8)
+        # an unlisted dyad (i, j) is in cell (icr_i, j): each cell's dyads,
+        # the actors of flag icr_i less j itself
         size = np.bincount(flag, minlength=2)[:, None] - (np.arange(2)[:, None] == flag)
-        unlisted = size.reshape(-1) - np.bincount(
-            np.ravel_multi_index((key_event, key_flag, key_receiver), (m, 2, n)),
-            minlength=m * 2 * n,
-        ).reshape(m, 2 * n)
-        nonempty = np.flatnonzero(unlisted)
-
-        # the rows: the listed dyads, each of count 1, then the nonempty
-        # cells, each counted by its unlisted dyads; each carries its event,
-        # flag and receiver, and each array is dropped after its last use
-        row_event, row_flag, row_receiver = (
-            np.concatenate((key, cell), dtype=key.dtype, casting="unsafe")
-            for key, cell in zip(
-                (key_event, key_flag, key_receiver), np.unravel_index(nonempty, (m, 2, n))
+        # each dyad's sender flag and receiver, in their smallest types (a
+        # per-dyad table spares key-sized temporaries)
+        dyads = [
+            column[index]
+            for column, index in zip(
+                (flag, np.arange(n, dtype=np.min_scalar_type(n - 1))),
+                dyad_from_index(np.arange(D), n),
             )
+        ]
+        pshift = _pshift_keys(self.terms, pairs, n)
+        state = HistoryState(n, self.terms)
+        blocks, lo = [], 0
+        while lo < m:
+            hi, keys, found, observed, share = _scan(
+                state, pairs, pshift, lo, np.count_nonzero(size)
+            )
+            rows = _cells(keys, hi - lo, dyads, size, np.min_scalar_type(m - 1))
+            keys = None
+            levels, codes = _codes(rows, found, share, flag, self.terms)
+            merged = _merge((rows[0], rows[3], codes, observed), self.terms, levels, hi - lo)
+            rows = codes = share = None
+            blocks.append((lo, merged, levels))
+            lo = hi
+        self.event, self.count, self.codes, self.levels, self.observed = _joined(
+            blocks, self.terms
         )
-        weight = np.ones(row_event.size, dtype=np.min_scalar_type(D))
-        weight[key_event.size :] = unlisted.reshape(-1)[nonempty]
-        key_event = key_flag = key_receiver = unlisted = nonempty = None
-        levels, row_codes = {}, {}
-        for t in sparse:
-            parts = found.pop(t)
-            slots, values = (np.concatenate(x) for x in zip(*parts))
-            parts.clear()  # its views pin each block's slot and value arrays
-            levels[t], codes = _coded(values)
-            row_codes[t] = np.zeros(row_event.size, dtype=codes.dtype)
-            row_codes[t][slots] = codes
-        slots = values = codes = None
-        if share is not None:
-            # a row's NTDegRec is its (event, receiver) entry of the share
-            levels[Term.NTDEGREC], codes = _coded(share.reshape(-1))
-            row_codes[Term.NTDEGREC] = codes[row_event.astype(np.intp) * n + row_receiver]
-            share = codes = None
-        if Term.ICR in self.terms:
-            # a row's ICR is its sender's flag plus its receiver's
-            levels[Term.ICR] = np.arange(3.0)
-            row_codes[Term.ICR] = row_flag + flag[row_receiver]
-        row_flag = row_receiver = None
-
-        self.event, self.count, self.codes, observed = _merge(
-            (row_event, weight, row_codes, observed), self.terms, levels, m
-        )
-        self.levels = levels
-        self.observed = observed.astype(np.min_scalar_type(self.count.size - 1))
 
     @property
     def nbytes(self) -> int:
@@ -466,12 +372,167 @@ def _as_theta(theta, k: int) -> np.ndarray:
     return theta
 
 
-# dyad rows per block: a block of events of the ``EventDesign`` build, or
-# of the kernel's Hessian sum, stays cache-sized
+# rows per block. The ``EventDesign`` build scans the events a block of
+# this many dyads at a time, and codes and merges a run of such blocks once
+# its rows reach it, so it holds one merge block's rows, not the network's;
+# the kernel sums its Hessian over blocks of this many rows
 _BLOCK_ROWS = 1 << 16
 # the bound on ``_merge``'s row codes: a code whose next digit would reach
 # it is first replaced by its rank among the codes
 _CODE_LIMIT = 1 << 63
+
+
+def _pshift_keys(terms, pairs: np.ndarray, n: int) -> dict:
+    """Stage 1 of the ``EventDesign`` build: each p-shift's listed keys
+    t * D + dyad, in increasing order.
+
+    They are the dyad, row or column that its roles pick in event t - 1 (0
+    its sender, 1 its receiver, 2 each other actor, in increasing order),
+    gathered from the table of every dyad's index, row i actor i's sent
+    dyads and column j its received ones."""
+    shifts = [t for t in terms if _ROLES_AT[t.position]]
+    if not shifts:
+        return {}
+    m, D = len(pairs), n * (n - 1)
+    role = [pairs[:-1, :1], pairs[:-1, 1:]]
+    if any(2 in _ROLES_AT[t.position] for t in shifts):
+        rest = np.ones((m - 1, n), dtype=bool)
+        for actor in pairs[:-1].T:
+            rest[np.arange(m - 1), actor] = False
+        role.append(np.nonzero(rest)[1].reshape(m - 1, n - 2))
+    i, j = np.indices((n, n))
+    table = i * (n - 1) + j - (j > i)
+    base = np.arange(D, m * D, D)[:, None]
+    pshift = {}
+    for t in shifts:
+        sender, receiver = _ROLES_AT[t.position]
+        pshift[t] = (table[role[sender], role[receiver]] + base).reshape(-1)
+    return pshift
+
+
+def _scan(state, pairs: np.ndarray, pshift: dict, lo: int, cells: int):
+    """Stage 2 of the ``EventDesign`` build, the block scan of one merge
+    block: it replays the events from ``lo`` on, a scan block of
+    ``_BLOCK_ROWS`` dyads at a time, and closes after the scan block at
+    which the merge block's pending rows, its listed dyads and at most
+    ``cells`` cells an event, reach ``_BLOCK_ROWS``.
+
+    Each event's copy of the store's stacked arrays (the array terms) goes
+    to a block buffer, which lives as long as the scan. A listed dyad of
+    event t is observed, or nonzero for an array term or a p-shift (whose
+    keys ``pshift`` holds), and its key is (t - lo) * D + dyad. Returns the
+    end of the merge block, its listed keys in increasing order, each
+    sparse term's (slot, value) parts, a slot being a key's index, each
+    event's observed slot and, with NTDegRec, the receivers' shares of
+    each event, shape (events, n)."""
+    m, n = len(pairs), state.n
+    D = n * (n - 1)
+    per_block = max(1, _BLOCK_ROWS // D)
+    s = len(state.array_terms)
+    buffer = np.empty((s, per_block, n - 1, n))
+    store = _offdiag(state.stat)
+    keys, observed, shares = [], [], []
+    found = {t: [] for t in (*state.array_terms, *pshift)}
+    start, n_keys = lo, 0
+    while start < m and n_keys + (start - lo) * cells < _BLOCK_ROWS:
+        stop = min(start + per_block, m)
+        obs = np.empty(stop - start, dtype=np.intp)
+        if state.share is not None:
+            shares.append(np.empty((stop - start, n)))
+        for t in range(start, stop):
+            if state.share is not None:
+                shares[-1][t - start] = state.share
+            buffer[:, t - start] = store
+            a, b = int(pairs[t, 0]), int(pairs[t, 1])
+            obs[t - start] = dyad_index(a, b, n)
+            state.update(a, b)
+        # the scan block's listed dyads and the array terms' nonzero
+        # entries, term by term in (event, dyad) order
+        size = (stop - start) * D
+        flat = buffer.reshape(s, per_block * D)[:, :size]
+        nonzero = flat != 0.0
+        mask = nonzero.any(axis=0)
+        at = np.arange(stop - start) * D + obs
+        mask[at] = True
+        shifted = {}
+        for t, pkeys in pshift.items():
+            a, b = np.searchsorted(pkeys, (start * D, stop * D))
+            shifted[t] = pkeys[a:b] - start * D
+            mask[shifted[t]] = True
+        listed = np.flatnonzero(mask)
+        keys.append((start - lo) * D + listed)
+        # each listed position's slot, its key's index, in the smallest type
+        slot = np.empty(size, dtype=np.min_scalar_type(n_keys + listed.size))
+        slot[listed] = np.arange(n_keys, n_keys + listed.size)
+        observed.append(slot[at])
+        term, pos = np.divmod(np.flatnonzero(nonzero), size)
+        value = flat[term, pos]
+        pos = slot[pos]
+        bounds = np.searchsorted(term, np.arange(s + 1))
+        for c, t in enumerate(state.array_terms):
+            part = slice(bounds[c], bounds[c + 1])
+            found[t].append((pos[part], value[part]))
+        for t, p in shifted.items():
+            found[t].append((slot[p], np.ones(p.size)))
+        n_keys += listed.size
+        start = stop
+    share = np.concatenate(shares) if shares else None
+    return start, np.concatenate(keys), found, np.concatenate(observed), share
+
+
+def _cells(keys: np.ndarray, k: int, dyads, size: np.ndarray, event_type):
+    """Stage 3 of the ``EventDesign`` build: a merge block's rows, its
+    listed dyads (``keys`` of its ``k`` events), each of count 1, then its
+    nonempty cells, each counted by its unlisted dyads.
+
+    ``dyads`` holds each dyad's sender flag and receiver, ``size`` each
+    cell's dyads. Returns each row's event (0 the block's first), sender
+    flag, receiver and count, each in its smallest type."""
+    dyad_flag, dyad_receiver = dyads
+    n, D = size.shape[1], dyad_flag.size
+    key_event, dyad = np.divmod(keys, D)
+    key_flag, key_receiver = dyad_flag[dyad], dyad_receiver[dyad]
+    key_event = key_event.astype(event_type)
+    dyad = None
+    # each event's unlisted dyads per cell, and the nonempty cells
+    unlisted = size.reshape(-1) - np.bincount(
+        np.ravel_multi_index((key_event, key_flag, key_receiver), (k, 2, n)),
+        minlength=k * 2 * n,
+    ).reshape(k, 2 * n)
+    nonempty = np.flatnonzero(unlisted)
+    event, flag, receiver = (
+        np.concatenate((key, cell), dtype=key.dtype, casting="unsafe")
+        for key, cell in zip(
+            (key_event, key_flag, key_receiver), np.unravel_index(nonempty, (k, 2, n))
+        )
+    )
+    count = np.ones(event.size, dtype=np.min_scalar_type(D))
+    count[key_event.size :] = unlisted.reshape(-1)[nonempty]
+    return event, flag, receiver, count
+
+
+def _codes(rows, found: dict, share, flag: np.ndarray, terms):
+    """Stage 4 of the ``EventDesign`` build: each term's levels in a merge
+    block and its codes of the block's ``rows`` (``_cells``), from the
+    sparse terms' ``found`` parts (``_scan``), the block's ``share`` rows
+    and the actors' icr ``flag``."""
+    event, row_flag, receiver, _ = rows
+    levels, codes = {}, {}
+    for term in terms:
+        if term is Term.NTDEGREC:
+            # a row's NTDegRec is its (event, receiver) entry of the share
+            levels[term], code = _coded(share.reshape(-1))
+            codes[term] = code[event.astype(np.intp) * flag.size + receiver]
+        elif term is Term.ICR:
+            # a row's ICR is its sender's flag plus its receiver's
+            levels[term] = np.arange(3.0)
+            codes[term] = row_flag + flag[receiver]
+        else:
+            slots, values = (np.concatenate(x) for x in zip(*found.pop(term)))
+            levels[term], code = _coded(values)
+            codes[term] = np.zeros(event.size, dtype=code.dtype)
+            codes[term][slots] = code
+    return levels, codes
 
 
 def _coded(values: np.ndarray):
@@ -484,11 +545,12 @@ def _coded(values: np.ndarray):
     of its own. Each sorted value's code counts the levels up to it."""
     bits = values.view(np.int64)
     order = np.argsort(bits)
-    ranked = np.concatenate(([0], bits[order]))
+    ranked = np.zeros(bits.size + 1, dtype=np.int64)
+    np.take(bits, order, out=ranked[1:])
     step = ranked[1:] != ranked[:-1]
     levels = np.concatenate(([0], ranked[1:][step]))
     codes = np.empty(bits.size, dtype=np.min_scalar_type(levels.size - 1))
-    codes[order] = np.cumsum(step)
+    codes[order] = np.cumsum(step, dtype=codes.dtype)
     return levels.view(np.float64), codes
 
 
@@ -536,6 +598,30 @@ def _merge(rows, terms: tuple[Term, ...], levels, m: int, inverse: bool = False)
     order = None
     merged = event[first], count, {t: codes[t][first] for t in terms}, found
     return (merged, inv) if inverse else merged
+
+
+def _joined(blocks, terms: tuple[Term, ...]):
+    """The last stage of the ``EventDesign`` build: the merge blocks' rows
+    joined in order, as one design's.
+
+    ``blocks`` holds each block's first event, merged rows (``_merge``)
+    and levels. A term's levels are the union of the blocks' levels, and
+    a block's codes are mapped to it by one ``_coded`` of all the blocks'
+    levels, which codes each block's levels into the union. Returns the
+    event, count, codes, levels and observed arrays."""
+    starts = np.cumsum([0] + [rows[1].size for _, rows, _ in blocks])
+    event = np.concatenate([rows[0] + lo for lo, rows, _ in blocks])
+    count = np.concatenate([rows[1] for _, rows, _ in blocks])
+    observed = np.concatenate([rows[3] + a for (_, rows, _), a in zip(blocks, starts)])
+    levels, codes = {}, {}
+    for term in terms:
+        levels[term], remap = _coded(np.concatenate([lv[term] for _, _, lv in blocks]))
+        codes[term] = np.empty(count.size, dtype=remap.dtype)
+        first = 0
+        for (_, rows, lv), a, b in zip(blocks, starts, starts[1:]):
+            codes[term][a:b] = remap[first : first + lv[term].size][rows[2][term]]
+            first += lv[term].size
+    return event, count, codes, levels, observed.astype(np.min_scalar_type(count.size - 1))
 
 
 class _Factors:

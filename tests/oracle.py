@@ -13,10 +13,13 @@ the reference for the weighted-row kernel of ``remnet.inference``.
 ``reference_evaluate``, ``reference_prior_evaluate`` and ``reference_fit``
 are the weighted-row kernel, the t prior and the MAP fit loop as they were
 before the per-fit constants left their per-theta paths, kept verbatim:
-the current ones must give the same bits.
+the current ones must give the same bits. ``reference_design`` is the
+design build as it was before it coded and merged its rows a block of
+events at a time, kept verbatim: ``EventDesign`` must give its bits.
 """
 
 import math
+import types
 import warnings
 from typing import Sequence
 
@@ -34,7 +37,17 @@ from remnet.inference import (
     aicc,
     aicc_defined,
 )
-from remnet.stats import PSHIFT_TERMS, HistoryState, Term, design_matrix, dyad_index
+from remnet.stats import (
+    ALL_TERMS,
+    PSHIFT_TERMS,
+    HistoryState,
+    Term,
+    _offdiag,
+    _ROLES_AT,
+    design_matrix,
+    dyad_from_index,
+    dyad_index,
+)
 
 
 def naive_stat(
@@ -357,4 +370,163 @@ def reference_fit(
         converged=bool(np.max(np.abs(g), initial=0.0) <= tol),
         n_events=m,
         n_iter=n_iter,
+    )
+
+
+def _reference_coded(values: np.ndarray):
+    """``inference._coded`` as it was before the blocked build, kept
+    verbatim: a term's levels and the codes of ``values`` into them."""
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    ranked = np.concatenate(([0], bits[order]))
+    step = ranked[1:] != ranked[:-1]
+    levels = np.concatenate(([0], ranked[1:][step]))
+    codes = np.empty(bits.size, dtype=np.min_scalar_type(levels.size - 1))
+    codes[order] = np.cumsum(step)
+    return levels.view(np.float64), codes
+
+
+def reference_design(actors, seq, terms=ALL_TERMS) -> types.SimpleNamespace:
+    """The ``EventDesign`` build as it was before it ran a merge block at a
+    time, kept verbatim: it lists, codes and merges every row of the
+    network at once, against each term's global levels, with one
+    ``inference._merge``. Returns its ``event``, ``count``, ``codes``,
+    ``levels`` and ``observed``. Test oracle: ``EventDesign`` must give
+    its bits, dtypes included."""
+    terms = tuple(terms)
+    n = actors.n
+    m = seq.m
+    D = n * (n - 1)
+    sparse = [t for t in terms if t not in (Term.NTDEGREC, Term.ICR)]
+    icr = actors.icr_array()
+    pairs = seq.index_pairs(actors)
+    per_block = max(1, inference._BLOCK_ROWS // D)
+    # before the block buffer, so that no array pins its hole
+    share = np.empty((m, n)) if Term.NTDEGREC in terms else None
+    obs = np.empty(m, dtype=np.intp)
+    keys, n_keys = [np.empty(0, np.intp)], 0
+    # each p-shift's listed keys t * D + dyad, in increasing order: the
+    # dyad, row or column that its roles pick in event t - 1 (0 its
+    # sender, 1 its receiver, 2 each other actor, in increasing order),
+    # gathered from the table of every dyad's index, row i actor i's
+    # sent dyads and column j its received ones
+    shifts = [t for t in sparse if _ROLES_AT[t.position]]
+    pshift = {}
+    if shifts:
+        role = [pairs[:-1, :1], pairs[:-1, 1:]]
+        if any(2 in _ROLES_AT[t.position] for t in shifts):
+            rest = np.ones((m - 1, n), dtype=bool)
+            for actor in pairs[:-1].T:
+                rest[np.arange(m - 1), actor] = False
+            role.append(np.nonzero(rest)[1].reshape(m - 1, n - 2))
+        i, j = np.indices((n, n))
+        table = i * (n - 1) + j - (j > i)
+        base = np.arange(D, m * D, D)[:, None]
+        for t in shifts:
+            sender, receiver = _ROLES_AT[t.position]
+            pshift[t] = (table[role[sender], role[receiver]] + base).reshape(-1)
+        rest = role = i = j = table = base = None
+    state = HistoryState(n, terms)
+    found = {t: [(np.empty(0, np.intp), np.empty(0))] for t in state.array_terms}
+    s = len(found)
+    stats = np.empty((s, per_block, n - 1, n))
+    store = _offdiag(state.stat)
+    for start in range(0, m, per_block):
+        stop = min(start + per_block, m)
+        for t in range(start, stop):
+            if share is not None:
+                share[t] = state.share
+            stats[:, t - start] = store
+            a, b = int(pairs[t, 0]), int(pairs[t, 1])
+            obs[t] = dyad_index(a, b, n)
+            state.update(a, b)
+        # the block's listed dyads (touched or observed) and the array
+        # terms' nonzero entries, term by term in (event, dyad) order
+        size = (stop - start) * D
+        flat = stats.reshape(s, per_block * D)[:, :size]
+        nonzero = flat != 0.0
+        mask = nonzero.any(axis=0)
+        mask[np.arange(stop - start) * D + obs[start:stop]] = True
+        for pkeys in pshift.values():
+            lo, hi = np.searchsorted(pkeys, (start * D, stop * D))
+            mask[pkeys[lo:hi] - start * D] = True
+        listed = np.flatnonzero(mask)
+        keys.append(start * D + listed)
+        term, pos = np.divmod(np.flatnonzero(nonzero), size)
+        slot = np.searchsorted(listed, pos) + n_keys
+        n_keys += listed.size
+        value = flat[term, pos]
+        bounds = np.searchsorted(term, np.arange(s + 1))
+        for c, parts in enumerate(found.values()):
+            lo, hi = bounds[c], bounds[c + 1]
+            parts.append((slot[lo:hi], value[lo:hi]))
+    # free the block buffers for what follows
+    stats = flat = nonzero = mask = store = None
+
+    # the listed dyads, in (event, dyad) order: the index of each event's
+    # observed one, and each one's event, sender's icr flag and receiver
+    # in their smallest types (a per-dyad table spares key-sized
+    # temporaries)
+    keys = np.concatenate(keys)
+    observed = np.searchsorted(keys, np.arange(m) * D + obs)
+    for t, pkeys in pshift.items():
+        found[t] = [(np.searchsorted(keys, pkeys), np.ones(pkeys.size))]
+    pshift = pkeys = None
+    key_event, dyad = np.divmod(keys, D)
+    keys = obs = None
+    flag = icr.astype(np.uint8)
+    sender, receiver = dyad_from_index(np.arange(D), n)
+    key_flag = flag[sender][dyad]
+    key_receiver = receiver.astype(np.min_scalar_type(n - 1))[dyad]
+    key_event = key_event.astype(np.min_scalar_type(m - 1))
+    sender = receiver = dyad = None
+
+    # an unlisted dyad (i, j) of event t is in cell (t, icr_i, j): each
+    # cell's dyads, the actors of flag icr_i less j itself; each event's
+    # unlisted dyads per cell, and the nonempty cells
+    size = np.bincount(flag, minlength=2)[:, None] - (np.arange(2)[:, None] == flag)
+    unlisted = size.reshape(-1) - np.bincount(
+        np.ravel_multi_index((key_event, key_flag, key_receiver), (m, 2, n)),
+        minlength=m * 2 * n,
+    ).reshape(m, 2 * n)
+    nonempty = np.flatnonzero(unlisted)
+
+    # the rows: the listed dyads, each of count 1, then the nonempty
+    # cells, each counted by its unlisted dyads; each carries its event,
+    # flag and receiver, and each array is dropped after its last use
+    row_event, row_flag, row_receiver = (
+        np.concatenate((key, cell), dtype=key.dtype, casting="unsafe")
+        for key, cell in zip(
+            (key_event, key_flag, key_receiver), np.unravel_index(nonempty, (m, 2, n))
+        )
+    )
+    weight = np.ones(row_event.size, dtype=np.min_scalar_type(D))
+    weight[key_event.size :] = unlisted.reshape(-1)[nonempty]
+    key_event = key_flag = key_receiver = unlisted = nonempty = None
+    levels, row_codes = {}, {}
+    for t in sparse:
+        parts = found.pop(t)
+        slots, values = (np.concatenate(x) for x in zip(*parts))
+        parts.clear()  # its views pin each block's slot and value arrays
+        levels[t], codes = _reference_coded(values)
+        row_codes[t] = np.zeros(row_event.size, dtype=codes.dtype)
+        row_codes[t][slots] = codes
+    slots = values = codes = None
+    if share is not None:
+        # a row's NTDegRec is its (event, receiver) entry of the share
+        levels[Term.NTDEGREC], codes = _reference_coded(share.reshape(-1))
+        row_codes[Term.NTDEGREC] = codes[row_event.astype(np.intp) * n + row_receiver]
+        share = codes = None
+    if Term.ICR in terms:
+        # a row's ICR is its sender's flag plus its receiver's
+        levels[Term.ICR] = np.arange(3.0)
+        row_codes[Term.ICR] = row_flag + flag[row_receiver]
+    row_flag = row_receiver = None
+
+    event, count, codes, observed = inference._merge(
+        (row_event, weight, row_codes, observed), terms, levels, m
+    )
+    observed = observed.astype(np.min_scalar_type(count.size - 1))
+    return types.SimpleNamespace(
+        event=event, count=count, codes=codes, levels=levels, observed=observed
     )

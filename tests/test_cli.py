@@ -1015,3 +1015,44 @@ def test_corrupted_saved_output_exits_cleanly(data_dir, saved_outputs, data):
         (out / name).write_text(json.dumps(corrupt_json(data, saved_outputs[name])))
         code = run([command, *inputs, "--out", out, *sim])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 41.0 MiB for an array with shape (14, 383900)")
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("fit", "remnet.inference._scan"),
+        ("select", "remnet.inference._scan"),
+        ("fit", "remnet.cli.fit_map"),
+        ("knockout", "remnet.cli.run_knockout_experiment"),
+    ],
+    ids=["fit_design_build", "select_design_build", "fit_map", "knockout"],
+)
+def test_memory_error_exits_as_a_data_error(
+    data_dir, tmp_path, capsys, monkeypatch, command, target
+):
+    # a MemoryError in a command's first heavy stage: exit 3 and one line
+    # naming the command, no traceback
+    base = ["--events", data_dir / "events.csv", "--actors", data_dir / "actors.csv"]
+    out = tmp_path / "o"
+    assert run(["fit", *base, "--out", out, "--terms", "PSAB-BA", "ICR"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(target, _out_of_memory)
+    assert run([command, *base, "--out", out, "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == (
+        f"data error: {command} ran out of memory: Unable to allocate 41.0 MiB "
+        "for an array with shape (14, 383900)\n"
+    )
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["fit", "--terms", "ICR", "--tol", "0.5"])
+    second = build_parser().parse_args(["select"])
+    assert first.terms == ["ICR"] and first.tol == 0.5
+    assert second.command == "select" and second.terms is None and second.tol is None

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import tracemalloc
 import types
 from unittest import mock
 
@@ -45,6 +46,7 @@ from oracle import (
     dense_scores,
     naive_log_likelihood,
     naive_stat_vector,
+    reference_design,
     reference_evaluate,
     reference_prior_evaluate,
 )
@@ -461,6 +463,95 @@ def test_design_bits_are_pinned():
     assert digest.hexdigest() == (
         "5879d745dcf8f680e7dd8863eff66dce65918d1c2c2eae2623695e055b8cf5be"
     )
+
+
+# the design corpus's fixed specs: all 14 terms, the p-shifts, PSAB-BA,
+# a row and a column shift, the pair without NTDegRec, the empty and the
+# base-only designs, the wide_fit four, NTDegRec with the p-shifts and the
+# p-shifts reversed
+CORPUS_SPECS = (
+    ALL_TERMS,
+    PSHIFT_TERMS,
+    (Term.PSABBA,),
+    (Term.PSABBY, Term.PSABXA),
+    (Term.PSABBA, Term.ICR),
+    (),
+    (Term.ICR,),
+    (Term.NTDEGREC, Term.PSABBA, Term.RRECSND, Term.ICR),
+    (Term.NTDEGREC, *PSHIFT_TERMS),
+    PSHIFT_TERMS[::-1],
+)
+
+
+def assert_design_is(design, want):
+    """Every array of ``design`` has the dtype and bytes of ``want``'s."""
+    assert list(design.codes) == list(want.codes) == list(design.terms)
+    assert set(design.levels) == set(want.levels) == set(design.terms)
+    pairs = [(design.event, want.event), (design.count, want.count)]
+    pairs.append((design.observed, want.observed))
+    for term in design.terms:
+        pairs += [(design.codes[term], want.codes[term])]
+        pairs += [(design.levels[term], want.levels[term])]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_design_keeps_the_reference_bits_on_the_corpus(path_sized_fixture):
+    # 200 random networks, each built for one of the fixed specs and for a
+    # random subset, at the default block size and again with 1-3 events a
+    # scan block, so that its merge blocks are small and some lack a level
+    # that others have; each build must give the one-pass build's bits
+    rng = np.random.default_rng(31)
+    joined = mock.patch.object(inference, "_joined", wraps=inference._joined)
+    with joined as spy:
+        for case in range(200):
+            n = 2 if case % 10 == 0 else int(rng.integers(2, 13))
+            m = 1 if case % 25 == 0 else int(rng.integers(1, 61))
+            icr_indices = tuple(np.flatnonzero(rng.random(n) < 0.4))
+            actors, seq = random_sequence(n, m, rng, icr_indices=icr_indices)
+            subset = tuple(rng.permutation(ALL_TERMS)[: rng.integers(0, 15)])
+            for terms in (CORPUS_SPECS[case % len(CORPUS_SPECS)], subset):
+                want = reference_design(actors, seq, terms)
+                assert_design_is(EventDesign(actors, seq, terms), want)
+                block = int(rng.integers(1, 4)) * n * (n - 1)
+                with mock.patch.object(inference, "_BLOCK_ROWS", block):
+                    assert_design_is(EventDesign(actors, seq, terms), want)
+    # the corpus joins many blocks, and some of their levels are partial
+    blocks = [call.args[0] for call in spy.call_args_list]
+    assert sum(len(b) > 1 for b in blocks) > 200
+    assert any(
+        len({lv[t].size for _, _, lv in b}) > 1 for b in blocks for t in b[0][2]
+    )
+    # a code limit of 1 re-ranks the row codes before every digit of every
+    # block's merge
+    actors, seq = path_sized_fixture
+    want = reference_design(actors, seq)
+    for events in (1, 2, 3):
+        with mock.patch.object(inference, "_CODE_LIMIT", 1), mock.patch.object(
+            inference, "_BLOCK_ROWS", events * actors.n * (actors.n - 1)
+        ), mock.patch.object(inference.np, "unique", wraps=np.unique) as unique:
+            design = EventDesign(actors, seq)
+        assert unique.call_count >= 2 * len(ALL_TERMS)
+        assert_design_is(design, want)
+
+
+def test_wide_build_peak_is_half_the_one_pass_build():
+    # the wide_fit terms on a network of the data package's mean size (n =
+    # 100, m = 500): the one-pass build's traced peak was 7.51 MiB on the
+    # wide_fit seed-1 input and 8.03 MiB here, and a merge block's rows, not
+    # the network's, now set it
+    actors = make_actors(100, icr_indices=range(10))
+    truth = {Term.NTDEGREC: 2.0, Term.RRECSND: 1.0, Term.PSABBA: 2.5, Term.ICR: 0.8}
+    seq = simulate_sequence(truth, actors, 500, seed=1)
+    terms = (Term.NTDEGREC, Term.PSABBA, Term.RRECSND, Term.ICR)
+    tracemalloc.start()
+    try:
+        design = EventDesign(actors, seq, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.count.size > 60_000
+    assert peak <= 7.51 / 2 * 2**20
 
 
 def test_design_without_spec_terms_is_rejected(small_fixture):
